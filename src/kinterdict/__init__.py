@@ -55,7 +55,7 @@ from .oracles import (
     oracle_report,
     vertex_lp_optimum,
 )
-from .rational import Rat, ceil_div, rat_from_str, rat_pow, rat_to_str
+from .rational import Rat, ceil_div, rat_to_str
 
 __version__ = "0.1.0"
 
@@ -93,8 +93,6 @@ __all__ = [
     "oracle_report",
     "parse_instance",
     "preprocess",
-    "rat_from_str",
-    "rat_pow",
     "rat_to_str",
     "round_down_packing",
     "serialize_instance",

@@ -7,9 +7,12 @@ delta = eps * z / n, and replace the budget knapsack by a DP over rounded
 profit units that stores the minimum budget per unit target.  A guessed z is
 accepted when the best rounded dual bound is at most (1 + eps) * z; the
 accepted set is upward closed, so binary search over the grid finds the
-smallest accepted guess.  Composing with the integrality gap of the packing
-LP turns the (1+eps) guarantee on the relaxed optimum into 2+eps for a
-single capacity and 1+t+eps for t capacities.
+smallest accepted guess.  That acceptance limit also bounds the work: a
+candidate whose alpha . C alone exceeds it builds no DP table, and every
+other table stops at the largest unit target the limit leaves, which keeps
+every bound that can pass.  Composing with the integrality gap of the
+packing LP turns the (1+eps) guarantee on the relaxed optimum into 2+eps for
+a single capacity and 1+t+eps for t capacities.
 
 Internally the requested accuracy eps is split into eps' with
 (1 + eps')^2 <= 1 + eps: one factor pays for the grid resolution, the other
@@ -21,6 +24,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .dual import (
     CandidateSet,
@@ -28,10 +32,8 @@ from .dual import (
     dual_breakpoints,
     dual_vertex_candidates,
     fractional_value,
-    reduced_profit,
 )
 from .instance import Instance, InterdictionVector, lift_interdiction, preprocess
-from .rational import ceil_div
 
 GUARANTEE_EXACT = "exact-opt-f"
 GUARANTEE_OPT_F = "1+eps-of-opt-f"
@@ -135,11 +137,21 @@ def rounded_profit_units(inst: Instance, a: DualPoint, delta: Fraction) -> list[
 
     Summing these units over surviving items and multiplying by delta equals
     the running-total rounding of the reduced profit sum, because the total
-    is a multiple of delta before every addition.
+    is a multiple of delta before every addition.  Computed in integers:
+    with L the lcm of alpha's denominators, r = p_i L - w_i . (alpha L) is
+    the reduced profit times L, and the units are ceil(r / (L delta)).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return [ceil_div(reduced_profit(inst, i, a), delta) for i in range(inst.n)]
+    scale = lcm(*(q.denominator for q in a.alpha))
+    alpha_scaled = [q.numerator * (scale // q.denominator) for q in a.alpha]
+    num = delta.denominator
+    den = delta.numerator * scale
+    units = []
+    for p, *w in zip(inst.p, *inst.W):
+        r = p * scale - sum(wj * aj for wj, aj in zip(w, alpha_scaled))
+        units.append(-(-r * num // den) if r > 0 else 0)
+    return units
 
 
 @dataclass(frozen=True)
@@ -184,32 +196,43 @@ class BudgetTable:
 
 
 def min_budget_table(units, costs, delta: Fraction, kmax: int) -> BudgetTable:
-    """Build the min-budget DP table for the given unit costs."""
+    """Build the min-budget DP table for the given unit costs.
+
+    rows[i][k] depends only on rows[i+1][0..k], so a table built with a
+    smaller kmax agrees with a larger one on every column it keeps.  A
+    zero-unit item's row is the identity and shares the next row.
+    """
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
     m = len(units)
-    rows: list[list[int]] = [[0] * (kmax + 1)]
+    rows: list = [None] * (m + 1)
+    rows[m] = (0,) * (kmax + 1)
     for i in range(m - 1, -1, -1):
         u, ci = units[i], costs[i]
-        nxt = rows[0]
+        nxt = rows[i + 1]
+        if u == 0:
+            rows[i] = nxt
+            continue
         row = [ci + v for v in nxt]  # interdict branch
         if u <= kmax:
-            row[u:] = [
-                a if a <= b else b for a, b in zip(row[u:], nxt[: kmax + 1 - u])
-            ]
-        rows.insert(0, row)
+            row[u:] = [a if a <= b else b for a, b in zip(row[u:], nxt)]
+        rows[i] = tuple(row)
     return BudgetTable(
         units=tuple(units),
         costs=tuple(costs),
         delta=delta,
         kmax=kmax,
-        rows=tuple(tuple(r) for r in rows),
+        rows=tuple(rows),
     )
 
 
 @dataclass(frozen=True)
 class CandidateEval:
-    """One dual candidate's rounded bound at one grid point (None = pruned)."""
+    """One dual candidate's rounded bound at one grid point (None = pruned).
+
+    dp_states is the nominal size n (kmax + 1) of the table the candidate
+    built, or 0 when it was skipped without one.
+    """
 
     value: Fraction | None
     bits: tuple[int, ...] | None
@@ -217,7 +240,7 @@ class CandidateEval:
 
 
 def rounded_dual_bound(
-    inst: Instance, a: DualPoint, point: GridPoint
+    inst: Instance, a: DualPoint, point: GridPoint, limit: Fraction | None = None
 ) -> CandidateEval:
     """Rounded dual objective minimised over budget-feasible interdictions.
 
@@ -225,19 +248,31 @@ def rounded_dual_bound(
     k* is the least feasible unit target.  When the unit cap prunes every
     budget-feasible interdiction the result carries value None: the guess z
     was too small, which the caller treats as a rejection signal.
+
+    With a limit, only values at most the limit are sought: a candidate with
+    alpha . C > limit returns None without rounding or building a table, and
+    the table stops at the largest k with alpha . C + k delta <= limit.  Any
+    value at most the limit, and its interdiction, is the same as without it.
     """
+    base = a.dot_capacity(inst)
+    kmax = point.kmax
+    if limit is not None:
+        if base > limit:
+            return CandidateEval(value=None, bits=None, dp_states=0)
+        kmax = min(kmax, (limit - base) // point.delta)
     units = rounded_profit_units(inst, a, point.delta)
-    table = min_budget_table(units, inst.c, point.delta, point.kmax)
+    table = min_budget_table(units, inst.c, point.delta, kmax)
+    states = inst.n * (point.kmax + 1)
     k = table.min_units_within(inst.B)
     if k is None:
-        return CandidateEval(value=None, bits=None, dp_states=table.states)
-    value = a.dot_capacity(inst) + k * point.delta
-    return CandidateEval(value=value, bits=table.traceback(k), dp_states=table.states)
+        return CandidateEval(value=None, bits=None, dp_states=states)
+    value = base + k * point.delta
+    return CandidateEval(value=value, bits=table.traceback(k), dp_states=states)
 
 
 def _eval_candidate(task) -> CandidateEval:
-    inst, a, point = task
-    return rounded_dual_bound(inst, a, point)
+    inst, a, point, limit = task
+    return rounded_dual_bound(inst, a, point, limit=limit)
 
 
 @dataclass(frozen=True)
@@ -257,33 +292,38 @@ def accept_level(
     candidates: CandidateSet,
     mapper=map,
 ) -> LevelResult:
-    """Evaluate every candidate at grid level j and test acceptance.
+    """Evaluate the candidates at grid level j and test acceptance.
 
-    The level passes when the best rounded bound is at most
-    (1 + eps') * z_j.  All candidates are always evaluated (pruned ones
-    count as +infinity) and ties go to the earliest candidate, so the result
-    does not depend on the mapper's parallelism.
+    The level passes when the best rounded bound is at most the limit
+    (1 + eps') * z_j = z_j + n delta_j.  Every candidate is evaluated against
+    that limit: one whose alpha . C exceeds it is skipped without a table,
+    and the others build their tables only up to the unit target the limit
+    leaves, so bounds above the limit come back as None.  A passing level's
+    value, interdiction and alpha are those of the unlimited evaluation, and
+    a failing level fails either way.  Ties go to the earliest candidate, so
+    the result does not depend on the mapper's parallelism.  dp_tables
+    counts the tables built; dp_states is their nominal size.
     """
     point = grid.point(j)
-    tasks = [(inst, a, point) for a in candidates]
+    limit = (1 + grid.eps_internal) * point.z
+    tasks = [(inst, a, point, limit) for a in candidates]
     best_value: Fraction | None = None
     best_bits = None
     best_alpha = None
+    dp_tables = 0
     dp_states = 0
     for a, ev in zip(candidates, mapper(_eval_candidate, tasks)):
-        dp_states += ev.dp_states
+        if ev.dp_states:
+            dp_tables += 1
+            dp_states += ev.dp_states
         if ev.value is not None and (best_value is None or ev.value < best_value):
             best_value, best_bits, best_alpha = ev.value, ev.bits, a
-    passed = (
-        best_value is not None
-        and best_value <= (1 + grid.eps_internal) * point.z
-    )
     return LevelResult(
-        passed=passed,
+        passed=best_value is not None and best_value <= limit,
         value=best_value,
         bits=best_bits,
         alpha=best_alpha,
-        dp_tables=len(tasks),
+        dp_tables=dp_tables,
         dp_states=dp_states,
     )
 

@@ -15,25 +15,9 @@ from fractions import Fraction
 Rat = Fraction
 
 
-def rat_from_str(text: str) -> Rat:
-    """Parse a decimal or fraction string into an exact rational.
-
-    Accepts e.g. "3", "-2/7", "0.125".  Raises ValueError on anything
-    Fraction cannot parse exactly (floats are never involved).
-    """
-    return Fraction(text.strip())
-
-
 def rat_to_str(q: Rat) -> str:
     """Canonical "num/den" rendering ("num" alone when den == 1)."""
     return str(Fraction(q))
-
-
-def rat_pow(q: Rat, j: int) -> Rat:
-    """Exact q**j for a non-negative integer exponent."""
-    if j < 0:
-        raise ValueError("exponent must be non-negative")
-    return q ** j
 
 
 def ceil_div(a: Rat, d: Rat) -> int:

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from kinterdict.cli import _parse_eps
+from kinterdict.fptas import GeometricGrid
 from kinterdict.generator import SplitMix64
 from kinterdict.instance import (
     Instance,
@@ -17,8 +19,6 @@ from kinterdict.instance import (
 from kinterdict.rational import (
     NonpositiveDivisorError,
     ceil_div,
-    rat_from_str,
-    rat_pow,
     rat_to_str,
 )
 
@@ -29,15 +29,21 @@ T1_JSON = '{"n":2,"t":1,"p":[3,2],"c":[1,1],"w":[[2,2]],"B":1,"C":[2]}'
 
 # rational helpers
 
-def test_rat_pow_examples():
-    assert rat_pow(Fraction(3, 2), 0) == 1
-    assert rat_pow(Fraction(3, 2), 2) == Fraction(9, 4)
-    assert rat_pow(Fraction(11, 10), 3) == Fraction(1331, 1000)
+def test_grid_point_z_is_exact_power():
+    grid = GeometricGrid.build(T1, Fraction(1, 2))
+    assert grid.point(0).z == 1
+    assert grid.point(2).z == Fraction(9, 4)
+    grid = GeometricGrid.build(T1, Fraction(1, 10))
+    assert grid.point(3).z == Fraction(1331, 1000)
+    assert all(
+        grid.point(j).z == Fraction(11, 10) ** j for j in range(grid.J + 1)
+    )
 
 
-def test_rat_pow_rejects_negative_exponent():
+def test_grid_point_rejects_negative_level():
+    grid = GeometricGrid.build(T1, Fraction(1, 2))
     with pytest.raises(ValueError):
-        rat_pow(Fraction(2), -1)
+        grid.point(-1)
 
 
 def test_ceil_div_examples():
@@ -82,9 +88,9 @@ def test_rat_arithmetic_against_integer_identities():
 
 
 def test_rat_canonical_form():
-    q = rat_from_str("6/4")
+    q = _parse_eps("6/4")
     assert (q.numerator, q.denominator) == (3, 2)
-    assert rat_from_str("0.125") == Fraction(1, 8)
+    assert _parse_eps("0.125") == Fraction(1, 8)
     assert rat_to_str(Fraction(9, 3)) == "3"
     assert rat_to_str(Fraction(-3, 9)) == "-1/3"
 

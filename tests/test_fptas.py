@@ -520,3 +520,82 @@ def test_unit_form_equals_sequential_rounding_property(inst, seed):
     assert rounded_mass(inst, bits, a, delta) == sequential_rounded_mass(
         inst, bits, a, delta
     )
+
+
+def test_units_integer_rounding_matches_fraction_reference_beyond_64_bits():
+    big = 2**70
+    rng = SplitMix64(19)
+    n = 10
+    p = tuple(big * rng.uniform(1, 60) + rng.uniform(0, 999) for _ in range(n))
+    W = tuple(
+        tuple(big * rng.uniform(0, 9) + rng.uniform(0, 999) for _ in range(n))
+        for _ in range(3)
+    )
+    inst = Instance(n=n, t=3, p=p, c=(1,) * n, W=W, B=1, C=(big,) * 3)
+    alphas = [
+        DualPoint.of(0, 0, 0),
+        DualPoint.of(Fraction(1, 3), Fraction(2, 7), Fraction(5, 12)),
+        DualPoint.of(Fraction(7, 3), Fraction(5, 2), Fraction(1, 6)),
+        DualPoint.of(0, Fraction(3, 2), Fraction(1, 10**30 + 1)),
+    ] + [
+        DualPoint.of(*(random_rat(rng, max_num=40, max_den=97) for _ in range(3)))
+        for _ in range(6)
+    ]
+    deltas = [Fraction(big, 7), Fraction(1, 3), Fraction(10**25 + 3, 2**66)]
+    zero = positive = 0
+    for a in alphas:
+        for delta in deltas:
+            units = rounded_profit_units(inst, a, delta)
+            assert units == [
+                ceil_div(reduced_profit(inst, i, a), delta) for i in range(n)
+            ]
+            zero += units.count(0)
+            positive += n - units.count(0)
+    assert zero > 0 and positive > 0
+
+
+def test_traceback_interdicts_zero_unit_items_iff_free():
+    rng = SplitMix64(20)
+    for _ in range(80):
+        m = rng.uniform(1, 7)
+        units = [rng.uniform(0, 4) * rng.uniform(0, 1) for _ in range(m)]
+        costs = [rng.uniform(0, 3) for _ in range(m)]
+        kmax = rng.uniform(0, 12)
+        table = min_budget_table(units, costs, Fraction(1), kmax)
+        for k in range(kmax + 1):
+            bits = table.traceback(k)
+            for u, c, b in zip(units, costs, bits):
+                if u == 0:
+                    assert b == (1 if c == 0 else 0)
+
+
+def unlimited_level(inst, grid, j, cands):
+    """Reference acceptance test: every candidate's full table, no limit."""
+    point = grid.point(j)
+    best = None
+    for a in cands:
+        ev = rounded_dual_bound(inst, a, point)
+        if ev.value is not None and (best is None or ev.value < best[0]):
+            best = (ev.value, ev.bits, a)
+    passed = best is not None and best[0] <= (1 + grid.eps_internal) * point.z
+    return passed, best
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2]).flatmap(
+        lambda t: instance_strategy(max_n=5, t=t, max_value=9)
+    ),
+    st.sampled_from([Fraction(1), Fraction(1, 2)]),
+)
+def test_limited_accept_level_matches_unlimited_reference(inst, eps):
+    if inst.n == 0 or sum(inst.p) == 0:
+        return
+    grid = GeometricGrid.build(inst, split_accuracy(eps))
+    cands = candidates_for(inst)
+    for j in range(grid.J + 1):
+        res = accept_level(inst, grid, j, cands)
+        passed, best = unlimited_level(inst, grid, j, cands)
+        assert res.passed == passed
+        if passed:
+            assert (res.value, res.bits, res.alpha) == best
