@@ -12,11 +12,13 @@ exact rational; no float touches a solver path.
 from .dual import (
     CandidateSet,
     DualPoint,
+    PreparedInstance,
     dual_breakpoints,
     dual_bound_exact,
     dual_vertex_candidates,
     exact_fractional_optimum,
     fractional_value,
+    prepare,
     surviving_reduced_profit,
 )
 from .fptas import (
@@ -55,7 +57,7 @@ from .oracles import (
     oracle_report,
     vertex_lp_optimum,
 )
-from .rational import Rat, ceil_div, rat_to_str
+from .rational import Rat, rat_to_str
 
 __version__ = "0.1.0"
 
@@ -71,6 +73,7 @@ __all__ = [
     "MalformedSyntaxError",
     "NegativeValueError",
     "OracleReport",
+    "PreparedInstance",
     "Rat",
     "SchemaViolationError",
     "Solution",
@@ -79,7 +82,6 @@ __all__ = [
     "best_integer_packing",
     "brute_force_opt_f",
     "brute_force_opt_i",
-    "ceil_div",
     "dual_bound_exact",
     "dual_breakpoints",
     "dual_vertex_candidates",
@@ -92,6 +94,7 @@ __all__ = [
     "min_max_surviving_profit",
     "oracle_report",
     "parse_instance",
+    "prepare",
     "preprocess",
     "rat_to_str",
     "round_down_packing",

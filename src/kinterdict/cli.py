@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from .dual import exact_fractional_optimum, fractional_value
+from .dual import PreparedInstance, exact_fractional_optimum, fractional_value, prepare
 from .fptas import InternalInvariantError, NonpositiveEpsError, Solution, approx_interdiction
 from .generator import generate_instance
 from .instance import (
@@ -59,19 +59,21 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
-def _certify(inst: Instance, sol: Solution) -> None:
+def _certify(inst: Instance, sol: Solution, prepared: PreparedInstance) -> None:
     # Recompute the relaxed value of the emitted interdiction before anything
-    # is printed; a mismatch would mean a solver bug, never a user error.
-    reduced, index_map = preprocess(inst)
+    # is printed; a mismatch would mean a solver bug, never a user error.  The
+    # prepared instance and its candidates depend on the instance alone, so
+    # they are shared with the solver; nothing derived from x is.
+    reduced = prepared.reduced
     bits = tuple(
         sol.x[orig]
         for orig in range(inst.n)
-        if index_map[orig] is not None
+        if prepared.index_map[orig] is not None
     )
     x = InterdictionVector.from_bits(bits, reduced.c)
     if not x.feasible(inst.B):
         raise InternalInvariantError("emitted interdiction exceeds the budget")
-    check = fractional_value(reduced, x)
+    check = fractional_value(reduced, x, prepared.candidates)
     if check != sol.f_value:
         raise InternalInvariantError(
             f"emitted value {sol.f_value} != recomputed {check}"
@@ -120,8 +122,9 @@ def _solution_text(sol: Solution) -> str:
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
     eps = _parse_eps(args.eps)
-    sol = approx_interdiction(inst, eps, jobs=args.jobs)
-    _certify(inst, sol)
+    prepared = prepare(inst)
+    sol = approx_interdiction(inst, eps, jobs=args.jobs, prepared=prepared)
+    _certify(inst, sol, prepared)
     out = _solution_json(sol) if args.output == "json" else _solution_text(sol)
     sys.stdout.write(out)
     return EXIT_OK
@@ -193,17 +196,18 @@ _BENCH_HEADER = [
 
 
 def _bench_task(task):
-    name, text, eps_str, exact_max_n = task
-    inst = parse_instance(text)
+    name, inst, eps_str, exact_max_n = task
     eps = Fraction(eps_str)
     start = time.perf_counter()
-    sol = approx_interdiction(inst, eps)
+    prepared = prepare(inst)
+    sol = approx_interdiction(inst, eps, prepared=prepared)
     wall_ms = int((time.perf_counter() - start) * 1000)
     opt_f = ""
     ratio = ""
     if inst.n <= exact_max_n:
-        reduced, _ = preprocess(inst)
-        value, _, _ = exact_fractional_optimum(reduced)
+        value, _, _ = exact_fractional_optimum(
+            prepared.reduced, prepared.candidates
+        )
         opt_f = rat_to_str(value)
         if value > 0:
             ratio = rat_to_str(sol.f_value / value)
@@ -226,19 +230,16 @@ def cmd_bench(args) -> int:
     if not directory.is_dir():
         raise InstanceError(f"not a directory: {args.dir}")
     tasks = []
-    failures = 0
     for path in sorted(directory.iterdir()):
         if not path.is_file():
             continue
         try:
-            text = path.read_bytes()
-            parse_instance(text)  # reject unreadable/invalid files up front
+            inst = parse_instance(path.read_bytes())
         except (OSError, InstanceError) as exc:
             sys.stderr.write(f"skipping {path.name}: {exc}\n")
-            failures += 1
             continue
         for eps in eps_list:
-            tasks.append((path.name, text, rat_to_str(eps), args.exact_max_n))
+            tasks.append((path.name, inst, rat_to_str(eps), args.exact_max_n))
 
     if args.jobs > 1 and tasks:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .instance import Instance, InterdictionVector
+from .instance import Instance, InterdictionVector, preprocess
 from .linalg import solve_square_system
 from .nominal import DimensionMismatchError, fractional_knapsack, knapsack_max_budget
 
@@ -40,9 +41,13 @@ class DualPoint:
         return cls(alpha=tuple(Fraction(v) for v in values))
 
     def dot_capacity(self, inst: Instance) -> Fraction:
-        return sum(
-            (a * c for a, c in zip(self.alpha, inst.C)), start=Fraction(0)
-        )
+        scale, alpha = self.scaled()
+        return Fraction(sum(a * c for a, c in zip(alpha, inst.C)), scale)
+
+    def scaled(self) -> tuple[int, list[int]]:
+        """(L, alpha L) with L the lcm of alpha's denominators, all ints."""
+        scale = lcm(*(q.denominator for q in self.alpha))
+        return scale, [q.numerator * (scale // q.denominator) for q in self.alpha]
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,32 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
     )
 
 
+def candidate_set(inst: Instance) -> CandidateSet:
+    """The breakpoints for t = 1, the vertices of the arrangement otherwise."""
+    return dual_breakpoints(inst) if inst.t == 1 else dual_vertex_candidates(inst)
+
+
+@dataclass(frozen=True)
+class PreparedInstance:
+    """An instance after ``preprocess``, with its dual candidate set.
+
+    Built once per solve and shared by the search, the F(x) computation and
+    the certificate check: all three depend on the instance alone.
+    """
+
+    reduced: Instance
+    index_map: tuple[int | None, ...]
+    candidates: CandidateSet
+
+
+def prepare(inst: Instance) -> PreparedInstance:
+    """Preprocess an instance and enumerate the candidates of the result."""
+    reduced, index_map = preprocess(inst)
+    return PreparedInstance(
+        reduced=reduced, index_map=index_map, candidates=candidate_set(reduced)
+    )
+
+
 def dual_bound_exact(
     inst: Instance, a: DualPoint
 ) -> tuple[Fraction, InterdictionVector]:
@@ -146,16 +177,16 @@ def dual_bound_exact(
 
 
 def exact_fractional_optimum(
-    inst: Instance,
+    inst: Instance, candidates: CandidateSet | None = None
 ) -> tuple[Fraction, InterdictionVector, DualPoint]:
     """Exact relaxed interdiction optimum by scanning the dual candidates.
 
     Pseudopolynomial: one budget knapsack per candidate.  Ties between
-    candidates are broken by the first point in sorted order.
+    candidates are broken by the first point in sorted order.  A shared
+    ``candidates`` must be ``candidate_set(inst)``; it is built when omitted.
     """
-    candidates = (
-        dual_breakpoints(inst) if inst.t == 1 else dual_vertex_candidates(inst)
-    )
+    if candidates is None:
+        candidates = candidate_set(inst)
     best = None
     for a in candidates:
         value, x = dual_bound_exact(inst, a)
@@ -165,17 +196,38 @@ def exact_fractional_optimum(
     return best
 
 
-def fractional_value(inst: Instance, x: InterdictionVector) -> Fraction:
+def fractional_value(
+    inst: Instance, x: InterdictionVector, candidates: CandidateSet | None = None
+) -> Fraction:
     """Exact packing LP value F(x): greedy for t = 1, dual scan otherwise.
 
     The candidate set of ``dual_vertex_candidates`` does not depend on x, so
-    minimising the dual objective over it is exact for every interdiction.
+    minimising the dual objective over it is exact for every interdiction,
+    and a caller that evaluates several interdictions of one instance can
+    pass the set it already built (t = 1 ignores it).  Each candidate is
+    evaluated in integers: with L the lcm of alpha's denominators,
+    (alpha L) . C plus the sum of max(0, p_i L - w_i . (alpha L)) over the
+    surviving items is L times the dual objective, and one Fraction per
+    candidate is built for the comparison.
     """
+    if len(x.bits) != inst.n:
+        raise DimensionMismatchError("interdiction length does not match instance")
     if inst.t == 1:
         return fractional_knapsack(inst, x).value
+    if candidates is None:
+        candidates = dual_vertex_candidates(inst)
+    survivors = [
+        (inst.p[i], inst.weight_of(i)) for i in range(inst.n) if not x.bits[i]
+    ]
     best = None
-    for a in dual_vertex_candidates(inst):
-        v = a.dot_capacity(inst) + surviving_reduced_profit(inst, x, a)
+    for a in candidates:
+        scale, alpha = a.scaled()
+        total = sum(aj * cj for aj, cj in zip(alpha, inst.C))
+        for p, w in survivors:
+            r = p * scale - sum(wj * aj for wj, aj in zip(w, alpha))
+            if r > 0:
+                total += r
+        v = Fraction(total, scale)
         if best is None or v < best:
             best = v
     assert best is not None

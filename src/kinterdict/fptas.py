@@ -24,16 +24,15 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 
 from .dual import (
     CandidateSet,
     DualPoint,
-    dual_breakpoints,
-    dual_vertex_candidates,
+    PreparedInstance,
     fractional_value,
+    prepare,
 )
-from .instance import Instance, InterdictionVector, lift_interdiction, preprocess
+from .instance import Instance, InterdictionVector, lift_interdiction
 
 GUARANTEE_EXACT = "exact-opt-f"
 GUARANTEE_OPT_F = "1+eps-of-opt-f"
@@ -143,8 +142,7 @@ def rounded_profit_units(inst: Instance, a: DualPoint, delta: Fraction) -> list[
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    scale = lcm(*(q.denominator for q in a.alpha))
-    alpha_scaled = [q.numerator * (scale // q.denominator) for q in a.alpha]
+    scale, alpha_scaled = a.scaled()
     num = delta.denominator
     den = delta.numerator * scale
     units = []
@@ -240,7 +238,11 @@ class CandidateEval:
 
 
 def rounded_dual_bound(
-    inst: Instance, a: DualPoint, point: GridPoint, limit: Fraction | None = None
+    inst: Instance,
+    a: DualPoint,
+    point: GridPoint,
+    limit: Fraction | None = None,
+    base: Fraction | None = None,
 ) -> CandidateEval:
     """Rounded dual objective minimised over budget-feasible interdictions.
 
@@ -253,8 +255,10 @@ def rounded_dual_bound(
     alpha . C > limit returns None without rounding or building a table, and
     the table stops at the largest k with alpha . C + k delta <= limit.  Any
     value at most the limit, and its interdiction, is the same as without it.
+    ``base`` is alpha . C when the caller has it already.
     """
-    base = a.dot_capacity(inst)
+    if base is None:
+        base = a.dot_capacity(inst)
     kmax = point.kmax
     if limit is not None:
         if base > limit:
@@ -271,8 +275,8 @@ def rounded_dual_bound(
 
 
 def _eval_candidate(task) -> CandidateEval:
-    inst, a, point, limit = task
-    return rounded_dual_bound(inst, a, point, limit=limit)
+    inst, a, point, limit, base = task
+    return rounded_dual_bound(inst, a, point, limit=limit, base=base)
 
 
 @dataclass(frozen=True)
@@ -291,28 +295,33 @@ def accept_level(
     j: int,
     candidates: CandidateSet,
     mapper=map,
+    bases=None,
 ) -> LevelResult:
     """Evaluate the candidates at grid level j and test acceptance.
 
     The level passes when the best rounded bound is at most the limit
-    (1 + eps') * z_j = z_j + n delta_j.  Every candidate is evaluated against
-    that limit: one whose alpha . C exceeds it is skipped without a table,
-    and the others build their tables only up to the unit target the limit
-    leaves, so bounds above the limit come back as None.  A passing level's
-    value, interdiction and alpha are those of the unlimited evaluation, and
-    a failing level fails either way.  Ties go to the earliest candidate, so
-    the result does not depend on the mapper's parallelism.  dp_tables
-    counts the tables built; dp_states is their nominal size.
+    (1 + eps') * z_j = z_j + n delta_j.  A candidate whose alpha . C (taken
+    from ``bases`` when given, one per candidate) exceeds that limit is
+    skipped without a task; the others build their tables only up to the
+    unit target the limit leaves, so bounds above the limit come back as
+    None.  A passing level's value, interdiction and alpha are those of the
+    unlimited evaluation, and a failing level fails either way.  Ties go to
+    the earliest candidate, so the result does not depend on the mapper's
+    parallelism.  dp_tables counts the tables built; dp_states is their
+    nominal size.
     """
     point = grid.point(j)
     limit = (1 + grid.eps_internal) * point.z
-    tasks = [(inst, a, point, limit) for a in candidates]
+    if bases is None:
+        bases = [a.dot_capacity(inst) for a in candidates]
+    kept = [(a, base) for a, base in zip(candidates, bases) if base <= limit]
+    tasks = [(inst, a, point, limit, base) for a, base in kept]
     best_value: Fraction | None = None
     best_bits = None
     best_alpha = None
     dp_tables = 0
     dp_states = 0
-    for a, ev in zip(candidates, mapper(_eval_candidate, tasks)):
+    for (a, _), ev in zip(kept, mapper(_eval_candidate, tasks)):
         if ev.dp_states:
             dp_tables += 1
             dp_states += ev.dp_states
@@ -349,15 +358,17 @@ def search_optimum_guess(
     Levels below the optimum are rejected and levels at or above it are
     accepted, with at most one ambiguous level in between, so acceptance is
     monotone along the grid.  The top level always accepts because it is at
-    least the total profit.
+    least the total profit.  Each candidate's alpha . C is computed once and
+    shared by every level.
     """
+    bases = [a.dot_capacity(inst) for a in candidates]
     cache: dict[int, LevelResult] = {}
     dp_tables = 0
     dp_states = 0
 
     def evaluate(j: int) -> LevelResult:
         nonlocal dp_tables, dp_states
-        res = accept_level(inst, grid, j, candidates, mapper)
+        res = accept_level(inst, grid, j, candidates, mapper, bases)
         cache[j] = res
         dp_tables += res.dp_tables
         dp_states += res.dp_states
@@ -424,17 +435,22 @@ def _zero_solution(
     )
 
 
-def approx_fractional_optimum(inst: Instance, eps, jobs: int = 1) -> Solution:
+def approx_fractional_optimum(
+    inst: Instance, eps, jobs: int = 1, prepared: PreparedInstance | None = None
+) -> Solution:
     """Interdiction whose exact relaxed value is within (1+eps) of optimal.
 
-    Preprocesses internally and reports the interdiction in original item
-    indices.  Zero-optimum instances (no profit, or enough budget to delete
-    every profitable item) are answered exactly without touching the grid.
+    Works on ``prepared``, which must be ``prepare(inst)`` and is built when
+    omitted, and reports the interdiction in original item indices.
+    Zero-optimum instances (no profit, or enough budget to delete every
+    profitable item) are answered exactly without touching the grid.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise NonpositiveEpsError(f"accuracy must be positive, got {eps}")
-    reduced, index_map = preprocess(inst)
+    if prepared is None:
+        prepared = prepare(inst)
+    reduced, index_map = prepared.reduced, prepared.index_map
 
     if sum(reduced.p) == 0:
         return _zero_solution(reduced, index_map, (0,) * reduced.n, 0)
@@ -444,11 +460,7 @@ def approx_fractional_optimum(inst: Instance, eps, jobs: int = 1) -> Solution:
 
     eps_internal = split_accuracy(eps)
     grid = GeometricGrid.build(reduced, eps_internal)
-    candidates = (
-        dual_breakpoints(reduced)
-        if reduced.t == 1
-        else dual_vertex_candidates(reduced)
-    )
+    candidates = prepared.candidates
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             result = search_optimum_guess(reduced, grid, candidates, pool.map)
@@ -456,7 +468,7 @@ def approx_fractional_optimum(inst: Instance, eps, jobs: int = 1) -> Solution:
         result = search_optimum_guess(reduced, grid, candidates)
 
     x_reduced = InterdictionVector.from_bits(result.bits, reduced.c)
-    f_value = fractional_value(reduced, x_reduced)
+    f_value = fractional_value(reduced, x_reduced, candidates)
     survivors = [reduced.p[i] for i in range(reduced.n) if not result.bits[i]]
     return Solution(
         x=lift_interdiction(result.bits, index_map),
@@ -473,21 +485,28 @@ def approx_fractional_optimum(inst: Instance, eps, jobs: int = 1) -> Solution:
     )
 
 
-def approx_interdiction(inst: Instance, eps, jobs: int = 1) -> Solution:
+def approx_interdiction(
+    inst: Instance, eps, jobs: int = 1, prepared: PreparedInstance | None = None
+) -> Solution:
     """Approximate the integer interdiction optimum via the relaxation.
 
     Runs the relaxed approximation at accuracy eps/2 for a single capacity
     (the packing LP loses at most a factor 2) or eps/(1+t) for t capacities
     (factor 1+t), and tags the solution with the guarantee that applies.
+    ``prepared`` is passed on to ``approx_fractional_optimum``.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise NonpositiveEpsError(f"accuracy must be positive, got {eps}")
     if inst.t == 1:
-        sol = approx_fractional_optimum(inst, eps / 2, jobs=jobs)
+        sol = approx_fractional_optimum(
+            inst, eps / 2, jobs=jobs, prepared=prepared
+        )
         tag = GUARANTEE_SINGLE
     else:
-        sol = approx_fractional_optimum(inst, eps / (1 + inst.t), jobs=jobs)
+        sol = approx_fractional_optimum(
+            inst, eps / (1 + inst.t), jobs=jobs, prepared=prepared
+        )
         tag = GUARANTEE_MULTI
     if sol.guarantee == GUARANTEE_EXACT:
         return sol

@@ -80,8 +80,10 @@ def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
     return KnapsackAnswer(value=Fraction(rows[0][budget], scale), chosen=tuple(chosen))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _greedy_order(inst: Instance) -> tuple[int, ...]:
+    # Cached for the oracles' loop over every interdiction of one instance;
+    # the bound keeps a long-lived process from holding every instance seen.
     # Profit-bearing items only: zero-weight ones first (they cost nothing),
     # then by profit/weight ratio descending, ties broken by lower index.
     w = inst.W[0]

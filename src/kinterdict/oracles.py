@@ -165,7 +165,7 @@ def vertex_lp_optimum(
                         A = [[inst.W[j][i] for i in frac_set] for j in rows]
                         b_rhs = [
                             inst.C[j]
-                            - sum(inst.W[j][i] * y[i] for i in rest)
+                            - sum(inst.W[j][i] * b for i, b in zip(rest, assign))
                             for j in rows
                         ]
                         sol = solve_square_system(A, b_rhs)

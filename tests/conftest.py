@@ -72,6 +72,16 @@ def edge_family(seed, count, n_hi, t=1, vmax=8):
     return out
 
 
+def ceil_div(a, d) -> int:
+    """Exact ceil(a / d) for a >= 0, d > 0: the tests' rounding reference."""
+    if d <= 0:
+        raise ValueError(f"divisor must be positive, got {d}")
+    if a < 0:
+        raise ValueError(f"dividend must be non-negative, got {a}")
+    q = Fraction(a) / Fraction(d)
+    return -((-q.numerator) // q.denominator)
+
+
 def random_rat(rng: SplitMix64, max_num=40, max_den=12) -> Fraction:
     return Fraction(rng.uniform(0, max_num), rng.uniform(1, max_den))
 

@@ -32,9 +32,16 @@ from kinterdict.generator import SplitMix64, generate_instance
 from kinterdict.instance import InterdictionVector, preprocess, serialize_instance
 from kinterdict.nominal import best_integer_packing, fractional_knapsack
 from kinterdict.oracles import brute_force_opt_f, brute_force_opt_i, oracle_report
-from kinterdict.rational import ceil_div
 
-from conftest import T1, T2, all_interdictions, edge_family, family, random_rat
+from conftest import (
+    T1,
+    T2,
+    all_interdictions,
+    ceil_div,
+    edge_family,
+    family,
+    random_rat,
+)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

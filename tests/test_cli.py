@@ -1,8 +1,11 @@
 import csv
 import json
+import sys
 from fractions import Fraction
 
+from kinterdict import dual, instance
 from kinterdict.cli import main
+from kinterdict.generator import generate_instance
 from kinterdict.instance import parse_instance, serialize_instance
 
 from conftest import T1, T2, EMPTY
@@ -21,6 +24,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, module, name):
+    """Record calls of module.name made through any kinterdict module."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("kinterdict") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 # solve
@@ -249,6 +267,23 @@ def test_bench_all_bad_files_nonzero_exit(tmp_path, capsys):
     assert code == 1
 
 
+def test_bench_parses_once_and_reuses_candidates(tmp_path, capsys, monkeypatch):
+    d = tmp_path / "instances"
+    d.mkdir()
+    (d / "t1.json").write_text(T1_JSON)
+    (d / "t2.json").write_text(T2_JSON)
+    parsed = count_calls(monkeypatch, instance, "parse_instance")
+    vertices = count_calls(monkeypatch, dual, "dual_vertex_candidates")
+    out = str(tmp_path / "out.csv")
+    code, _, _ = run(capsys, "bench", "--dir", str(d), "--eps", "1,0.5", "--csv", out)
+    assert code == 0
+    assert len(parsed) == 2
+    # one enumeration per t = 2 row, shared by the solve and the opt_f column
+    assert len(vertices) == 2
+    rows = list(csv.DictReader(open(out)))
+    assert all(r["opt_f"] for r in rows)
+
+
 def test_bench_missing_directory(tmp_path, capsys):
     code, _, _ = run(
         capsys, "bench", "--dir", str(tmp_path / "nope"), "--eps", "1",
@@ -271,6 +306,20 @@ def test_solve_emits_value_matching_independent_recompute(tmp_path, capsys):
     bits = tuple(doc["x"][i] for i in range(T2.n) if index_map[i] is not None)
     x = InterdictionVector.from_bits(bits, reduced.c)
     assert Fraction(doc["f_value"]) == fractional_value(reduced, x)
+
+
+def test_solve_t3_enumerates_vertices_and_preprocesses_once(
+    tmp_path, capsys, monkeypatch
+):
+    inst = generate_instance(n=8, t=3, seed=1)
+    path = write(tmp_path, "t3.json", serialize_instance(inst))
+    vertices = count_calls(monkeypatch, dual, "dual_vertex_candidates")
+    preprocessed = count_calls(monkeypatch, instance, "preprocess")
+    code, out, _ = run(capsys, "solve", "--input", path, "--eps", "1")
+    assert code == 0
+    assert json.loads(out)["guarantee"] == "1+t+eps-of-opt-i"
+    assert len(vertices) == 1
+    assert len(preprocessed) == 1
 
 
 def test_gen_unwritable_output_path(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from kinterdict.dual import (
     DualPoint,
+    candidate_set,
     dual_bound_exact,
     dual_breakpoints,
     dual_vertex_candidates,
@@ -157,6 +158,35 @@ def test_fractional_value_t2_random_matches_vertex_enumeration():
     for inst in edge_family(seed=44, count=10, n_hi=5, t=2, vmax=6):
         for x in all_interdictions(inst):
             assert fractional_value(inst, x) == vertex_lp_optimum(inst, x).value
+
+
+def _beyond_64_bits(inst, k):
+    """The instance with p, W and C scaled by k and offset per item or row."""
+    return Instance(
+        n=inst.n,
+        t=inst.t,
+        p=tuple(v * k + i for i, v in enumerate(inst.p)),
+        c=inst.c,
+        W=tuple(tuple(v * k + j for v in row) for j, row in enumerate(inst.W)),
+        B=inst.B,
+        C=tuple(v * k for v in inst.C),
+    )
+
+
+def test_fractional_value_with_shared_candidates_t2_t3():
+    small = family(seed=50, count=4, n_lo=2, n_hi=5, t=2) + family(
+        seed=51, count=3, n_lo=2, n_hi=4, t=3
+    )
+    big = [_beyond_64_bits(inst, 2**64 + 7) for inst in small]
+    largest = 0
+    for inst in small + big:
+        shared = candidate_set(inst)
+        for x in all_interdictions(inst):
+            value = fractional_value(inst, x, shared)
+            assert value == fractional_value(inst, x)
+            assert value == vertex_lp_optimum(inst, x).value
+            largest = max(largest, value)
+    assert largest > 2**64
 
 
 # dual inequalities

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from kinterdict.dual import (
+    CandidateSet,
     DualPoint,
     dual_bound_exact,
     dual_breakpoints,
@@ -32,9 +33,8 @@ from kinterdict.generator import SplitMix64
 from kinterdict.instance import Instance, InterdictionVector
 from kinterdict.nominal import best_integer_packing
 from kinterdict.oracles import brute_force_opt_f
-from kinterdict.rational import ceil_div
 
-from conftest import T1, T2, EMPTY, edge_family, family, random_rat
+from conftest import T1, T2, EMPTY, ceil_div, edge_family, family, random_rat
 
 
 def xvec(inst, bits):
@@ -599,3 +599,13 @@ def test_limited_accept_level_matches_unlimited_reference(inst, eps):
         assert res.passed == passed
         if passed:
             assert (res.value, res.bits, res.alpha) == best
+
+
+def test_accept_level_keeps_candidate_whose_alpha_c_equals_the_limit():
+    # eps' = 1, level 1: z = 2 and limit = 4 = alpha . C for alpha = 2, whose
+    # reduced profit is 0, so the bound is exactly the limit and passes
+    inst = Instance(n=1, t=1, p=(4,), c=(1,), W=((2,),), B=0, C=(2,))
+    grid = GeometricGrid.build(inst, Fraction(1))
+    only = CandidateSet(points=(DualPoint.of(2),))
+    res = accept_level(inst, grid, 1, only)
+    assert res.passed and res.value == 4 and res.dp_tables == 1

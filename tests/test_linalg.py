@@ -1,0 +1,74 @@
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kinterdict.linalg import solve_square_system
+
+
+def fraction_gauss_jordan(A, b):
+    """Reference: Gauss-Jordan over Fractions, first nonzero pivot."""
+    m = len(A)
+    M = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(A)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if M[r][col] != 0), None)
+        if pivot is None:
+            return None
+        M[col], M[pivot] = M[pivot], M[col]
+        pv = M[col][col]
+        M[col] = [v / pv for v in M[col]]
+        for r in range(m):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * c for a, c in zip(M[r], M[col])]
+    return [M[i][m] for i in range(m)]
+
+
+# Small entries make zero pivots and singular systems common; the wide range
+# goes beyond 64 bits.
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def square_systems(draw):
+    m = draw(st.integers(1, 4))
+    A = [[draw(ENTRIES) for _ in range(m)] for _ in range(m)]
+    b = [draw(ENTRIES) for _ in range(m)]
+    shape = draw(st.sampled_from(("any", "zero_pivot", "singular")))
+    if shape == "zero_pivot":
+        A[0][0] = 0
+    elif shape == "singular" and m > 1:
+        src, dst = draw(st.permutations(range(m)))[:2]
+        k = draw(ENTRIES)
+        A[dst] = [k * v for v in A[src]]
+    return A, b
+
+
+@settings(max_examples=600, deadline=None)
+@given(square_systems())
+def test_solve_square_system_matches_fraction_reference(system):
+    A, b = system
+    assert solve_square_system(A, b) == fraction_gauss_jordan(A, b)
+
+
+def test_solve_square_system_swaps_rows_on_zero_pivot():
+    assert solve_square_system([[0, 1], [1, 0]], [2, 3]) == [3, 2]
+    # the first two pivots are zero only after the first elimination step
+    A = [[1, 1, 0], [1, 1, 1], [0, 2, 1]]
+    assert solve_square_system(A, [1, 2, 3]) == fraction_gauss_jordan(A, [1, 2, 3])
+
+
+def test_solve_square_system_singular_and_empty():
+    assert solve_square_system([[1, 2], [2, 4]], [1, 2]) is None
+    assert solve_square_system([[0, 0], [0, 0]], [0, 0]) is None
+    assert solve_square_system([[0]], [5]) is None
+    assert solve_square_system([], []) == []
+
+
+def test_solve_square_system_beyond_64_bits():
+    big = 2**64 + 13
+    A = [[big, 1, 0], [0, big, 1], [1, 0, big]]
+    b = [big**2, 7, 2**100]
+    sol = solve_square_system(A, b)
+    assert sol == fraction_gauss_jordan(A, b)
+    assert all(sum(a * x for a, x in zip(row, sol)) == r for row, r in zip(A, b))

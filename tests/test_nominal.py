@@ -267,6 +267,19 @@ def test_integer_packing_guards_huge_capacity_t1():
         best_integer_packing(inst, xvec(inst, (0, 0)))
 
 
+def test_greedy_order_cache_stays_bounded():
+    from kinterdict.fptas import approx_interdiction
+    from kinterdict.generator import generate_instance
+    from kinterdict.nominal import _greedy_order
+
+    _greedy_order.cache_clear()
+    for seed in range(30):
+        approx_interdiction(generate_instance(n=6, t=1, seed=seed), 1)
+    info = _greedy_order.cache_info()
+    assert info.misses > info.maxsize  # more distinct instances than the bound
+    assert info.currsize <= info.maxsize < 30
+
+
 def test_greedy_equal_ratio_ties_prefer_lower_index():
     # both items have ratio 2; the greedy must fill item 0 first
     inst = Instance(n=2, t=1, p=(2, 4), c=(1, 1), W=((1, 2),), B=0, C=(2,))
