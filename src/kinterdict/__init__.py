@@ -19,7 +19,6 @@ from .dual import (
     exact_fractional_optimum,
     fractional_value,
     prepare,
-    surviving_reduced_profit,
 )
 from .fptas import (
     GeometricGrid,
@@ -53,7 +52,6 @@ from .oracles import (
     OracleReport,
     brute_force_opt_f,
     brute_force_opt_i,
-    min_max_surviving_profit,
     oracle_report,
     vertex_lp_optimum,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "generate_instance",
     "knapsack_max_budget",
     "lift_interdiction",
-    "min_max_surviving_profit",
     "oracle_report",
     "parse_instance",
     "prepare",
@@ -100,6 +97,5 @@ __all__ = [
     "round_down_packing",
     "serialize_instance",
     "split_accuracy",
-    "surviving_reduced_profit",
     "vertex_lp_optimum",
 ]

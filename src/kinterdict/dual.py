@@ -12,6 +12,16 @@ hyperplanes {p_i = w_i . alpha} and {alpha_j = 0} in general.  Minimising
 over interdictions at a fixed alpha is a 0-1 knapsack over the reduced
 profits, which gives the exact pseudopolynomial solver for the relaxed
 optimum.
+
+That solver scans the candidates in sorted order and keeps the first strict
+minimum.  A candidate's value is alpha . C + sum r_i - K(r), with r_i the
+reduced profits and K(r) the most reduced profit removable within the budget,
+so it is at least alpha . C, and at least alpha . C + sum r_i - U for any
+upper bound U on K(r).  Dantzig's bound (the LP relaxation of the knapsack,
+filled greedily by r_i / c_i) is such a U.  A candidate for which either
+lower bound already reaches the incumbent cannot replace it under the strict
+update, so its knapsack is never built; the result is exactly that of the
+unpruned scan, ties included.
 """
 
 from __future__ import annotations
@@ -61,31 +71,6 @@ class CandidateSet:
 
     def __len__(self):
         return len(self.points)
-
-
-def reduced_profit(inst: Instance, item: int, a: DualPoint) -> Fraction:
-    """max(0, p_i - w_i . alpha), the item's surviving dual profit."""
-    r = inst.p[item] - sum(
-        inst.W[j][item] * a.alpha[j] for j in range(inst.t)
-    )
-    return r if r > 0 else Fraction(0)
-
-
-def surviving_reduced_profit(
-    inst: Instance, x: InterdictionVector, a: DualPoint
-) -> Fraction:
-    """Total reduced profit of the items an interdiction leaves behind."""
-    if len(a.alpha) != inst.t:
-        raise DimensionMismatchError(
-            f"dual point has {len(a.alpha)} components, instance has t={inst.t}"
-        )
-    if len(x.bits) != inst.n:
-        raise DimensionMismatchError("interdiction length does not match instance")
-    total = Fraction(0)
-    for i in range(inst.n):
-        if not x.bits[i]:
-            total += reduced_profit(inst, i, a)
-    return total
 
 
 def dual_breakpoints(inst: Instance) -> CandidateSet:
@@ -160,6 +145,36 @@ def prepare(inst: Instance) -> PreparedInstance:
     )
 
 
+def _reduced_profits(inst: Instance, scale: int, alpha: list[int]) -> list[int]:
+    """max(0, p_i L - w_i . (alpha L)) per item, for (L, alpha L) = a.scaled()."""
+    out = []
+    for p, w in zip(inst.p, zip(*inst.W)):
+        r = p * scale - sum(wj * aj for wj, aj in zip(w, alpha))
+        out.append(r if r > 0 else 0)
+    return out
+
+
+def _dantzig_bound(profits: list[int], costs, budget: int) -> int:
+    """Floor of the LP relaxation of a 0-1 knapsack, so at least its optimum.
+
+    Zero-cost items are taken whole, then the others by profit/cost ratio
+    until one does not fit and fills the rest of the budget fractionally.
+    Items costing more than the budget fit in no selection and are left out.
+    """
+    total = sum(r for r, c in zip(profits, costs) if c == 0)
+    items = [(r, c) for r, c in zip(profits, costs) if r and 0 < c <= budget]
+    # d is a common multiple of the costs, so r * (d // c) orders r / c exactly
+    d = lcm(*(c for _, c in items))
+    items.sort(key=lambda item: item[0] * (d // item[1]), reverse=True)
+    rem = budget
+    for r, c in items:
+        if c > rem:
+            return total + r * rem // c
+        total += r
+        rem -= c
+    return total
+
+
 def dual_bound_exact(
     inst: Instance, a: DualPoint
 ) -> tuple[Fraction, InterdictionVector]:
@@ -168,12 +183,15 @@ def dual_bound_exact(
     Minimising the surviving reduced profit over budget-feasible x is a 0-1
     knapsack: select items to interdict, maximising the reduced profit
     removed.  Returns the exact bound value and the attaining interdiction.
+    The knapsack runs on the reduced profits scaled by L to ints; its choices
+    compare sums of them only, so they are those of the unscaled profits.
     """
-    reduced = [reduced_profit(inst, i, a) for i in range(inst.n)]
+    scale, alpha = a.scaled()
+    reduced = _reduced_profits(inst, scale, alpha)
     answer = knapsack_max_budget(reduced, inst.c, inst.B)
     x = InterdictionVector.from_bits(answer.chosen, inst.c)
-    value = a.dot_capacity(inst) + sum(reduced) - answer.value
-    return Fraction(value), x
+    base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
+    return Fraction(base + sum(reduced) - int(answer.value), scale), x
 
 
 def exact_fractional_optimum(
@@ -181,14 +199,32 @@ def exact_fractional_optimum(
 ) -> tuple[Fraction, InterdictionVector, DualPoint]:
     """Exact relaxed interdiction optimum by scanning the dual candidates.
 
-    Pseudopolynomial: one budget knapsack per candidate.  Ties between
-    candidates are broken by the first point in sorted order.  A shared
-    ``candidates`` must be ``candidate_set(inst)``; it is built when omitted.
+    Pseudopolynomial: at most one budget knapsack per candidate.  Ties
+    between candidates are broken by the first point in sorted order.  A
+    shared ``candidates`` must be ``candidate_set(inst)``; it is built when
+    omitted.
+
+    Once there is an incumbent value v, a later candidate is skipped when,
+    in ints scaled by L, (alpha L) . C >= v L, or else when (alpha L) . C
+    plus its scaled reduced profits minus their Dantzig bound is >= v L.
+    Both are lower bounds on L times the candidate's value, so a skipped
+    candidate could not pass the strict ``value < v`` update: the answer
+    is the unpruned scan's, ties included.
     """
     if candidates is None:
         candidates = candidate_set(inst)
     best = None
     for a in candidates:
+        if best is not None:
+            scale, alpha = a.scaled()
+            num, den = best[0].numerator, best[0].denominator
+            lower = sum(aj * cj for aj, cj in zip(alpha, inst.C))
+            if lower * den >= num * scale:
+                continue
+            reduced = _reduced_profits(inst, scale, alpha)
+            lower += sum(reduced) - _dantzig_bound(reduced, inst.c, inst.B)
+            if lower * den >= num * scale:
+                continue
         value, x = dual_bound_exact(inst, a)
         if best is None or value < best[0]:
             best = (value, x, a)

@@ -35,8 +35,9 @@ class KnapsackAnswer:
 def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
     """Maximise sum of profits over selections with sum of costs <= budget.
 
-    Profits may be non-negative rationals (they are reduced profits in the
-    dual decomposition); costs and budget are non-negative ints.  The DP has
+    Profits may be non-negative rationals or ints (the dual decomposition
+    passes its reduced profits scaled to ints); costs and budget are
+    non-negative ints.  The DP has
     O(n * budget) states.  When both keeping and selecting an item achieve
     the optimum, the item is selected.
     """
@@ -132,9 +133,11 @@ def best_integer_packing(
 ) -> KnapsackAnswer:
     """Exact best integer packing of the items surviving interdiction x.
 
-    t = 1 runs the classic O(n * C) DP.  For t >= 2 the DP is over the full
-    product of capacities and is guarded by ``state_limit``; it exists as a
-    desk-scale ground truth, not a scalable solver.
+    t = 1 is ``knapsack_max_budget`` over the survivors, with weights as
+    costs and the capacity as budget: O(n * C) states.  For t >= 2 the DP is
+    over the full product of capacities.  Both are guarded by
+    ``state_limit``; they exist as desk-scale ground truth, not as scalable
+    solvers.
     """
     survivors = [i for i in range(inst.n) if not x.bits[i]]
     if inst.t == 1:
@@ -149,30 +152,14 @@ def _packing_1d(inst: Instance, survivors, state_limit: int) -> KnapsackAnswer:
             f"{len(survivors)} items x {C + 1} capacity states exceeds "
             f"limit {state_limit}"
         )
-    w, p = inst.W[0], inst.p
-    m = len(survivors)
-    rows = [[0] * (C + 1) for _ in range(m + 1)]
-    for k in range(m - 1, -1, -1):
-        i = survivors[k]
-        wi, pi = w[i], p[i]
-        nxt = rows[k + 1]
-        if wi > C:
-            rows[k] = nxt  # rows are never mutated; aliasing is safe
-            continue
-        row = nxt[:]
-        row[wi:] = [
-            tv if tv >= sv else sv
-            for sv, tv in zip(nxt[wi:], (v + pi for v in nxt[: C + 1 - wi]))
-        ]
-        rows[k] = row
+    w = inst.W[0]
+    answer = knapsack_max_budget(
+        [inst.p[i] for i in survivors], [w[i] for i in survivors], C
+    )
     chosen = [0] * inst.n
-    cap = C
-    for k in range(m):
-        i = survivors[k]
-        if w[i] <= cap and p[i] + rows[k + 1][cap - w[i]] >= rows[k + 1][cap]:
-            chosen[i] = 1
-            cap -= w[i]
-    return KnapsackAnswer(value=rows[0][C], chosen=tuple(chosen))
+    for i, bit in zip(survivors, answer.chosen):
+        chosen[i] = bit
+    return KnapsackAnswer(value=int(answer.value), chosen=tuple(chosen))
 
 
 def _packing_multi(inst: Instance, survivors, state_limit: int) -> KnapsackAnswer:

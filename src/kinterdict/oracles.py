@@ -102,24 +102,6 @@ def brute_force_opt_f(
     return best, best_bits
 
 
-def min_max_surviving_profit(inst: Instance, limit: int = 20) -> int:
-    """Over optimal interdictions, the least possible max surviving profit.
-
-    Zero when some optimal interdiction leaves no profitable item behind.
-    This is the additive slack between the integer and relaxed optima.
-    """
-    _, optima = brute_force_opt_i(inst, limit=limit)
-    best = None
-    for bits in optima:
-        biggest = max(
-            (inst.p[i] for i in range(inst.n) if not bits[i]), default=0
-        )
-        if best is None or biggest < best:
-            best = biggest
-    assert best is not None
-    return best
-
-
 def oracle_report(inst: Instance, limit: int = 20) -> OracleReport:
     opt_i, optima = brute_force_opt_i(inst, limit=limit)
     opt_f, _ = brute_force_opt_f(inst, limit=limit)

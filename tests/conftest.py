@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kinterdict.generator import SplitMix64, generate_instance
 from kinterdict.instance import Instance, InterdictionVector, preprocess
+from kinterdict.nominal import DimensionMismatchError
 
 # Hand-checked fixtures.  Every quoted number below was verified against the
 # brute-force oracles before being frozen here.
@@ -80,6 +81,26 @@ def ceil_div(a, d) -> int:
         raise ValueError(f"dividend must be non-negative, got {a}")
     q = Fraction(a) / Fraction(d)
     return -((-q.numerator) // q.denominator)
+
+
+def reduced_profit(inst: Instance, item: int, a) -> Fraction:
+    """max(0, p_i - w_i . alpha): the tests' reduced-profit reference."""
+    r = inst.p[item] - sum(inst.W[j][item] * a.alpha[j] for j in range(inst.t))
+    return r if r > 0 else Fraction(0)
+
+
+def surviving_reduced_profit(inst: Instance, x: InterdictionVector, a) -> Fraction:
+    """Total reduced profit an interdiction leaves behind, in Fractions."""
+    if len(a.alpha) != inst.t:
+        raise DimensionMismatchError(
+            f"dual point has {len(a.alpha)} components, instance has t={inst.t}"
+        )
+    if len(x.bits) != inst.n:
+        raise DimensionMismatchError("interdiction length does not match instance")
+    return sum(
+        (reduced_profit(inst, i, a) for i in range(inst.n) if not x.bits[i]),
+        start=Fraction(0),
+    )
 
 
 def random_rat(rng: SplitMix64, max_num=40, max_den=12) -> Fraction:

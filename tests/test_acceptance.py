@@ -17,7 +17,6 @@ from kinterdict.dual import (
     dual_breakpoints,
     dual_vertex_candidates,
     exact_fractional_optimum,
-    surviving_reduced_profit,
 )
 from kinterdict.fptas import (
     GeometricGrid,
@@ -41,6 +40,7 @@ from conftest import (
     edge_family,
     family,
     random_rat,
+    surviving_reduced_profit,
 )
 
 

@@ -3,7 +3,7 @@ import json
 import sys
 from fractions import Fraction
 
-from kinterdict import dual, instance
+from kinterdict import dual, instance, nominal
 from kinterdict.cli import main
 from kinterdict.generator import generate_instance
 from kinterdict.instance import parse_instance, serialize_instance
@@ -320,6 +320,23 @@ def test_solve_t3_enumerates_vertices_and_preprocesses_once(
     assert json.loads(out)["guarantee"] == "1+t+eps-of-opt-i"
     assert len(vertices) == 1
     assert len(preprocessed) == 1
+
+
+def test_exact_optf_builds_fewer_knapsacks_than_candidates(
+    tmp_path, capsys, monkeypatch
+):
+    # the first instance of the exact-scan benchmark corpus at seed 1
+    inst = generate_instance(
+        n=40, t=1, seed=1_040_100, pmax=100, wmax=100, cmax=100,
+        budget_frac=Fraction(1, 2), cap_frac=Fraction(1, 2),
+    )
+    path = write(tmp_path, "n40.json", serialize_instance(inst))
+    points = len(dual.candidate_set(instance.preprocess(inst)[0]))
+    knapsacks = count_calls(monkeypatch, nominal, "knapsack_max_budget")
+    code, out, _ = run(capsys, "exact-optf", "--input", path)
+    assert code == 0 and "opt_f" in json.loads(out)
+    assert points == 40
+    assert 1 <= len(knapsacks) < points
 
 
 def test_gen_unwritable_output_path(tmp_path, capsys):

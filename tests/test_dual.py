@@ -1,23 +1,40 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kinterdict import dual
 from kinterdict.dual import (
     DualPoint,
+    _dantzig_bound,
     candidate_set,
     dual_bound_exact,
     dual_breakpoints,
     dual_vertex_candidates,
     exact_fractional_optimum,
     fractional_value,
-    surviving_reduced_profit,
 )
 from kinterdict.generator import SplitMix64
 from kinterdict.instance import Instance, InterdictionVector
-from kinterdict.nominal import DimensionMismatchError, fractional_knapsack
+from kinterdict.nominal import (
+    DimensionMismatchError,
+    fractional_knapsack,
+    knapsack_max_budget,
+)
 from kinterdict.oracles import brute_force_opt_f, vertex_lp_optimum
 
-from conftest import T1, T2, all_interdictions, edge_family, family, random_rat
+from conftest import (
+    T1,
+    T2,
+    all_interdictions,
+    edge_family,
+    family,
+    instance_strategy,
+    random_rat,
+    reduced_profit,
+    surviving_reduced_profit,
+)
 
 
 def xvec(inst, bits):
@@ -258,3 +275,67 @@ def test_exact_optimum_matches_brute_force_small():
         assert value == oracle_value
         assert x.feasible(inst.B)
         assert fractional_value(inst, x) == value
+
+
+# the pruned exact scan
+
+def unpruned_scan(inst):
+    """Every candidate through a Fraction budget knapsack; first strict min wins."""
+    best = None
+    for a in candidate_set(inst):
+        reduced = [reduced_profit(inst, i, a) for i in range(inst.n)]
+        answer = knapsack_max_budget(reduced, inst.c, inst.B)
+        value = a.dot_capacity(inst) + sum(reduced) - answer.value
+        if best is None or value < best[0]:
+            best = (value, answer.chosen, a)
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((1, 2, 3)).flatmap(
+        lambda t: instance_strategy(max_n=(8, 5, 4)[t - 1], t=t)
+    ),
+    st.booleans(),
+)
+def test_pruned_exact_scan_matches_unpruned_reference(inst, big):
+    if big:
+        inst = _beyond_64_bits(inst, 2**64 + 7)
+    value, x, alpha = exact_fractional_optimum(inst)
+    assert (value, x.bits, alpha) == unpruned_scan(inst)
+
+
+def test_exact_scan_skips_candidates_whose_bound_ties_the_incumbent(monkeypatch):
+    # Values: alpha = 0 gives 6, alpha = 1 gives 2 + 4 - 0 = 6 and alpha = 3
+    # gives 6 + 0.  At alpha = 1 the Dantzig lower bound is exactly 6 (item 1
+    # costs more than B), at alpha = 3 alpha.C alone is 6; the origin stays.
+    inst = Instance(n=2, t=1, p=(3, 6), c=(1, 3), W=((3, 2),), B=2, C=(2,))
+    assert [dual_bound_exact(inst, DualPoint.of(v))[0] for v in (0, 1, 3)] == [6] * 3
+    built = []
+    original = dual.dual_bound_exact
+    monkeypatch.setattr(
+        dual, "dual_bound_exact", lambda inst, a: built.append(a) or original(inst, a)
+    )
+    value, x, alpha = exact_fractional_optimum(inst)
+    assert (value, x.bits, alpha) == (6, (1, 0), DualPoint.of(0))
+    assert built == [DualPoint.of(0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, 9), st.integers(0, 2**70)), st.integers(0, 12)
+        ),
+        max_size=8,
+    ),
+    st.integers(0, 30),
+)
+def test_dantzig_bound_is_at_least_the_knapsack_optimum(items, budget):
+    profits = [r for r, _ in items]
+    costs = [c for _, c in items]
+    bound = _dantzig_bound(profits, costs, budget)
+    best = knapsack_max_budget(profits, costs, budget).value
+    assert bound >= best
+    if sum(costs) <= budget:
+        assert bound == best

@@ -10,8 +10,6 @@ from kinterdict.dual import (
     dual_breakpoints,
     exact_fractional_optimum,
     fractional_value,
-    reduced_profit,
-    surviving_reduced_profit,
 )
 from kinterdict.fptas import (
     GUARANTEE_EXACT,
@@ -34,7 +32,17 @@ from kinterdict.instance import Instance, InterdictionVector
 from kinterdict.nominal import best_integer_packing
 from kinterdict.oracles import brute_force_opt_f
 
-from conftest import T1, T2, EMPTY, ceil_div, edge_family, family, random_rat
+from conftest import (
+    T1,
+    T2,
+    EMPTY,
+    ceil_div,
+    edge_family,
+    family,
+    random_rat,
+    reduced_profit,
+    surviving_reduced_profit,
+)
 
 
 def xvec(inst, bits):

@@ -10,7 +10,6 @@ from kinterdict.oracles import (
     TooManyOptimaError,
     brute_force_opt_f,
     brute_force_opt_i,
-    min_max_surviving_profit,
     oracle_report,
     vertex_lp_optimum,
 )
@@ -74,12 +73,12 @@ def test_opt_f_size_limit():
 
 
 def test_p_star_t1():
-    assert min_max_surviving_profit(T1) == 2
+    assert oracle_report(T1).p_star == 2
 
 
 def test_p_star_zero_when_everything_interdicted():
     inst = Instance(n=2, t=1, p=(3, 2), c=(1, 1), W=((2, 2),), B=2, C=(2,))
-    assert min_max_surviving_profit(inst) == 0
+    assert oracle_report(inst).p_star == 0
 
 
 def test_p_star_takes_min_over_optima():
@@ -93,7 +92,7 @@ def test_p_star_takes_min_over_optima():
         for bits in optima
     )
     assert maxima == [3, 5, 5, 5, 5]
-    assert min_max_surviving_profit(inst) == 3
+    assert oracle_report(inst).p_star == 3
 
 
 def test_vertex_lp_all_interdicted_is_zero():
