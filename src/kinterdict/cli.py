@@ -2,7 +2,8 @@
 
 All numeric output is bit-exact: rationals are rendered as "num/den"
 strings, never floats.  Exit codes: 0 success, 2 instance parse/validation
-error, 3 bad parameters, 4 instance too large for an oracle.  The solve and
+error, 3 bad parameters, 4 instance too large for an oracle (more items than
+--max-n, or an integer packing DP beyond its state limit).  The solve and
 bench outputs are byte-identical for identical inputs and flags regardless
 of worker count (the wall_ms benchmark column is measured time and is the
 single exception).
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -32,6 +34,7 @@ from .instance import (
     preprocess,
     serialize_instance,
 )
+from .nominal import StateLimitError
 from .oracles import InstanceTooLargeError, oracle_report
 from .rational import rat_to_str
 
@@ -258,7 +261,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call
+    of main in the process; parse_args fills a new Namespace each time."""
     parser = argparse.ArgumentParser(
         prog="kinterdict",
         description="Exact and approximate knapsack interdiction solvers",
@@ -315,7 +321,7 @@ def main(argv=None) -> int:
     except (NonpositiveEpsError, _ParamsError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARAMS
-    except InstanceTooLargeError as exc:
+    except (InstanceTooLargeError, StateLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_TOO_LARGE
 

@@ -8,11 +8,15 @@ profit units that stores the minimum budget per unit target.  A guessed z is
 accepted when the best rounded dual bound is at most (1 + eps) * z; the
 accepted set is upward closed, so binary search over the grid finds the
 smallest accepted guess.  That acceptance limit also bounds the work: a
-candidate whose alpha . C alone exceeds it builds no DP table, and every
-other table stops at the largest unit target the limit leaves, which keeps
-every bound that can pass.  Composing with the integrality gap of the
-packing LP turns the (1+eps) guarantee on the relaxed optimum into 2+eps for
-a single capacity and 1+t+eps for t capacities.
+candidate whose alpha . C alone exceeds it runs no DP, and every other DP
+stops at the largest unit target the limit leaves, which keeps every bound
+that can pass.  Each candidate's DP is value-only: it keeps a row as its
+breakpoints, the unit targets where the least budget drops, and yields the
+least feasible target without a table.  Only the winner of the accepted
+level builds the dense table, capped at its target, and traces its
+interdiction back.  Composing with the integrality gap of the packing LP
+turns the (1+eps) guarantee on the relaxed optimum into 2+eps for a single
+capacity and 1+t+eps for t capacities.
 
 Internally the requested accuracy eps is split into eps' with
 (1 + eps')^2 <= 1 + eps: one factor pays for the grid resolution, the other
@@ -21,9 +25,11 @@ for the rounding error.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import neg
 
 from .dual import (
     CandidateSet,
@@ -138,18 +144,19 @@ def rounded_profit_units(inst: Instance, a: DualPoint, delta: Fraction) -> list[
     the running-total rounding of the reduced profit sum, because the total
     is a multiple of delta before every addition.  Computed in integers:
     with L the lcm of alpha's denominators, r = p_i L - w_i . (alpha L) is
-    the reduced profit times L, and the units are ceil(r / (L delta)).
+    the reduced profit times L, and the units are ceil(r / (L delta)).  The
+    r are built one capacity row at a time, skipping zero multipliers.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     scale, alpha_scaled = a.scaled()
     num = delta.denominator
     den = delta.numerator * scale
-    units = []
-    for p, *w in zip(inst.p, *inst.W):
-        r = p * scale - sum(wj * aj for wj, aj in zip(w, alpha_scaled))
-        units.append(-(-r * num // den) if r > 0 else 0)
-    return units
+    rs = [p * scale for p in inst.p]
+    for row, aj in zip(inst.W, alpha_scaled):
+        if aj:
+            rs = [r - w * aj for r, w in zip(rs, row)]
+    return [-(-r * num // den) if r > 0 else 0 for r in rs]
 
 
 @dataclass(frozen=True)
@@ -172,13 +179,6 @@ class BudgetTable:
     def states(self) -> int:
         return len(self.units) * (self.kmax + 1)
 
-    def min_units_within(self, budget: int) -> int | None:
-        """Smallest unit target k with rows[0][k] <= budget, if any."""
-        for k, need in enumerate(self.rows[0]):
-            if need <= budget:
-                return k
-        return None
-
     def traceback(self, k: int) -> tuple[int, ...]:
         """Interdiction bits attaining rows[0][k], interdict-first on ties."""
         bits = [0] * len(self.units)
@@ -194,11 +194,13 @@ class BudgetTable:
 
 
 def min_budget_table(units, costs, delta: Fraction, kmax: int) -> BudgetTable:
-    """Build the min-budget DP table for the given unit costs.
+    """Build the dense min-budget DP table for the given unit costs.
 
-    rows[i][k] depends only on rows[i+1][0..k], so a table built with a
-    smaller kmax agrees with a larger one on every column it keeps.  A
-    zero-unit item's row is the identity and shares the next row.
+    The solver builds it only to trace back the accepted level's winner; it
+    is also the reference for least_units_within.  rows[i][k] depends only on
+    rows[i+1][0..k], so a table built with a smaller kmax agrees with a
+    larger one on every column it keeps.  A zero-unit item's row is the
+    identity and shares the next row.
     """
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
@@ -224,16 +226,95 @@ def min_budget_table(units, costs, delta: Fraction, kmax: int) -> BudgetTable:
     )
 
 
+def least_units_within(units, costs, budget: int, kmax: int) -> int | None:
+    """Least k <= kmax with min_budget_table(units, costs, _, kmax).rows[0][k]
+    <= budget, or None when there is none.
+
+    The value-only form of that DP, which every candidate runs: it stores
+    no table and touches only the row's breakpoints (see _breakpoints).
+    """
+    ks, _ = _breakpoints(units, costs, budget, kmax)
+    return ks[0] if ks else None
+
+
+def _breakpoints(
+    units, costs, budget: int, kmax: int
+) -> tuple[list[int], list[int]]:
+    """The breakpoints of min_budget_table(units, costs, _, kmax).rows[0]
+    from the least feasible unit target on, as lists ks and needs.
+
+    A row is non-increasing in k, so it is kept as its breakpoints: pairs
+    (k, need) with k rising and need strictly falling and at most the
+    budget; the row's value at k is the need of the last breakpoint at or
+    before k, and above the budget before the first.  An item with u units
+    and cost c maps the list to the lower envelope of the interdict branch
+    (k, need + c) and the keep branch (k + u, need), merged in one pass.
+    The row does not depend on the item order; items go in decreasing-unit
+    order, and zero-unit items, whose rows are the identity, are left out.
+    Keeping every remaining item from the first breakpoint is feasible, so
+    no breakpoint beyond that target can lead to the least one; none is
+    kept, and the lists end there.  Empty lists mean no target is feasible.
+    """
+    if budget < 0:
+        return [], []
+    ks, needs = [0], [0]
+    rest = sum(units)
+    for u, c in sorted(zip(units, costs), reverse=True):
+        if u == 0:
+            break
+        rest -= u
+        cap = min(kmax, ks[0] + u + rest)
+        i = bisect_left(needs, c - budget, key=neg)  # first need + c <= budget
+        iend = bisect_right(ks, cap)
+        j, jend = 0, bisect_right(ks, cap - u)
+        nk, nn = [], []
+        last = budget + 1
+        while i < iend and j < jend:
+            k, kb = ks[i], ks[j] + u
+            if k <= kb:
+                v = needs[i] + c
+                i += 1
+                if k == kb:
+                    if needs[j] < v:
+                        v = needs[j]
+                    j += 1
+            else:
+                k, v = kb, needs[j]
+                j += 1
+            if v < last:
+                nk.append(k)
+                nn.append(v)
+                last = v
+        for i in range(i, iend):
+            v = needs[i] + c
+            if v < last:
+                nk.append(ks[i])
+                nn.append(v)
+                last = v
+        for j in range(j, jend):
+            if needs[j] < last:
+                nk.append(ks[j] + u)
+                nn.append(needs[j])
+                last = needs[j]
+        ks, needs = nk, nn
+        if not ks:
+            break
+    return ks, needs
+
+
 @dataclass(frozen=True)
 class CandidateEval:
     """One dual candidate's rounded bound at one grid point (None = pruned).
 
-    dp_states is the nominal size n (kmax + 1) of the table the candidate
-    built, or 0 when it was skipped without one.
+    k is the least feasible unit target, so value = alpha . C + k delta, and
+    units are the candidate's rounded profits, kept for the traceback.
+    dp_states is the nominal size n (kmax + 1) of the DP the candidate ran,
+    or 0 when it was skipped without one.
     """
 
     value: Fraction | None
-    bits: tuple[int, ...] | None
+    k: int | None
+    units: list[int] | None
     dp_states: int
 
 
@@ -246,32 +327,44 @@ def rounded_dual_bound(
 ) -> CandidateEval:
     """Rounded dual objective minimised over budget-feasible interdictions.
 
-    Returns value alpha . C + k* delta and the attaining interdiction, where
-    k* is the least feasible unit target.  When the unit cap prunes every
-    budget-feasible interdiction the result carries value None: the guess z
-    was too small, which the caller treats as a rejection signal.
+    Returns value alpha . C + k* delta, where k* is the least feasible unit
+    target found by least_units_within; candidate_bits gives the attaining
+    interdiction.  When the unit cap prunes every budget-feasible
+    interdiction the result carries value None: the guess z was too small,
+    which the caller treats as a rejection signal.
 
     With a limit, only values at most the limit are sought: a candidate with
-    alpha . C > limit returns None without rounding or building a table, and
-    the table stops at the largest k with alpha . C + k delta <= limit.  Any
-    value at most the limit, and its interdiction, is the same as without it.
-    ``base`` is alpha . C when the caller has it already.
+    alpha . C > limit returns None without rounding or running the DP, and
+    the DP stops at the largest k with alpha . C + k delta <= limit.  Any
+    value at most the limit is the same as without it.  ``base`` is
+    alpha . C when the caller has it already.
     """
     if base is None:
         base = a.dot_capacity(inst)
     kmax = point.kmax
     if limit is not None:
         if base > limit:
-            return CandidateEval(value=None, bits=None, dp_states=0)
+            return CandidateEval(value=None, k=None, units=None, dp_states=0)
         kmax = min(kmax, (limit - base) // point.delta)
     units = rounded_profit_units(inst, a, point.delta)
-    table = min_budget_table(units, inst.c, point.delta, kmax)
-    states = inst.n * (point.kmax + 1)
-    k = table.min_units_within(inst.B)
-    if k is None:
-        return CandidateEval(value=None, bits=None, dp_states=states)
-    value = base + k * point.delta
-    return CandidateEval(value=value, bits=table.traceback(k), dp_states=states)
+    k = least_units_within(units, inst.c, inst.B, kmax)
+    value = None if k is None else base + k * point.delta
+    return CandidateEval(
+        value=value, k=k, units=units, dp_states=inst.n * (point.kmax + 1)
+    )
+
+
+def candidate_bits(
+    inst: Instance, point: GridPoint, ev: CandidateEval
+) -> tuple[int, ...]:
+    """The interdiction attaining a candidate's bound, interdict-first on ties.
+
+    Builds the dense table only up to column ev.k: it equals the full table
+    on those columns, and the traceback reads no column above its target,
+    so the bits are those of the uncapped table.
+    """
+    table = min_budget_table(ev.units, inst.c, point.delta, ev.k)
+    return table.traceback(ev.k)
 
 
 def _eval_candidate(task) -> CandidateEval:
@@ -281,9 +374,12 @@ def _eval_candidate(task) -> CandidateEval:
 
 @dataclass(frozen=True)
 class LevelResult:
+    """A level's outcome; winner is the best candidate's evaluation (its
+    value is the level's best bound), whose interdiction candidate_bits
+    traces back."""
+
     passed: bool
-    value: Fraction | None
-    bits: tuple[int, ...] | None
+    winner: CandidateEval | None
     alpha: DualPoint | None
     dp_tables: int
     dp_states: int
@@ -302,13 +398,13 @@ def accept_level(
     The level passes when the best rounded bound is at most the limit
     (1 + eps') * z_j = z_j + n delta_j.  A candidate whose alpha . C (taken
     from ``bases`` when given, one per candidate) exceeds that limit is
-    skipped without a task; the others build their tables only up to the
-    unit target the limit leaves, so bounds above the limit come back as
-    None.  A passing level's value, interdiction and alpha are those of the
-    unlimited evaluation, and a failing level fails either way.  Ties go to
-    the earliest candidate, so the result does not depend on the mapper's
-    parallelism.  dp_tables counts the tables built; dp_states is their
-    nominal size.
+    skipped without a task; the others run the DP only up to the unit
+    target the limit leaves, so bounds above the limit come back as None.
+    A passing level's winner and alpha are those of the unlimited
+    evaluation, and a failing level fails either way.  Ties go to the
+    earliest candidate, so the result does not depend on the mapper's
+    parallelism.  dp_tables counts the candidates that ran the DP; dp_states
+    is the nominal size of their tables.
     """
     point = grid.point(j)
     limit = (1 + grid.eps_internal) * point.z
@@ -316,8 +412,7 @@ def accept_level(
         bases = [a.dot_capacity(inst) for a in candidates]
     kept = [(a, base) for a, base in zip(candidates, bases) if base <= limit]
     tasks = [(inst, a, point, limit, base) for a, base in kept]
-    best_value: Fraction | None = None
-    best_bits = None
+    best: CandidateEval | None = None
     best_alpha = None
     dp_tables = 0
     dp_states = 0
@@ -325,12 +420,11 @@ def accept_level(
         if ev.dp_states:
             dp_tables += 1
             dp_states += ev.dp_states
-        if ev.value is not None and (best_value is None or ev.value < best_value):
-            best_value, best_bits, best_alpha = ev.value, ev.bits, a
+        if ev.value is not None and (best is None or ev.value < best.value):
+            best, best_alpha = ev, a
     return LevelResult(
-        passed=best_value is not None and best_value <= limit,
-        value=best_value,
-        bits=best_bits,
+        passed=best is not None and best.value <= limit,
+        winner=best,
         alpha=best_alpha,
         dp_tables=dp_tables,
         dp_states=dp_states,
@@ -359,7 +453,8 @@ def search_optimum_guess(
     accepted, with at most one ambiguous level in between, so acceptance is
     monotone along the grid.  The top level always accepts because it is at
     least the total profit.  Each candidate's alpha . C is computed once and
-    shared by every level.
+    shared by every level.  Only the accepted level's winner builds a dense
+    table, to trace its interdiction back.
     """
     bases = [a.dot_capacity(inst) for a in candidates]
     cache: dict[int, LevelResult] = {}
@@ -387,11 +482,12 @@ def search_optimum_guess(
             f"top grid level {lo} of {grid.J} rejected; the grid must cover "
             "the optimum"
         )
-    assert res.value is not None and res.bits is not None and res.alpha is not None
+    assert res.winner is not None and res.alpha is not None
+    point = grid.point(lo)
     return SearchResult(
-        z_star=grid.point(lo).z,
-        value=res.value,
-        bits=res.bits,
+        z_star=point.z,
+        value=res.winner.value,
+        bits=candidate_bits(inst, point, res.winner),
         alpha_star=res.alpha,
         dp_tables=dp_tables,
         dp_states=dp_states,

@@ -103,6 +103,15 @@ def surviving_reduced_profit(inst: Instance, x: InterdictionVector, a) -> Fracti
     )
 
 
+def min_units_within(table, budget) -> int | None:
+    """Smallest unit target k with table.rows[0][k] <= budget, if any: the
+    dense reference for fptas.least_units_within."""
+    for k, need in enumerate(table.rows[0]):
+        if need <= budget:
+            return k
+    return None
+
+
 def random_rat(rng: SplitMix64, max_num=40, max_den=12) -> Fraction:
     return Fraction(rng.uniform(0, max_num), rng.uniform(1, max_den))
 

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 from kinterdict import dual, instance, nominal
-from kinterdict.cli import main
+from kinterdict.cli import build_parser, main
 from kinterdict.generator import generate_instance
 from kinterdict.instance import parse_instance, serialize_instance
 
@@ -159,6 +159,31 @@ def test_oracle_too_large_exits_4(tmp_path, capsys):
     path = write(tmp_path, "t1.json", T1_JSON)
     code, _, err = run(capsys, "oracle", "--input", path, "--max-n", "1")
     assert code == 4 and "exceeds" in err
+
+
+def test_oracle_packing_over_state_limit_exits_4(tmp_path, capsys):
+    # six items fit --max-n, but the t = 3 packing DP has 4225068 capacity
+    # states per item, over best_integer_packing's state limit
+    inst = generate_instance(n=6, t=3, seed=300, pmax=100, wmax=100, cmax=30)
+    path = write(tmp_path, "t3.json", serialize_instance(inst))
+    code, out, err = run(capsys, "oracle", "--input", path, "--max-n", "12")
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and "exceeds limit" in err
+    assert "Traceback" not in err
+
+
+# the parser
+
+def test_parser_is_built_once_and_each_call_gets_a_fresh_namespace():
+    parser = build_parser()
+    assert build_parser() is parser
+    solve = parser.parse_args(["solve", "--input", "a.json", "--eps", "1"])
+    oracle = parser.parse_args(["oracle", "--input", "b.json"])
+    again = parser.parse_args(["solve", "--input", "c.json", "--eps", "2"])
+    assert len({id(solve), id(oracle), id(again)}) == 3
+    assert (solve.input, solve.eps, solve.jobs) == ("a.json", "1", 1)
+    assert oracle.max_n == 20 and not hasattr(oracle, "eps")
+    assert (again.input, again.eps) == ("c.json", "2")
 
 
 # gen

@@ -2,7 +2,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kinterdict import fptas
 from kinterdict.dual import (
     CandidateSet,
     DualPoint,
@@ -21,6 +24,8 @@ from kinterdict.fptas import (
     accept_level,
     approx_fractional_optimum,
     approx_interdiction,
+    candidate_bits,
+    least_units_within,
     min_budget_table,
     rounded_dual_bound,
     rounded_profit_units,
@@ -39,6 +44,7 @@ from conftest import (
     ceil_div,
     edge_family,
     family,
+    min_units_within,
     random_rat,
     reduced_profit,
     surviving_reduced_profit,
@@ -200,6 +206,53 @@ def test_table_traceback_attains_value_and_mass():
             assert mass <= k
 
 
+# the value-only DP
+
+_small_or_huge = st.one_of(st.integers(0, 12), st.integers(2**64, 2**64 + 40))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 9), _small_or_huge), max_size=8),
+    _small_or_huge,
+    st.integers(0, 30),
+)
+@example(items=[(3, 2), (0, 5), (4, 1)], budget=2, kmax=0)
+@example(items=[(2, 5), (1, 2**64 + 1)], budget=4, kmax=6)
+@example(items=[(0, 0), (5, 0), (2, 0)], budget=0, kmax=3)
+# equal needs at rising k, in the merge and in the interdict branch's tail
+@example(items=[(1, 0), (2, 3), (1, 0)], budget=18, kmax=9)
+@example(items=[(2, 0), (2, 2), (3, 2)], budget=3, kmax=3)
+def test_least_units_within_matches_dense_table(items, budget, kmax):
+    # zero units, zero costs, costs above the budget, kmax = 0, and costs
+    # and budgets beyond 2**64
+    units = [u for u, _ in items]
+    costs = [c for _, c in items]
+    table = min_budget_table(units, costs, Fraction(1), kmax)
+    least = min_units_within(table, budget)
+    assert least_units_within(units, costs, budget, kmax) == least
+    # the kept breakpoints are exactly the dense row's, from the least
+    # feasible target up to the last one kept
+    row = table.rows[0]
+    ks, needs = fptas._breakpoints(units, costs, budget, kmax)
+    assert (ks[0] if ks else None) == least
+    if ks:
+        dense = [
+            (k, row[k])
+            for k in range(least, ks[-1] + 1)
+            if k == least or row[k] < row[k - 1]
+        ]
+        assert list(zip(ks, needs)) == dense
+
+
+def test_least_units_within_on_the_frozen_t1_table():
+    # units (5, 0), costs (1, 1): the table row is 1 for k < 5, then 0
+    assert least_units_within([5, 0], [1, 1], 1, 7) == 0
+    assert least_units_within([5, 0], [1, 1], 0, 7) == 5
+    assert least_units_within([5, 0], [1, 1], 0, 4) is None
+    assert least_units_within([], [], 0, 0) == 0
+
+
 # rounded dual bound
 
 def test_rounded_bound_t1_example():
@@ -211,7 +264,7 @@ def test_rounded_bound_t1_example():
     pt = GridPoint(j=-1, z=Fraction(2), delta=e * 2 / T1.n, kmax=grid.kmax)
     ev = rounded_dual_bound(T1, DualPoint.of(1), pt)
     assert ev.value == 2
-    assert ev.bits == (1, 0)
+    assert candidate_bits(T1, pt, ev) == (1, 0)
 
 
 def test_rounded_bound_zero_mass_costs_alpha_dot_c():
@@ -221,7 +274,8 @@ def test_rounded_bound_zero_mass_costs_alpha_dot_c():
     big = DualPoint.of(1)  # reduced profits are max(0, 2-2)=0
     ev = rounded_dual_bound(inst, big, grid.point(0))
     assert ev.value == big.dot_capacity(inst) == 2
-    assert sum(ev.bits) == 0  # keeping everything is free here
+    # keeping everything is free here
+    assert sum(candidate_bits(inst, grid.point(0), ev)) == 0
 
 
 def test_rounded_bound_rejects_when_pruned():
@@ -230,7 +284,7 @@ def test_rounded_bound_rejects_when_pruned():
     e = Fraction(2, 5)
     grid = GeometricGrid.build(inst, e)
     ev = rounded_dual_bound(inst, DualPoint.of(0), grid.point(0))
-    assert ev.value is None and ev.bits is None
+    assert ev.value is None and ev.k is None
     assert ev.dp_states > 0
 
 
@@ -507,9 +561,6 @@ def test_huge_values_stay_polynomial():
     assert sum(c for c, b in zip(inst.c, sol.x) if b) <= inst.B
 
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from conftest import instance_strategy
 
 
@@ -578,13 +629,19 @@ def test_traceback_interdicts_zero_unit_items_iff_free():
 
 
 def unlimited_level(inst, grid, j, cands):
-    """Reference acceptance test: every candidate's full table, no limit."""
+    """Reference acceptance test: every candidate's full dense table traced
+    back, no limit and no value-only DP."""
     point = grid.point(j)
     best = None
     for a in cands:
-        ev = rounded_dual_bound(inst, a, point)
-        if ev.value is not None and (best is None or ev.value < best[0]):
-            best = (ev.value, ev.bits, a)
+        units = rounded_profit_units(inst, a, point.delta)
+        table = min_budget_table(units, inst.c, point.delta, point.kmax)
+        k = min_units_within(table, inst.B)
+        if k is None:
+            continue
+        value = a.dot_capacity(inst) + k * point.delta
+        if best is None or value < best[0]:
+            best = (value, table.traceback(k), a)
     passed = best is not None and best[0] <= (1 + grid.eps_internal) * point.z
     return passed, best
 
@@ -606,7 +663,8 @@ def test_limited_accept_level_matches_unlimited_reference(inst, eps):
         passed, best = unlimited_level(inst, grid, j, cands)
         assert res.passed == passed
         if passed:
-            assert (res.value, res.bits, res.alpha) == best
+            bits = candidate_bits(inst, grid.point(j), res.winner)
+            assert (res.winner.value, bits, res.alpha) == best
 
 
 def test_accept_level_keeps_candidate_whose_alpha_c_equals_the_limit():
@@ -616,4 +674,4 @@ def test_accept_level_keeps_candidate_whose_alpha_c_equals_the_limit():
     grid = GeometricGrid.build(inst, Fraction(1))
     only = CandidateSet(points=(DualPoint.of(2),))
     res = accept_level(inst, grid, 1, only)
-    assert res.passed and res.value == 4 and res.dp_tables == 1
+    assert res.passed and res.winner.value == 4 and res.dp_tables == 1
