@@ -46,7 +46,6 @@ from .nominal import (
     best_integer_packing,
     fractional_knapsack,
     knapsack_max_budget,
-    round_down_packing,
 )
 from .oracles import (
     OracleReport,
@@ -55,7 +54,7 @@ from .oracles import (
     oracle_report,
     vertex_lp_optimum,
 )
-from .rational import Rat, rat_to_str
+from .rational import rat_to_str
 
 __version__ = "0.1.0"
 
@@ -72,7 +71,6 @@ __all__ = [
     "NegativeValueError",
     "OracleReport",
     "PreparedInstance",
-    "Rat",
     "SchemaViolationError",
     "Solution",
     "approx_fractional_optimum",
@@ -94,7 +92,6 @@ __all__ = [
     "prepare",
     "preprocess",
     "rat_to_str",
-    "round_down_packing",
     "serialize_instance",
     "split_accuracy",
     "vertex_lp_optimum",

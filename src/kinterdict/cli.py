@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -244,8 +245,9 @@ def cmd_bench(args) -> int:
         for eps in eps_list:
             tasks.append((path.name, inst, rat_to_str(eps), args.exact_max_n))
 
-    if args.jobs > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_task, tasks))
     else:
         rows = [_bench_task(t) for t in tasks]

@@ -191,7 +191,7 @@ def dual_bound_exact(
     answer = knapsack_max_budget(reduced, inst.c, inst.B)
     x = InterdictionVector.from_bits(answer.chosen, inst.c)
     base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
-    return Fraction(base + sum(reduced) - int(answer.value), scale), x
+    return Fraction(base + sum(reduced) - answer.value, scale), x
 
 
 def exact_fractional_optimum(

@@ -10,10 +10,10 @@ accepted set is upward closed, so binary search over the grid finds the
 smallest accepted guess.  That acceptance limit also bounds the work: a
 candidate whose alpha . C alone exceeds it runs no DP, and every other DP
 stops at the largest unit target the limit leaves, which keeps every bound
-that can pass.  Each candidate's DP is value-only: it keeps a row as its
-breakpoints, the unit targets where the least budget drops, and yields the
-least feasible target without a table.  Only the winner of the accepted
-level builds the dense table, capped at its target, and traces its
+that can pass.  The DP is nominal's budget knapsack, kept as Pareto
+frontiers: each candidate runs it value-only for its least feasible target
+(nominal.least_units_within), and only the winner of the accepted level
+stores a frontier per item, capped at its target, to trace its
 interdiction back.  Composing with the integrality gap of the packing LP
 turns the (1+eps) guarantee on the relaxed optimum into 2+eps for a single
 capacity and 1+t+eps for t capacities.
@@ -25,11 +25,11 @@ for the rounding error.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import neg
 
 from .dual import (
     CandidateSet,
@@ -39,6 +39,7 @@ from .dual import (
     prepare,
 )
 from .instance import Instance, InterdictionVector, lift_interdiction
+from .nominal import budget_frontier, least_units_within
 
 GUARANTEE_EXACT = "exact-opt-f"
 GUARANTEE_OPT_F = "1+eps-of-opt-f"
@@ -161,145 +162,66 @@ def rounded_profit_units(inst: Instance, a: DualPoint, delta: Fraction) -> list[
 
 @dataclass(frozen=True)
 class BudgetTable:
-    """Budget-valued DP over rounded profit units, with traceback.
+    """The min-budget DP over rounded profit units, kept as frontiers.
 
-    rows[i][k] is the least budget that lets items i..n-1 keep at most k
-    units of rounded profit; rows[n] is the all-zero base.  The traceback
-    re-derives each branch choice from adjacent rows, preferring the
-    interdict branch on ties.
+    rows[i] is the budget frontier of items i..n-1 (see
+    nominal.budget_frontier) as lists ks and needs: the least budget that
+    lets those items keep at most k units is the need of the last pair at
+    or before k, and above the budget when there is none.  rows[n] is the
+    empty selection.  states is the nominal size n (kmax + 1) of the dense
+    table the frontiers replace.
     """
 
     units: tuple[int, ...]
     costs: tuple[int, ...]
-    delta: Fraction
     kmax: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[list[int], list[int]], ...]
 
     @property
     def states(self) -> int:
         return len(self.units) * (self.kmax + 1)
 
     def traceback(self, k: int) -> tuple[int, ...]:
-        """Interdiction bits attaining rows[0][k], interdict-first on ties."""
+        """Interdiction bits attaining the least budget for target k,
+        interdict-first on ties.
+
+        k must be the least target within the budget, rows[0]'s first pair:
+        along its path every column read is within the cap of the row read,
+        so each choice is that of the dense table.
+        """
+        ks = self.rows[0][0]
+        if not ks or ks[0] != k:
+            raise ValueError(f"{k} is not the least unit target within budget")
         bits = [0] * len(self.units)
         cur = k
         for i, (u, ci) in enumerate(zip(self.units, self.costs)):
-            nxt = self.rows[i + 1]
-            pay = ci + nxt[cur]
-            if cur < u or pay <= nxt[cur - u]:
+            nks, needs = self.rows[i + 1]
+            at = bisect_right(nks, cur) - 1  # interdict: column cur
+            kb = bisect_right(nks, cur - u) - 1  # keep: column cur - u
+            if cur < u or kb < 0 or ci + needs[at] <= needs[kb]:
                 bits[i] = 1
             else:
                 cur -= u
         return tuple(bits)
 
 
-def min_budget_table(units, costs, delta: Fraction, kmax: int) -> BudgetTable:
-    """Build the dense min-budget DP table for the given unit costs.
+def min_budget_table(units, costs, budget: int, kmax: int) -> BudgetTable:
+    """The frontiers of the min-budget DP for the given unit costs, one per
+    suffix of the items, built in reverse index order.
 
-    The solver builds it only to trace back the accepted level's winner; it
-    is also the reference for least_units_within.  rows[i][k] depends only on
-    rows[i+1][0..k], so a table built with a smaller kmax agrees with a
-    larger one on every column it keeps.  A zero-unit item's row is the
-    identity and shares the next row.
+    The solver builds it only to trace back the accepted level's winner,
+    with kmax its least target.  Every row is capped at the unit sum the
+    first pair can still reach (see nominal.budget_frontier), so a row has
+    at most min(budget, kmax) + 1 entries.
     """
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
-    m = len(units)
-    rows: list = [None] * (m + 1)
-    rows[m] = (0,) * (kmax + 1)
-    for i in range(m - 1, -1, -1):
-        u, ci = units[i], costs[i]
-        nxt = rows[i + 1]
-        if u == 0:
-            rows[i] = nxt
-            continue
-        row = [ci + v for v in nxt]  # interdict branch
-        if u <= kmax:
-            row[u:] = [a if a <= b else b for a, b in zip(row[u:], nxt)]
-        rows[i] = tuple(row)
+    rows: list = []
+    budget_frontier(units[::-1], costs[::-1], budget, kmax, rows)
+    rows.reverse()
     return BudgetTable(
-        units=tuple(units),
-        costs=tuple(costs),
-        delta=delta,
-        kmax=kmax,
-        rows=tuple(rows),
+        units=tuple(units), costs=tuple(costs), kmax=kmax, rows=tuple(rows)
     )
-
-
-def least_units_within(units, costs, budget: int, kmax: int) -> int | None:
-    """Least k <= kmax with min_budget_table(units, costs, _, kmax).rows[0][k]
-    <= budget, or None when there is none.
-
-    The value-only form of that DP, which every candidate runs: it stores
-    no table and touches only the row's breakpoints (see _breakpoints).
-    """
-    ks, _ = _breakpoints(units, costs, budget, kmax)
-    return ks[0] if ks else None
-
-
-def _breakpoints(
-    units, costs, budget: int, kmax: int
-) -> tuple[list[int], list[int]]:
-    """The breakpoints of min_budget_table(units, costs, _, kmax).rows[0]
-    from the least feasible unit target on, as lists ks and needs.
-
-    A row is non-increasing in k, so it is kept as its breakpoints: pairs
-    (k, need) with k rising and need strictly falling and at most the
-    budget; the row's value at k is the need of the last breakpoint at or
-    before k, and above the budget before the first.  An item with u units
-    and cost c maps the list to the lower envelope of the interdict branch
-    (k, need + c) and the keep branch (k + u, need), merged in one pass.
-    The row does not depend on the item order; items go in decreasing-unit
-    order, and zero-unit items, whose rows are the identity, are left out.
-    Keeping every remaining item from the first breakpoint is feasible, so
-    no breakpoint beyond that target can lead to the least one; none is
-    kept, and the lists end there.  Empty lists mean no target is feasible.
-    """
-    if budget < 0:
-        return [], []
-    ks, needs = [0], [0]
-    rest = sum(units)
-    for u, c in sorted(zip(units, costs), reverse=True):
-        if u == 0:
-            break
-        rest -= u
-        cap = min(kmax, ks[0] + u + rest)
-        i = bisect_left(needs, c - budget, key=neg)  # first need + c <= budget
-        iend = bisect_right(ks, cap)
-        j, jend = 0, bisect_right(ks, cap - u)
-        nk, nn = [], []
-        last = budget + 1
-        while i < iend and j < jend:
-            k, kb = ks[i], ks[j] + u
-            if k <= kb:
-                v = needs[i] + c
-                i += 1
-                if k == kb:
-                    if needs[j] < v:
-                        v = needs[j]
-                    j += 1
-            else:
-                k, v = kb, needs[j]
-                j += 1
-            if v < last:
-                nk.append(k)
-                nn.append(v)
-                last = v
-        for i in range(i, iend):
-            v = needs[i] + c
-            if v < last:
-                nk.append(ks[i])
-                nn.append(v)
-                last = v
-        for j in range(j, jend):
-            if needs[j] < last:
-                nk.append(ks[j] + u)
-                nn.append(needs[j])
-                last = needs[j]
-        ks, needs = nk, nn
-        if not ks:
-            break
-    return ks, needs
 
 
 @dataclass(frozen=True)
@@ -354,17 +276,14 @@ def rounded_dual_bound(
     )
 
 
-def candidate_bits(
-    inst: Instance, point: GridPoint, ev: CandidateEval
-) -> tuple[int, ...]:
+def candidate_bits(inst: Instance, ev: CandidateEval) -> tuple[int, ...]:
     """The interdiction attaining a candidate's bound, interdict-first on ties.
 
-    Builds the dense table only up to column ev.k: it equals the full table
-    on those columns, and the traceback reads no column above its target,
-    so the bits are those of the uncapped table.
+    Builds the frontiers only up to unit target ev.k, the least one: the
+    traceback reads no column above it, so the bits are those of the
+    uncapped dense table.
     """
-    table = min_budget_table(ev.units, inst.c, point.delta, ev.k)
-    return table.traceback(ev.k)
+    return min_budget_table(ev.units, inst.c, inst.B, ev.k).traceback(ev.k)
 
 
 def _eval_candidate(task) -> CandidateEval:
@@ -453,8 +372,8 @@ def search_optimum_guess(
     accepted, with at most one ambiguous level in between, so acceptance is
     monotone along the grid.  The top level always accepts because it is at
     least the total profit.  Each candidate's alpha . C is computed once and
-    shared by every level.  Only the accepted level's winner builds a dense
-    table, to trace its interdiction back.
+    shared by every level.  Only the accepted level's winner stores its
+    frontiers, to trace its interdiction back.
     """
     bases = [a.dot_capacity(inst) for a in candidates]
     cache: dict[int, LevelResult] = {}
@@ -487,7 +406,7 @@ def search_optimum_guess(
     return SearchResult(
         z_star=point.z,
         value=res.winner.value,
-        bits=candidate_bits(inst, point, res.winner),
+        bits=candidate_bits(inst, res.winner),
         alpha_star=res.alpha,
         dp_tables=dp_tables,
         dp_states=dp_states,
@@ -557,8 +476,11 @@ def approx_fractional_optimum(
     eps_internal = split_accuracy(eps)
     grid = GeometricGrid.build(reduced, eps_internal)
     candidates = prepared.candidates
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool forks all its workers at the first submit: no more than the
+    # machine's CPUs or a level's tasks
+    workers = min(jobs, os.cpu_count() or 1, len(candidates))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             result = search_optimum_guess(reduced, grid, candidates, pool.map)
     else:
         result = search_optimum_guess(reduced, grid, candidates)

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
 
-
-def rat_to_str(q: Rat) -> str:
+def rat_to_str(q: Fraction) -> str:
     """Canonical "num/den" rendering ("num" alone when den == 1)."""
     return str(Fraction(q))
 

@@ -1,3 +1,5 @@
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -5,8 +7,13 @@ import pytest
 from hypothesis import strategies as st
 
 from kinterdict.generator import SplitMix64, generate_instance
-from kinterdict.instance import Instance, InterdictionVector, preprocess
-from kinterdict.nominal import DimensionMismatchError
+from kinterdict.instance import (
+    FractionalPacking,
+    Instance,
+    InterdictionVector,
+    preprocess,
+)
+from kinterdict.nominal import DimensionMismatchError, KnapsackAnswer
 
 # Hand-checked fixtures.  Every quoted number below was verified against the
 # brute-force oracles before being frozen here.
@@ -103,13 +110,96 @@ def surviving_reduced_profit(inst: Instance, x: InterdictionVector, a) -> Fracti
     )
 
 
+# Dense references for the frontier DPs of kinterdict.nominal and
+# kinterdict.fptas: the O(n B) and O(n kmax) tables they replace.
+
+def dense_knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
+    """Most profit selectable within the budget, by the dense O(n B) table
+    over profits scaled to ints; the item is selected on ties."""
+    m = len(profits)
+    fracs = [Fraction(p) for p in profits]
+    scale = math.lcm(*(p.denominator for p in fracs)) if m else 1
+    ip = [int(p * scale) for p in fracs]
+    # rows[k][b] = best value over items k..m-1 with budget b
+    rows = [[0] * (budget + 1) for _ in range(m + 1)]
+    for k in range(m - 1, -1, -1):
+        ci, pi = costs[k], ip[k]
+        nxt = rows[k + 1]
+        row = nxt[:]
+        for b in range(ci, budget + 1):
+            row[b] = max(nxt[b], nxt[b - ci] + pi)
+        rows[k] = row
+    chosen = [0] * m
+    cap = budget
+    for k in range(m):
+        ci, pi = costs[k], ip[k]
+        if ci <= cap and pi + rows[k + 1][cap - ci] >= rows[k + 1][cap]:
+            chosen[k] = 1
+            cap -= ci
+    return KnapsackAnswer(value=Fraction(rows[0][budget], scale), chosen=tuple(chosen))
+
+
+@dataclass(frozen=True)
+class DenseBudgetTable:
+    """rows[i][k] is the least budget that lets items i..n-1 keep at most k
+    units of rounded profit; rows[n] is the all-zero base."""
+
+    units: tuple[int, ...]
+    costs: tuple[int, ...]
+    kmax: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def traceback(self, k: int) -> tuple[int, ...]:
+        """Interdiction bits attaining rows[0][k], interdict-first on ties."""
+        bits = [0] * len(self.units)
+        cur = k
+        for i, (u, ci) in enumerate(zip(self.units, self.costs)):
+            nxt = self.rows[i + 1]
+            if cur < u or ci + nxt[cur] <= nxt[cur - u]:
+                bits[i] = 1
+            else:
+                cur -= u
+        return tuple(bits)
+
+
+def dense_min_budget_table(units, costs, kmax: int) -> DenseBudgetTable:
+    """The dense min-budget table, columns 0..kmax."""
+    m = len(units)
+    rows: list = [None] * (m + 1)
+    rows[m] = (0,) * (kmax + 1)
+    for i in range(m - 1, -1, -1):
+        u, ci = units[i], costs[i]
+        nxt = rows[i + 1]
+        rows[i] = tuple(
+            min(ci + nxt[k], nxt[k - u]) if k >= u else ci + nxt[k]
+            for k in range(kmax + 1)
+        )
+    return DenseBudgetTable(
+        units=tuple(units), costs=tuple(costs), kmax=kmax, rows=tuple(rows)
+    )
+
+
 def min_units_within(table, budget) -> int | None:
     """Smallest unit target k with table.rows[0][k] <= budget, if any: the
-    dense reference for fptas.least_units_within."""
+    dense reference for nominal.least_units_within."""
     for k, need in enumerate(table.rows[0]):
         if need <= budget:
             return k
     return None
+
+
+def round_down_packing(fp: FractionalPacking, profits) -> KnapsackAnswer:
+    """Zero out the fractional coordinates of an LP vertex.
+
+    The result is a feasible integer packing whose value drops by exactly the
+    fractional items' contribution, hence by at most their total profit.
+    """
+    chosen = tuple(1 if v == 1 else 0 for v in fp.y)
+    dropped = sum(profits[i] * fp.y[i] for i in fp.frac_support)
+    value = fp.value - dropped
+    return KnapsackAnswer(
+        value=int(value) if value.denominator == 1 else value, chosen=chosen
+    )
 
 
 def random_rat(rng: SplitMix64, max_num=40, max_den=12) -> Fraction:

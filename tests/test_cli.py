@@ -1,12 +1,13 @@
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
-from kinterdict import dual, instance, nominal
+from kinterdict import cli, dual, fptas, instance, nominal
 from kinterdict.cli import build_parser, main
 from kinterdict.generator import generate_instance
-from kinterdict.instance import parse_instance, serialize_instance
+from kinterdict.instance import Instance, parse_instance, serialize_instance
 
 from conftest import T1, T2, EMPTY
 
@@ -239,7 +240,8 @@ def test_bench_fixture_directory(tmp_path, capsys):
     out = str(tmp_path / "out.csv")
     code, _, _ = run(capsys, "bench", "--dir", str(d), "--eps", "1,0.5", "--csv", out)
     assert code == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 4  # two instances x two eps
     assert [r["instance"] for r in rows] == ["t1.json", "t1.json", "t2.json", "t2.json"]
     assert [r["eps"] for r in rows[:2]] == ["1/2", "1"]
@@ -279,7 +281,8 @@ def test_bench_skips_unreadable_with_note(tmp_path, capsys):
     code, _, err = run(capsys, "bench", "--dir", str(d), "--eps", "1", "--csv", str(out))
     assert code == 0
     assert "bad.json" in err
-    rows = list(csv.DictReader(open(out)))
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 1 and rows[0]["instance"] == "good.json"
 
 
@@ -305,7 +308,8 @@ def test_bench_parses_once_and_reuses_candidates(tmp_path, capsys, monkeypatch):
     assert len(parsed) == 2
     # one enumeration per t = 2 row, shared by the solve and the opt_f column
     assert len(vertices) == 2
-    rows = list(csv.DictReader(open(out)))
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
     assert all(r["opt_f"] for r in rows)
 
 
@@ -362,6 +366,75 @@ def test_exact_optf_builds_fewer_knapsacks_than_candidates(
     assert code == 0 and "opt_f" in json.loads(out)
     assert points == 40
     assert 1 <= len(knapsacks) < points
+
+
+def test_exact_optf_with_costs_and_budget_beyond_ten_trillion(tmp_path, capsys):
+    # scaling every cost and the budget by 10**13 leaves the feasible
+    # interdictions, hence opt_f and x, unchanged; a knapsack table with a
+    # column per budget unit would not fit in memory
+    inst = generate_instance(n=24, t=1, seed=1)
+    scale = 10**13
+    scaled = Instance(
+        n=inst.n, t=inst.t, p=inst.p, c=tuple(c * scale for c in inst.c),
+        W=inst.W, B=inst.B * scale, C=inst.C,
+    )
+    code, plain, _ = run(
+        capsys, "exact-optf", "--input", write(tmp_path, "a.json", serialize_instance(inst))
+    )
+    assert code == 0
+    code, big, _ = run(
+        capsys, "exact-optf", "--input", write(tmp_path, "b.json", serialize_instance(scaled))
+    )
+    assert code == 0
+    a, b = json.loads(plain), json.loads(big)
+    assert (b["opt_f"], b["x"]) == (a["opt_f"], a["x"])
+
+
+class _FakePool:
+    """Records max_workers and maps in the calling process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_jobs_are_clamped_to_cpus_and_tasks(tmp_path, capsys, monkeypatch):
+    # a huge --jobs must not become that many forked workers
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(fptas, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    path = write(tmp_path, "t2.json", T2_JSON)
+    assert run(capsys, "solve", "--input", path, "--eps", "1", "--jobs", "1000")[0] == 0
+    tasks = len(dual.candidate_set(instance.preprocess(T2)[0]))
+    assert _FakePool.sizes == [min(8, tasks)]
+
+    d = tmp_path / "instances"
+    d.mkdir()
+    (d / "t1.json").write_text(T1_JSON)
+    (d / "t2.json").write_text(T2_JSON)
+    _FakePool.sizes.clear()
+    code, _, _ = run(
+        capsys, "bench", "--dir", str(d), "--eps", "1,1/2,1/4", "--csv",
+        str(tmp_path / "o.csv"), "--jobs", "1000",
+    )
+    assert code == 0
+    assert _FakePool.sizes == [6]  # 2 instances x 3 eps; the solves run serially
+
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    _FakePool.sizes.clear()
+    assert run(capsys, "solve", "--input", path, "--eps", "1", "--jobs", "1000")[0] == 0
+    assert _FakePool.sizes == []  # an unknown CPU count means one process
 
 
 def test_gen_unwritable_output_path(tmp_path, capsys):

@@ -28,6 +28,7 @@ from conftest import (
     T1,
     T2,
     all_interdictions,
+    dense_knapsack_max_budget,
     edge_family,
     family,
     instance_strategy,
@@ -284,7 +285,7 @@ def unpruned_scan(inst):
     best = None
     for a in candidate_set(inst):
         reduced = [reduced_profit(inst, i, a) for i in range(inst.n)]
-        answer = knapsack_max_budget(reduced, inst.c, inst.B)
+        answer = dense_knapsack_max_budget(reduced, inst.c, inst.B)
         value = a.dot_capacity(inst) + sum(reduced) - answer.value
         if best is None or value < best[0]:
             best = (value, answer.chosen, a)

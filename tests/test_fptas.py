@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kinterdict import fptas
 from kinterdict.dual import (
     CandidateSet,
     DualPoint,
@@ -25,7 +24,6 @@ from kinterdict.fptas import (
     approx_fractional_optimum,
     approx_interdiction,
     candidate_bits,
-    least_units_within,
     min_budget_table,
     rounded_dual_bound,
     rounded_profit_units,
@@ -34,7 +32,11 @@ from kinterdict.fptas import (
 )
 from kinterdict.generator import SplitMix64
 from kinterdict.instance import Instance, InterdictionVector
-from kinterdict.nominal import best_integer_packing
+from kinterdict.nominal import (
+    best_integer_packing,
+    budget_frontier,
+    least_units_within,
+)
 from kinterdict.oracles import brute_force_opt_f
 
 from conftest import (
@@ -42,6 +44,7 @@ from conftest import (
     T2,
     EMPTY,
     ceil_div,
+    dense_min_budget_table,
     edge_family,
     family,
     min_units_within,
@@ -156,8 +159,10 @@ def test_table_t1_frozen_example():
     # T1 at unit alpha, z = 1, eps' = 2/5: delta 1/5, units (5, 0), kmax 7
     units = rounded_profit_units(T1, DualPoint.of(1), Fraction(1, 5))
     assert units == [5, 0]
-    table = min_budget_table(units, T1.c, Fraction(1, 5), 7)
+    table = dense_min_budget_table(units, T1.c, 7)
     assert table.rows[0] == tuple(1 if k < 5 else 0 for k in range(8))
+    assert min_budget_table(units, T1.c, 1, 7).rows[0] == ([0, 5], [1, 0])
+    assert min_budget_table(units, T1.c, 0, 7).rows[0] == ([5], [0])
     # exhaustive check against all four interdictions
     for k in range(8):
         best = min(
@@ -172,10 +177,12 @@ def test_table_t1_frozen_example():
 
 
 def test_table_zero_units_and_zero_costs():
-    t = min_budget_table([0, 0, 0], [4, 5, 6], Fraction(1), 5)
+    t = dense_min_budget_table([0, 0, 0], [4, 5, 6], 5)
     assert all(v == 0 for v in t.rows[0])
-    t = min_budget_table([9, 9], [0, 0], Fraction(1), 5)
+    t = dense_min_budget_table([9, 9], [0, 0], 5)
     assert all(v == 0 for v in t.rows[0])
+    assert min_budget_table([0, 0, 0], [4, 5, 6], 0, 5).traceback(0) == (0, 0, 0)
+    assert min_budget_table([9, 9], [0, 0], 0, 5).traceback(0) == (1, 1)
 
 
 def test_table_rows_non_increasing_in_k():
@@ -185,7 +192,7 @@ def test_table_rows_non_increasing_in_k():
         units = [rng.uniform(0, 9) for _ in range(m)]
         costs = [rng.uniform(0, 9) for _ in range(m)]
         kmax = rng.uniform(0, 20)
-        table = min_budget_table(units, costs, Fraction(1), kmax)
+        table = dense_min_budget_table(units, costs, kmax)
         for row in table.rows:
             assert all(a >= b for a, b in zip(row, row[1:]))
 
@@ -197,12 +204,15 @@ def test_table_traceback_attains_value_and_mass():
         units = [rng.uniform(0, 6) for _ in range(m)]
         costs = [rng.uniform(0, 6) for _ in range(m)]
         kmax = rng.uniform(0, 15)
-        table = min_budget_table(units, costs, Fraction(1), kmax)
-        for k in (0, kmax // 2, kmax):
-            bits = table.traceback(k)
+        dense = dense_min_budget_table(units, costs, kmax)
+        for budget in range(sum(costs) + 1):
+            k = least_units_within(units, costs, budget, kmax)
+            if k is None:
+                continue
+            bits = min_budget_table(units, costs, budget, kmax).traceback(k)
             cost = sum(c for c, b in zip(costs, bits) if b)
             mass = sum(u for u, b in zip(units, bits) if not b)
-            assert cost == table.rows[0][k]
+            assert cost == dense.rows[0][k] <= budget
             assert mass <= k
 
 
@@ -228,13 +238,13 @@ def test_least_units_within_matches_dense_table(items, budget, kmax):
     # and budgets beyond 2**64
     units = [u for u, _ in items]
     costs = [c for _, c in items]
-    table = min_budget_table(units, costs, Fraction(1), kmax)
+    table = dense_min_budget_table(units, costs, kmax)
     least = min_units_within(table, budget)
     assert least_units_within(units, costs, budget, kmax) == least
     # the kept breakpoints are exactly the dense row's, from the least
     # feasible target up to the last one kept
     row = table.rows[0]
-    ks, needs = fptas._breakpoints(units, costs, budget, kmax)
+    ks, needs = budget_frontier(units, costs, budget, kmax)
     assert (ks[0] if ks else None) == least
     if ks:
         dense = [
@@ -243,6 +253,36 @@ def test_least_units_within_matches_dense_table(items, budget, kmax):
             if k == least or row[k] < row[k - 1]
         ]
         assert list(zip(ks, needs)) == dense
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), _small_or_huge), max_size=8),
+    _small_or_huge,
+    st.integers(0, 24),
+)
+@example(items=[(2, 1), (2, 1), (0, 0)], budget=1, kmax=4)
+@example(items=[(0, 0), (0, 3), (5, 13)], budget=12, kmax=0)
+@example(items=[(1, 0), (2, 3), (1, 0)], budget=3, kmax=9)
+@example(items=[(3, 2**64), (1, 2**64 + 2), (2, 1)], budget=2**64 + 1, kmax=6)
+def test_budget_table_traceback_matches_dense_reference(items, budget, kmax):
+    # ties, zero units and zero costs, costs above the budget, kmax = 0 and
+    # values beyond 2**64: at the least target within the budget the
+    # frontier table traces back the dense table's interdict-first bits
+    units = [u for u, _ in items]
+    costs = [c for _, c in items]
+    dense = dense_min_budget_table(units, costs, kmax)
+    k = min_units_within(dense, budget)
+    table = min_budget_table(units, costs, budget, kmax)
+    assert len(table.rows) == len(units) + 1
+    if k is None:
+        assert table.rows[0] == ([], [])
+        return
+    assert table.traceback(k) == dense.traceback(k)
+    assert all(len(ks) <= min(budget, kmax) + 1 for ks, _ in table.rows)
+    if k > 0:
+        with pytest.raises(ValueError):
+            table.traceback(k - 1)
 
 
 def test_least_units_within_on_the_frozen_t1_table():
@@ -264,7 +304,7 @@ def test_rounded_bound_t1_example():
     pt = GridPoint(j=-1, z=Fraction(2), delta=e * 2 / T1.n, kmax=grid.kmax)
     ev = rounded_dual_bound(T1, DualPoint.of(1), pt)
     assert ev.value == 2
-    assert candidate_bits(T1, pt, ev) == (1, 0)
+    assert candidate_bits(T1, ev) == (1, 0)
 
 
 def test_rounded_bound_zero_mass_costs_alpha_dot_c():
@@ -275,7 +315,7 @@ def test_rounded_bound_zero_mass_costs_alpha_dot_c():
     ev = rounded_dual_bound(inst, big, grid.point(0))
     assert ev.value == big.dot_capacity(inst) == 2
     # keeping everything is free here
-    assert sum(candidate_bits(inst, grid.point(0), ev)) == 0
+    assert sum(candidate_bits(inst, ev)) == 0
 
 
 def test_rounded_bound_rejects_when_pruned():
@@ -513,7 +553,7 @@ def test_state_bound_per_table():
             for j in (0, grid.J // 2, grid.J):
                 pt = grid.point(j)
                 units = rounded_profit_units(inst, DualPoint.of(0), pt.delta)
-                table = min_budget_table(units, inst.c, pt.delta, pt.kmax)
+                table = min_budget_table(units, inst.c, inst.B, pt.kmax)
                 assert table.states <= bound
 
 
@@ -620,9 +660,11 @@ def test_traceback_interdicts_zero_unit_items_iff_free():
         units = [rng.uniform(0, 4) * rng.uniform(0, 1) for _ in range(m)]
         costs = [rng.uniform(0, 3) for _ in range(m)]
         kmax = rng.uniform(0, 12)
-        table = min_budget_table(units, costs, Fraction(1), kmax)
-        for k in range(kmax + 1):
-            bits = table.traceback(k)
+        for budget in range(sum(costs) + 1):
+            k = least_units_within(units, costs, budget, kmax)
+            if k is None:
+                continue
+            bits = min_budget_table(units, costs, budget, kmax).traceback(k)
             for u, c, b in zip(units, costs, bits):
                 if u == 0:
                     assert b == (1 if c == 0 else 0)
@@ -635,7 +677,7 @@ def unlimited_level(inst, grid, j, cands):
     best = None
     for a in cands:
         units = rounded_profit_units(inst, a, point.delta)
-        table = min_budget_table(units, inst.c, point.delta, point.kmax)
+        table = dense_min_budget_table(units, inst.c, point.kmax)
         k = min_units_within(table, inst.B)
         if k is None:
             continue
@@ -663,7 +705,7 @@ def test_limited_accept_level_matches_unlimited_reference(inst, eps):
         passed, best = unlimited_level(inst, grid, j, cands)
         assert res.passed == passed
         if passed:
-            bits = candidate_bits(inst, grid.point(j), res.winner)
+            bits = candidate_bits(inst, res.winner)
             assert (res.winner.value, bits, res.alpha) == best
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kinterdict.generator import SplitMix64
 from kinterdict.instance import Instance, InterdictionVector
@@ -10,11 +12,17 @@ from kinterdict.nominal import (
     best_integer_packing,
     fractional_knapsack,
     knapsack_max_budget,
-    round_down_packing,
 )
 from kinterdict.oracles import vertex_lp_optimum
 
-from conftest import T1, T2, all_interdictions, edge_family
+from conftest import (
+    T1,
+    T2,
+    all_interdictions,
+    dense_knapsack_max_budget,
+    edge_family,
+    round_down_packing,
+)
 
 
 def xvec(inst, bits):
@@ -68,6 +76,34 @@ def test_budget_knapsack_exact_by_enumeration():
         assert ans.value == best
         assert sum(c for c, b in zip(costs, ans.chosen) if b) <= budget
         assert sum((p for p, b in zip(profits, ans.chosen) if b), start=Fraction(0)) == ans.value
+
+
+# profits: small ints with many ties, ints beyond 2**64, or Fractions
+_profit = st.one_of(
+    st.integers(0, 6),
+    st.integers(2**64, 2**64 + 6),
+    st.fractions(min_value=0, max_value=9, max_denominator=7),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.lists(st.tuples(_profit, st.integers(0, 14)), max_size=8),
+    st.integers(0, 12),
+)
+@example(items=[(2, 1), (2, 1), (0, 0)], budget=1)
+@example(items=[(0, 0), (0, 3), (5, 13)], budget=12)
+@example(items=[(Fraction(1, 3), 1), (Fraction(2, 3), 2), (1, 3)], budget=3)
+@example(items=[(2**64, 2), (2**64 + 1, 3), (1, 1)], budget=4)
+def test_budget_knapsack_matches_dense_reference(items, budget):
+    # ties, zero profits and zero costs, costs above the budget, values
+    # beyond 2**64 and Fraction profits: the frontier DP gives the dense
+    # table's value and its select-on-ties choices
+    profits = [p for p, _ in items]
+    costs = [c for _, c in items]
+    ans = knapsack_max_budget(profits, costs, budget)
+    ref = dense_knapsack_max_budget(profits, costs, budget)
+    assert (ans.value, ans.chosen) == (ref.value, ref.chosen)
 
 
 # fractional_knapsack
@@ -228,8 +264,6 @@ def test_round_down_additive_bound_against_survivor_profit():
 
 
 # hypothesis properties
-
-from hypothesis import given, settings
 
 from conftest import instance_strategy
 
