@@ -21,7 +21,8 @@ upper bound U on K(r).  Dantzig's bound (the LP relaxation of the knapsack,
 filled greedily by r_i / c_i) is such a U.  A candidate for which either
 lower bound already reaches the incumbent cannot replace it under the strict
 update, so its knapsack is never built; the result is exactly that of the
-unpruned scan, ties included.
+unpruned scan, ties included.  The FPTAS screens its candidates by the same
+bound, ``dantzig_lower_bound``.
 """
 
 from __future__ import annotations
@@ -145,13 +146,16 @@ def prepare(inst: Instance) -> PreparedInstance:
     )
 
 
-def _reduced_profits(inst: Instance, scale: int, alpha: list[int]) -> list[int]:
-    """max(0, p_i L - w_i . (alpha L)) per item, for (L, alpha L) = a.scaled()."""
-    out = []
-    for p, w in zip(inst.p, zip(*inst.W)):
-        r = p * scale - sum(wj * aj for wj, aj in zip(w, alpha))
-        out.append(r if r > 0 else 0)
-    return out
+def scaled_reduced_profits(inst: Instance, scale: int, alpha: list[int]) -> list[int]:
+    """max(0, p_i L - w_i . (alpha L)) per item, for (L, alpha L) = a.scaled().
+
+    Built one capacity row at a time, skipping zero multipliers.
+    """
+    rs = [p * scale for p in inst.p]
+    for row, aj in zip(inst.W, alpha):
+        if aj:
+            rs = [r - w * aj for r, w in zip(rs, row)]
+    return [r if r > 0 else 0 for r in rs]
 
 
 def _dantzig_bound(profits: list[int], costs, budget: int) -> int:
@@ -175,6 +179,20 @@ def _dantzig_bound(profits: list[int], costs, budget: int) -> int:
     return total
 
 
+def dantzig_lower_bound(inst: Instance, a: DualPoint) -> tuple[int, int]:
+    """(lower L, L), with L the lcm of alpha's denominators and lower a
+    lower bound on the candidate's dual value: alpha . C plus its reduced
+    profits minus their Dantzig bound, all in ints scaled by L.
+
+    The FPTAS rounds each reduced profit up, so lower also bounds every
+    rounded value of the candidate from below, at every grid level.
+    """
+    scale, alpha = a.scaled()
+    reduced = scaled_reduced_profits(inst, scale, alpha)
+    base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
+    return base + sum(reduced) - _dantzig_bound(reduced, inst.c, inst.B), scale
+
+
 def dual_bound_exact(
     inst: Instance, a: DualPoint
 ) -> tuple[Fraction, InterdictionVector]:
@@ -187,7 +205,7 @@ def dual_bound_exact(
     compare sums of them only, so they are those of the unscaled profits.
     """
     scale, alpha = a.scaled()
-    reduced = _reduced_profits(inst, scale, alpha)
+    reduced = scaled_reduced_profits(inst, scale, alpha)
     answer = knapsack_max_budget(reduced, inst.c, inst.B)
     x = InterdictionVector.from_bits(answer.chosen, inst.c)
     base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
@@ -205,24 +223,21 @@ def exact_fractional_optimum(
     omitted.
 
     Once there is an incumbent value v, a later candidate is skipped when,
-    in ints scaled by L, (alpha L) . C >= v L, or else when (alpha L) . C
-    plus its scaled reduced profits minus their Dantzig bound is >= v L.
-    Both are lower bounds on L times the candidate's value, so a skipped
-    candidate could not pass the strict ``value < v`` update: the answer
-    is the unpruned scan's, ties included.
+    in ints scaled by L, (alpha L) . C >= v L, or else when its
+    ``dantzig_lower_bound`` is >= v L.  Both are lower bounds on L times the
+    candidate's value, so a skipped candidate could not pass the strict
+    ``value < v`` update: the answer is the unpruned scan's, ties included.
     """
     if candidates is None:
         candidates = candidate_set(inst)
     best = None
     for a in candidates:
         if best is not None:
-            scale, alpha = a.scaled()
             num, den = best[0].numerator, best[0].denominator
-            lower = sum(aj * cj for aj, cj in zip(alpha, inst.C))
-            if lower * den >= num * scale:
+            scale, alpha = a.scaled()
+            if sum(aj * cj for aj, cj in zip(alpha, inst.C)) * den >= num * scale:
                 continue
-            reduced = _reduced_profits(inst, scale, alpha)
-            lower += sum(reduced) - _dantzig_bound(reduced, inst.c, inst.B)
+            lower, scale = dantzig_lower_bound(inst, a)
             if lower * den >= num * scale:
                 continue
         value, x = dual_bound_exact(inst, a)

@@ -7,16 +7,23 @@ delta = eps * z / n, and replace the budget knapsack by a DP over rounded
 profit units that stores the minimum budget per unit target.  A guessed z is
 accepted when the best rounded dual bound is at most (1 + eps) * z; the
 accepted set is upward closed, so binary search over the grid finds the
-smallest accepted guess.  That acceptance limit also bounds the work: a
-candidate whose alpha . C alone exceeds it runs no DP, and every other DP
-stops at the largest unit target the limit leaves, which keeps every bound
-that can pass.  The DP is nominal's budget knapsack, kept as Pareto
+smallest accepted guess.  That acceptance limit also bounds the work.  A
+level scans its candidates in sorted order, and once one passes, its value
+caps the rest, since only a strictly smaller value can replace it.  A
+candidate runs no DP when its alpha . C, or its Dantzig lower bound
+(dual.dantzig_lower_bound, computed once per solve), exceeds the cap; every
+other DP stops at the largest unit target the cap leaves, which keeps every
+bound that can win.  The DP is nominal's budget knapsack, kept as Pareto
 frontiers: each candidate runs it value-only for its least feasible target
 (nominal.least_units_within), and only the winner of the accepted level
 stores a frontier per item, capped at its target, to trace its
-interdiction back.  Composing with the integrality gap of the packing LP
-turns the (1+eps) guarantee on the relaxed optimum into 2+eps for a single
-capacity and 1+t+eps for t capacities.
+interdiction back.  The reported dp_tables and dp_states are the paper's
+nominal counts: one table of n (kmax + 1) states for every candidate whose
+alpha . C is within the level's limit, whether its DP ran or not.
+
+Composing with the integrality gap of the packing LP turns the (1+eps)
+guarantee on the relaxed optimum into 2+eps for a single capacity and
+1+t+eps for t capacities.
 
 Internally the requested accuracy eps is split into eps' with
 (1 + eps')^2 <= 1 + eps: one factor pays for the grid resolution, the other
@@ -35,8 +42,10 @@ from .dual import (
     CandidateSet,
     DualPoint,
     PreparedInstance,
+    dantzig_lower_bound,
     fractional_value,
     prepare,
+    scaled_reduced_profits,
 )
 from .instance import Instance, InterdictionVector, lift_interdiction
 from .nominal import budget_frontier, least_units_within
@@ -145,19 +154,15 @@ def rounded_profit_units(inst: Instance, a: DualPoint, delta: Fraction) -> list[
     the running-total rounding of the reduced profit sum, because the total
     is a multiple of delta before every addition.  Computed in integers:
     with L the lcm of alpha's denominators, r = p_i L - w_i . (alpha L) is
-    the reduced profit times L, and the units are ceil(r / (L delta)).  The
-    r are built one capacity row at a time, skipping zero multipliers.
+    the reduced profit times L (dual.scaled_reduced_profits, 0 when
+    negative), and the units are ceil(r / (L delta)).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    scale, alpha_scaled = a.scaled()
+    scale, alpha = a.scaled()
     num = delta.denominator
     den = delta.numerator * scale
-    rs = [p * scale for p in inst.p]
-    for row, aj in zip(inst.W, alpha_scaled):
-        if aj:
-            rs = [r - w * aj for r, w in zip(rs, row)]
-    return [-(-r * num // den) if r > 0 else 0 for r in rs]
+    return [-(-r * num // den) for r in scaled_reduced_profits(inst, scale, alpha)]
 
 
 @dataclass(frozen=True)
@@ -229,15 +234,13 @@ class CandidateEval:
     """One dual candidate's rounded bound at one grid point (None = pruned).
 
     k is the least feasible unit target, so value = alpha . C + k delta, and
-    units are the candidate's rounded profits, kept for the traceback.
-    dp_states is the nominal size n (kmax + 1) of the DP the candidate ran,
-    or 0 when it was skipped without one.
+    units are the candidate's rounded profits, kept for the traceback; both
+    are None when the candidate was skipped without a DP.
     """
 
     value: Fraction | None
     k: int | None
     units: list[int] | None
-    dp_states: int
 
 
 def rounded_dual_bound(
@@ -266,14 +269,12 @@ def rounded_dual_bound(
     kmax = point.kmax
     if limit is not None:
         if base > limit:
-            return CandidateEval(value=None, k=None, units=None, dp_states=0)
+            return CandidateEval(value=None, k=None, units=None)
         kmax = min(kmax, (limit - base) // point.delta)
     units = rounded_profit_units(inst, a, point.delta)
     k = least_units_within(units, inst.c, inst.B, kmax)
     value = None if k is None else base + k * point.delta
-    return CandidateEval(
-        value=value, k=k, units=units, dp_states=inst.n * (point.kmax + 1)
-    )
+    return CandidateEval(value=value, k=k, units=units)
 
 
 def candidate_bits(inst: Instance, ev: CandidateEval) -> tuple[int, ...]:
@@ -309,44 +310,71 @@ def accept_level(
     grid: GeometricGrid,
     j: int,
     candidates: CandidateSet,
-    mapper=map,
+    mapper=None,
     bases=None,
+    lowers=None,
 ) -> LevelResult:
     """Evaluate the candidates at grid level j and test acceptance.
 
     The level passes when the best rounded bound is at most the limit
-    (1 + eps') * z_j = z_j + n delta_j.  A candidate whose alpha . C (taken
-    from ``bases`` when given, one per candidate) exceeds that limit is
-    skipped without a task; the others run the DP only up to the unit
-    target the limit leaves, so bounds above the limit come back as None.
-    A passing level's winner and alpha are those of the unlimited
-    evaluation, and a failing level fails either way.  Ties go to the
-    earliest candidate, so the result does not depend on the mapper's
-    parallelism.  dp_tables counts the candidates that ran the DP; dp_states
-    is the nominal size of their tables.
+    (1 + eps') * z_j = z_j + n delta_j.  A candidate runs its DP only while
+    it could still win: it is skipped when its alpha . C or its Dantzig
+    lower bound exceeds the cap, and otherwise runs the DP only up to the
+    unit target the cap leaves, so bounds above the cap come back as None.
+    Both are lower bounds on every rounded value of the candidate.  Without
+    a mapper the candidates are scanned in sorted order, and the cap is the
+    limit until one passes, then the incumbent's value: a later candidate
+    replaces it only with a strictly smaller value.  With a mapper (a
+    process pool's map) there is no incumbent: the parent screens at the
+    limit and maps the rest.  Either way a passing level's winner and alpha
+    are those of the unlimited evaluation, ties going to the earliest
+    candidate, and a failing level fails.
+
+    ``bases`` holds each candidate's alpha . C and ``lowers`` caches its
+    Fraction Dantzig bound by index, computed on first use; a search shares
+    both across its levels.  dp_tables counts the candidates whose alpha . C
+    is within the limit, screened or not, and dp_states is the nominal size
+    n (kmax + 1) of their tables: the paper's counts, not the DPs that ran.
     """
     point = grid.point(j)
     limit = (1 + grid.eps_internal) * point.z
     if bases is None:
         bases = [a.dot_capacity(inst) for a in candidates]
-    kept = [(a, base) for a, base in zip(candidates, bases) if base <= limit]
-    tasks = [(inst, a, point, limit, base) for a, base in kept]
+    if lowers is None:
+        lowers = {}
+
+    def lower(i: int, a: DualPoint) -> Fraction:
+        if i not in lowers:
+            lowers[i] = Fraction(*dantzig_lower_bound(inst, a))
+        return lowers[i]
+
+    kept = [
+        (i, a, base)
+        for i, (a, base) in enumerate(zip(candidates, bases))
+        if base <= limit
+    ]
     best: CandidateEval | None = None
     best_alpha = None
-    dp_tables = 0
-    dp_states = 0
-    for (a, _), ev in zip(kept, mapper(_eval_candidate, tasks)):
-        if ev.dp_states:
-            dp_tables += 1
-            dp_states += ev.dp_states
-        if ev.value is not None and (best is None or ev.value < best.value):
-            best, best_alpha = ev, a
+    if mapper is None:
+        for i, a, base in kept:
+            cap = limit if best is None else best.value
+            if base > cap or lower(i, a) > cap:
+                continue
+            ev = rounded_dual_bound(inst, a, point, limit=cap, base=base)
+            if ev.value is not None and (best is None or ev.value < best.value):
+                best, best_alpha = ev, a
+    else:
+        screened = [(a, base) for i, a, base in kept if lower(i, a) <= limit]
+        tasks = [(inst, a, point, limit, base) for a, base in screened]
+        for (a, _), ev in zip(screened, mapper(_eval_candidate, tasks)):
+            if ev.value is not None and (best is None or ev.value < best.value):
+                best, best_alpha = ev, a
     return LevelResult(
         passed=best is not None and best.value <= limit,
         winner=best,
         alpha=best_alpha,
-        dp_tables=dp_tables,
-        dp_states=dp_states,
+        dp_tables=len(kept),
+        dp_states=len(kept) * inst.n * (point.kmax + 1),
     )
 
 
@@ -364,25 +392,27 @@ def search_optimum_guess(
     inst: Instance,
     grid: GeometricGrid,
     candidates: CandidateSet,
-    mapper=map,
+    mapper=None,
 ) -> SearchResult:
     """Binary search for the smallest accepted grid level.
 
     Levels below the optimum are rejected and levels at or above it are
     accepted, with at most one ambiguous level in between, so acceptance is
     monotone along the grid.  The top level always accepts because it is at
-    least the total profit.  Each candidate's alpha . C is computed once and
-    shared by every level.  Only the accepted level's winner stores its
-    frontiers, to trace its interdiction back.
+    least the total profit.  Each candidate's alpha . C, and its Dantzig
+    lower bound once a level needs it, are computed once and shared by every
+    level.  ``mapper`` is passed on to accept_level.  Only the accepted
+    level's winner stores its frontiers, to trace its interdiction back.
     """
     bases = [a.dot_capacity(inst) for a in candidates]
+    lowers: dict[int, Fraction] = {}
     cache: dict[int, LevelResult] = {}
     dp_tables = 0
     dp_states = 0
 
     def evaluate(j: int) -> LevelResult:
         nonlocal dp_tables, dp_states
-        res = accept_level(inst, grid, j, candidates, mapper, bases)
+        res = accept_level(inst, grid, j, candidates, mapper, bases, lowers)
         cache[j] = res
         dp_tables += res.dp_tables
         dp_states += res.dp_states

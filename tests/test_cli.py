@@ -443,3 +443,61 @@ def test_gen_unwritable_output_path(tmp_path, capsys):
         "--output", str(tmp_path / "missing_dir" / "x.json"),
     )
     assert code == 2 and "error" in err
+
+
+# accuracies whose grid values run past Python's int-to-str digit limit
+
+def _gen(tmp_path, capsys, *argv):
+    path = str(tmp_path / "gen.json")
+    assert run(capsys, "gen", *argv, "--output", path)[0] == 0
+    return path
+
+
+def test_solve_eps_1_50_renders_a_z_star_beyond_4300_digits(tmp_path, capsys):
+    path = _gen(tmp_path, capsys, "--n", "40", "--seed", "5")
+    code, out, _ = run(capsys, "solve", "--input", path, "--eps", "1/50")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["z_star"]) > 4300
+    assert doc["guarantee"] == "2+eps-of-opt-i"
+
+
+def test_solve_t3_eps_1_100_exits_0(tmp_path, capsys):
+    path = _gen(tmp_path, capsys, "--n", "20", "--t", "3", "--seed", "3")
+    code, out, _ = run(capsys, "solve", "--input", path, "--eps", "1/100")
+    assert code == 0
+    assert json.loads(out)["guarantee"] == "1+t+eps-of-opt-i"
+
+
+def test_solve_jobs_2_matches_jobs_1_where_both_screens_fire(
+    tmp_path, capsys, monkeypatch
+):
+    inst = generate_instance(n=12, t=1, seed=3)
+    reduced = instance.preprocess(inst)[0]
+    cands = dual.candidate_set(reduced)
+    # solve --eps 1/2 runs the relaxed FPTAS at eps 1/4 on t = 1
+    grid = fptas.GeometricGrid.build(reduced, fptas.split_accuracy(Fraction(1, 4)))
+    levels = []
+
+    def mapper(fn, tasks):
+        tasks = list(tasks)
+        levels.append(tasks)
+        return map(fn, tasks)
+
+    fptas.search_optimum_guess(reduced, grid, cands, mapper)
+    fired = 0
+    for tasks in filter(None, levels):
+        point = tasks[0][2]
+        limit = (1 + grid.eps_internal) * point.z
+        within = sum(1 for a in cands if a.dot_capacity(reduced) <= limit)
+        # some candidates fail the alpha . C screen, some the Dantzig one
+        fired += len(tasks) < within < len(cands)
+    assert fired > 0
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = write(tmp_path, "n12.json", serialize_instance(inst))
+    outs = [
+        run(capsys, "solve", "--input", path, "--eps", "1/2", "--jobs", jobs)
+        for jobs in ("1", "2")
+    ]
+    assert outs[0][0] == 0 and outs[0] == outs[1]

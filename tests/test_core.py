@@ -91,6 +91,26 @@ def test_rat_canonical_form():
     assert rat_to_str(Fraction(-3, 9)) == "-1/3"
 
 
+def _digits_to_int(text: str) -> int:
+    # int() refuses strings beyond Python's digit limit; fold short chunks
+    value = 0
+    for i in range(0, len(text), 500):
+        chunk = text[i:i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_rat_to_str_renders_5000_digit_fractions_exactly():
+    num = -(7 ** 5916 + 10 ** 600)  # 5000 digits, with a run of zeros inside
+    den = 3 ** 10480 + 2  # 5001 digits
+    q = Fraction(num, den)
+    text = rat_to_str(q)
+    head, _, tail = text.partition("/")
+    assert head.startswith("-") and len(head) == 5001 and len(tail) == 5001
+    assert Fraction(-_digits_to_int(head[1:]), _digits_to_int(tail)) == q
+    assert rat_to_str(Fraction(10 ** 1200)) == "1" + "0" * 1200
+
+
 # parsing
 
 def test_parse_t1():

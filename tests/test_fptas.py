@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kinterdict.dual import (
     CandidateSet,
     DualPoint,
+    dantzig_lower_bound,
     dual_bound_exact,
     dual_breakpoints,
     exact_fractional_optimum,
@@ -325,7 +326,7 @@ def test_rounded_bound_rejects_when_pruned():
     grid = GeometricGrid.build(inst, e)
     ev = rounded_dual_bound(inst, DualPoint.of(0), grid.point(0))
     assert ev.value is None and ev.k is None
-    assert ev.dp_states > 0
+    assert ev.units is not None  # the DP ran and found no target
 
 
 # acceptance and the search
@@ -672,8 +673,10 @@ def test_traceback_interdicts_zero_unit_items_iff_free():
 
 def unlimited_level(inst, grid, j, cands):
     """Reference acceptance test: every candidate's full dense table traced
-    back, no limit and no value-only DP."""
+    back, no limit, screen or value-only DP.  Also returns how many
+    candidates have alpha . C within the limit, the nominal table count."""
     point = grid.point(j)
+    limit = (1 + grid.eps_internal) * point.z
     best = None
     for a in cands:
         units = rounded_profit_units(inst, a, point.delta)
@@ -684,8 +687,9 @@ def unlimited_level(inst, grid, j, cands):
         value = a.dot_capacity(inst) + k * point.delta
         if best is None or value < best[0]:
             best = (value, table.traceback(k), a)
-    passed = best is not None and best[0] <= (1 + grid.eps_internal) * point.z
-    return passed, best
+    passed = best is not None and best[0] <= limit
+    within = sum(1 for a in cands if a.dot_capacity(inst) <= limit)
+    return passed, best, within
 
 
 @settings(max_examples=80, deadline=None)
@@ -701,12 +705,16 @@ def test_limited_accept_level_matches_unlimited_reference(inst, eps):
     grid = GeometricGrid.build(inst, split_accuracy(eps))
     cands = candidates_for(inst)
     for j in range(grid.J + 1):
-        res = accept_level(inst, grid, j, cands)
-        passed, best = unlimited_level(inst, grid, j, cands)
-        assert res.passed == passed
-        if passed:
-            bits = candidate_bits(inst, res.winner)
-            assert (res.winner.value, bits, res.alpha) == best
+        passed, best, within = unlimited_level(inst, grid, j, cands)
+        states = within * inst.n * (grid.kmax + 1)
+        # the incumbent-capped scan, then the parallel path's limit screen
+        for res in (accept_level(inst, grid, j, cands),
+                    accept_level(inst, grid, j, cands, mapper=map)):
+            assert res.passed == passed
+            assert (res.dp_tables, res.dp_states) == (within, states)
+            if passed:
+                bits = candidate_bits(inst, res.winner)
+                assert (res.winner.value, bits, res.alpha) == best
 
 
 def test_accept_level_keeps_candidate_whose_alpha_c_equals_the_limit():
@@ -717,3 +725,48 @@ def test_accept_level_keeps_candidate_whose_alpha_c_equals_the_limit():
     only = CandidateSet(points=(DualPoint.of(2),))
     res = accept_level(inst, grid, 1, only)
     assert res.passed and res.winner.value == 4 and res.dp_tables == 1
+
+
+def test_accept_level_tie_goes_to_the_earlier_candidate():
+    # eps' = 1, level 1: delta = 2 and limit = 4.  alpha = 0 keeps the whole
+    # profit 4 = 2 units of delta; alpha = 2 pays alpha . C = 4 and keeps
+    # nothing.  Both bounds are 4, so whichever comes first wins.
+    inst = Instance(n=1, t=1, p=(4,), c=(1,), W=((2,),), B=0, C=(2,))
+    grid = GeometricGrid.build(inst, Fraction(1))
+    zero, two = DualPoint.of(0), DualPoint.of(2)
+    for order in ((zero, two), (two, zero)):
+        cands = CandidateSet(points=order)
+        for mapper in (None, map):
+            res = accept_level(inst, grid, 1, cands, mapper=mapper)
+            assert res.passed and res.winner.value == 4
+            assert res.alpha == order[0]
+            assert res.dp_tables == 2
+
+
+@st.composite
+def screened_instances(draw):
+    """Small t = 1 and t = 2 instances with zero costs, costs above the
+    budget, and values scaled beyond 2**64."""
+    t = draw(st.sampled_from([1, 2]))
+    inst = draw(instance_strategy(max_n=5, t=t, max_value=9))
+    scale = draw(st.sampled_from([1, 2**64 + 13]))
+    return Instance(
+        n=inst.n, t=t, p=tuple(v * scale for v in inst.p), c=inst.c,
+        W=tuple(tuple(v * scale for v in row) for row in inst.W), B=inst.B,
+        C=tuple(v * scale for v in inst.C),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(screened_instances(), st.sampled_from([Fraction(1), Fraction(1, 3)]))
+def test_dantzig_lower_bound_is_below_exact_and_every_rounded_value(inst, eps):
+    if inst.n == 0 or sum(inst.p) == 0:
+        return
+    grid = GeometricGrid.build(inst, split_accuracy(eps))
+    for a in candidates_for(inst):
+        lower = Fraction(*dantzig_lower_bound(inst, a))
+        assert lower >= a.dot_capacity(inst)
+        assert lower <= dual_bound_exact(inst, a)[0]
+        for j in range(grid.J + 1):
+            value = rounded_dual_bound(inst, a, grid.point(j)).value
+            assert value is None or lower <= value
