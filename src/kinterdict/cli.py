@@ -3,7 +3,8 @@
 All numeric output is bit-exact: rationals are rendered as "num/den"
 strings, never floats.  Exit codes: 0 success, 2 instance parse/validation
 error, 3 bad parameters, 4 instance too large for an oracle (more items than
---max-n, or an integer packing DP beyond its state limit).  The solve and
+--max-n, 2^n integer packings beyond the oracle's work budget, or one
+integer packing DP beyond its state limit).  The solve and
 bench outputs are byte-identical for identical inputs and flags regardless
 of worker count (the wall_ms benchmark column is measured time and is the
 single exception).

@@ -13,6 +13,17 @@ over interdictions at a fixed alpha is a 0-1 knapsack over the reduced
 profits, which gives the exact pseudopolynomial solver for the relaxed
 optimum.
 
+The vertices are found per zero-set: the coordinates a subset's coordinate
+planes fix at 0 drop out, and the item planes leave a smaller square system
+on the rest, solved in ints (``linalg.cramer_solve``).  Signs, duplicates
+and the sorted order are all decided on int tuples, so each point builds
+its Fractions once, and keeps its scaled int form for every later use.  A
+candidate set also keeps, per capacity vector, each candidate's alpha . C
+and the candidates' order by it (``CandidateSet.by_capacity``): the FPTAS
+levels take the candidates within their limit from it by bisection, and
+F(x) scans in that order and stops once alpha . C reaches the best value,
+since a candidate's value is at least its alpha . C.
+
 That solver scans the candidates in sorted order and keeps the first strict
 minimum.  A candidate's value is alpha . C + sum r_i - K(r), with r_i the
 reduced profits and K(r) the most reduced profit removable within the budget,
@@ -27,13 +38,14 @@ bound, ``dantzig_lower_bound``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .instance import Instance, InterdictionVector, preprocess
-from .linalg import solve_square_system
+from .linalg import cramer_solve
 from .nominal import DimensionMismatchError, fractional_knapsack, knapsack_max_budget
 
 
@@ -51,27 +63,83 @@ class DualPoint:
     def of(cls, *values) -> "DualPoint":
         return cls(alpha=tuple(Fraction(v) for v in values))
 
+    @classmethod
+    def from_scaled(cls, scale: int, alpha: tuple[int, ...]) -> "DualPoint":
+        """The point alpha / scale, for ints alpha >= 0 and scale > 0 with no
+        common factor, whose ``scaled`` is then (scale, alpha) itself."""
+        point = cls(alpha=tuple(Fraction(a, scale) for a in alpha))
+        point.__dict__["scaled"] = (scale, alpha)
+        return point
+
     def dot_capacity(self, inst: Instance) -> Fraction:
-        scale, alpha = self.scaled()
+        scale, alpha = self.scaled
         return Fraction(sum(a * c for a, c in zip(alpha, inst.C)), scale)
 
-    def scaled(self) -> tuple[int, list[int]]:
-        """(L, alpha L) with L the lcm of alpha's denominators, all ints."""
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(L, alpha L) with L the lcm of alpha's denominators, all ints;
+        computed on first use and kept with the point."""
         scale = lcm(*(q.denominator for q in self.alpha))
-        return scale, [q.numerator * (scale // q.denominator) for q in self.alpha]
+        return scale, tuple(q.numerator * (scale // q.denominator) for q in self.alpha)
+
+
+@dataclass(frozen=True)
+class CapacityOrder:
+    """The candidates' alpha . C for one capacity vector C, by index.
+
+    dots[i] is (alpha L) . C in ints with (L, alpha L) = points[i].scaled,
+    bases[i] the Fraction alpha . C, and order the indices sorted by
+    alpha . C, ties by index, with sorted_bases the bases in that order.
+    """
+
+    dots: tuple[int, ...]
+    bases: tuple[Fraction, ...]
+    order: tuple[int, ...]
+    sorted_bases: tuple[Fraction, ...]
+
+    @classmethod
+    def build(cls, points, C) -> "CapacityOrder":
+        scaled = [a.scaled for a in points]
+        dots = [sum(aj * cj for aj, cj in zip(alpha, C)) for _, alpha in scaled]
+        # distinct values dot / L differ by at least 1 / max(L)^2, so the
+        # floors of K times them, K > max(L)^2, order them exactly in ints
+        k = max((scale for scale, _ in scaled), default=0) ** 2 + 1
+        keys = [dot * k // scale for dot, (scale, _) in zip(dots, scaled)]
+        order = sorted(range(len(dots)), key=keys.__getitem__)
+        bases = [Fraction(dot, scale) for dot, (scale, _) in zip(dots, scaled)]
+        return cls(
+            dots=tuple(dots),
+            bases=tuple(bases),
+            order=tuple(order),
+            sorted_bases=tuple(bases[i] for i in order),
+        )
 
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Sorted, deduplicated dual candidates; always contains the origin."""
+    """Sorted, deduplicated dual candidates; always contains the origin.
+
+    ``by_capacity(C)`` gives the candidates' alpha . C and their order by
+    it, built on the first call for C and kept: the search, its levels and
+    every F(x) of a solve share one.
+    """
 
     points: tuple[DualPoint, ...]
+    _orders: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __iter__(self):
         return iter(self.points)
 
     def __len__(self):
         return len(self.points)
+
+    def by_capacity(self, C: tuple[int, ...]) -> CapacityOrder:
+        order = self._orders.get(C)
+        if order is None:
+            order = self._orders[C] = CapacityOrder.build(self.points, C)
+        return order
 
 
 def dual_breakpoints(inst: Instance) -> CandidateSet:
@@ -96,27 +164,49 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
     {alpha_j = 0} contributes its unique solution when the system is
     nonsingular and the solution is componentwise non-negative.  Agrees with
     ``dual_breakpoints`` when t = 1.
+
+    A subset fixes the coordinates of its coordinate planes, a zero-set S,
+    at 0 and leaves the (t - |S|)-square system of its item planes on the
+    free coordinates, nonsingular exactly when the whole system is.  So each
+    zero-set's item subsets are solved in that smaller system, in ints by
+    ``cramer_solve``: a solution is kept when its numerators have the
+    determinant's sign or are 0, and is recorded as the gcd-reduced int
+    tuple (numerators..., det) with det > 0, which is unique per point.
+    The points are sorted in ints too, in the lexicographic order of their
+    coordinates, and each becomes one Fraction per coordinate at the end;
+    its tuple is already its ``scaled`` form.
     """
     t = inst.t
-    # hyperplane as (coefficients, rhs): item planes then coordinate planes
-    planes: list[tuple[tuple[int, ...], int]] = []
-    for i in range(inst.n):
-        planes.append((inst.weight_of(i), inst.p[i]))
-    for j in range(t):
-        planes.append((tuple(1 if k == j else 0 for k in range(t)), 0))
-
-    seen: set[tuple[Fraction, ...]] = {tuple([Fraction(0)] * t)}
-    for subset in combinations(range(len(planes)), t):
-        A = [planes[s][0] for s in subset]
-        b = [planes[s][1] for s in subset]
-        sol = solve_square_system(A, b)
-        if sol is None:
-            continue
-        if any(v < 0 for v in sol):
-            continue
-        seen.add(tuple(sol))
+    weights = [inst.weight_of(i) for i in range(inst.n)]
+    found = {(0,) * t + (1,)}  # the origin, zero-set [t]
+    for size in range(1, t + 1):
+        for free in combinations(range(t), size):
+            rows = [[w[j] for j in free] for w in weights]
+            # item subsets in lockstep: their rows and their profits
+            systems = zip(combinations(rows, size), combinations(inst.p, size))
+            for A, b in systems:
+                solved = cramer_solve(A, b)
+                if solved is None:
+                    continue
+                det, numerators = solved
+                if det < 0:
+                    det, numerators = -det, [-v for v in numerators]
+                if min(numerators) < 0:
+                    continue
+                g = gcd(det, *numerators)
+                point = [0] * t
+                for j, v in zip(free, numerators):
+                    point[j] = v // g
+                point.append(det // g)
+                found.add(tuple(point))
+    # distinct coordinates v / d differ by at least 1 / max(d)^2, so the
+    # floors of K times them, K > max(d)^2, order them exactly in ints
+    k = max(point[t] for point in found) ** 2 + 1
+    ordered = sorted(
+        found, key=lambda point: [v * k // point[t] for v in point[:t]]
+    )
     return CandidateSet(
-        points=tuple(DualPoint(alpha=pt) for pt in sorted(seen))
+        points=tuple(DualPoint.from_scaled(point[t], point[:t]) for point in ordered)
     )
 
 
@@ -146,13 +236,14 @@ def prepare(inst: Instance) -> PreparedInstance:
     )
 
 
-def scaled_reduced_profits(inst: Instance, scale: int, alpha: list[int]) -> list[int]:
-    """max(0, p_i L - w_i . (alpha L)) per item, for (L, alpha L) = a.scaled().
+def scaled_reduced_profits(p, W, scale: int, alpha) -> list[int]:
+    """max(0, p_i L - w_i . (alpha L)) per item, for profits p, weight rows
+    W and (L, alpha L) = a.scaled.
 
     Built one capacity row at a time, skipping zero multipliers.
     """
-    rs = [p * scale for p in inst.p]
-    for row, aj in zip(inst.W, alpha):
+    rs = [pi * scale for pi in p]
+    for row, aj in zip(W, alpha):
         if aj:
             rs = [r - w * aj for r, w in zip(rs, row)]
     return [r if r > 0 else 0 for r in rs]
@@ -187,8 +278,8 @@ def dantzig_lower_bound(inst: Instance, a: DualPoint) -> tuple[int, int]:
     The FPTAS rounds each reduced profit up, so lower also bounds every
     rounded value of the candidate from below, at every grid level.
     """
-    scale, alpha = a.scaled()
-    reduced = scaled_reduced_profits(inst, scale, alpha)
+    scale, alpha = a.scaled
+    reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
     base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
     return base + sum(reduced) - _dantzig_bound(reduced, inst.c, inst.B), scale
 
@@ -204,8 +295,8 @@ def dual_bound_exact(
     The knapsack runs on the reduced profits scaled by L to ints; its choices
     compare sums of them only, so they are those of the unscaled profits.
     """
-    scale, alpha = a.scaled()
-    reduced = scaled_reduced_profits(inst, scale, alpha)
+    scale, alpha = a.scaled
+    reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
     answer = knapsack_max_budget(reduced, inst.c, inst.B)
     x = InterdictionVector.from_bits(answer.chosen, inst.c)
     base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
@@ -234,7 +325,7 @@ def exact_fractional_optimum(
     for a in candidates:
         if best is not None:
             num, den = best[0].numerator, best[0].denominator
-            scale, alpha = a.scaled()
+            scale, alpha = a.scaled
             if sum(aj * cj for aj, cj in zip(alpha, inst.C)) * den >= num * scale:
                 continue
             lower, scale = dantzig_lower_bound(inst, a)
@@ -258,8 +349,12 @@ def fractional_value(
     pass the set it already built (t = 1 ignores it).  Each candidate is
     evaluated in integers: with L the lcm of alpha's denominators,
     (alpha L) . C plus the sum of max(0, p_i L - w_i . (alpha L)) over the
-    surviving items is L times the dual objective, and one Fraction per
-    candidate is built for the comparison.
+    surviving items is L times the dual objective, built one capacity row
+    at a time; values compare by int cross-products, and one Fraction is
+    built for the answer.  The candidates are scanned in alpha . C order
+    (``CandidateSet.by_capacity``), and the scan stops at the first one
+    whose alpha . C reaches the best value so far: every later value is at
+    least its own alpha . C, so none is smaller and the minimum is exact.
     """
     if len(x.bits) != inst.n:
         raise DimensionMismatchError("interdiction length does not match instance")
@@ -267,19 +362,18 @@ def fractional_value(
         return fractional_knapsack(inst, x).value
     if candidates is None:
         candidates = dual_vertex_candidates(inst)
-    survivors = [
-        (inst.p[i], inst.weight_of(i)) for i in range(inst.n) if not x.bits[i]
-    ]
-    best = None
-    for a in candidates:
-        scale, alpha = a.scaled()
-        total = sum(aj * cj for aj, cj in zip(alpha, inst.C))
-        for p, w in survivors:
-            r = p * scale - sum(wj * aj for wj, aj in zip(w, alpha))
-            if r > 0:
-                total += r
-        v = Fraction(total, scale)
-        if best is None or v < best:
-            best = v
-    assert best is not None
-    return best
+    kept = [i for i in range(inst.n) if not x.bits[i]]
+    p = [inst.p[i] for i in kept]
+    W = [[row[i] for i in kept] for row in inst.W]
+    by_c = candidates.by_capacity(inst.C)
+    best, best_scale = None, 1
+    for i in by_c.order:
+        scale, alpha = candidates.points[i].scaled
+        dot = by_c.dots[i]
+        if best is not None and dot * best_scale >= best * scale:
+            break
+        total = dot + sum(scaled_reduced_profits(p, W, scale, alpha))
+        if best is None or total * best_scale < best * scale:
+            best, best_scale = total, scale
+    assert best is not None  # the candidate set always contains the origin
+    return Fraction(best, best_scale)

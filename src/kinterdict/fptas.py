@@ -8,13 +8,16 @@ profit units that stores the minimum budget per unit target.  A guessed z is
 accepted when the best rounded dual bound is at most (1 + eps) * z; the
 accepted set is upward closed, so binary search over the grid finds the
 smallest accepted guess.  That acceptance limit also bounds the work.  A
-level scans its candidates in sorted order, and once one passes, its value
-caps the rest, since only a strictly smaller value can replace it.  A
-candidate runs no DP when its alpha . C, or its Dantzig lower bound
-(dual.dantzig_lower_bound, computed once per solve), exceeds the cap; every
-other DP stops at the largest unit target the cap leaves, which keeps every
-bound that can win.  The DP is nominal's budget knapsack, kept as Pareto
-frontiers: each candidate runs it value-only for its least feasible target
+level keeps the candidates whose alpha . C is within it, found by one
+bisection of the candidates' alpha . C order (built once per solve, see
+dual.CandidateSet.by_capacity).  It scans them in sorted order, and once
+one passes, its value caps the rest, since only a strictly smaller value
+can replace it.  A candidate runs no DP when its alpha . C, or its
+Dantzig lower bound (dual.dantzig_lower_bound, computed once per solve),
+exceeds the cap; every other DP stops at the largest unit target the cap
+leaves, which keeps every bound that can win.  The DP is nominal's
+budget knapsack, kept as Pareto frontiers: each candidate runs it
+value-only for its least feasible target
 (nominal.least_units_within), and only the winner of the accepted level
 stores a frontier per item, capped at its target, to trace its
 interdiction back.  The reported dp_tables and dp_states are the paper's
@@ -159,10 +162,11 @@ def rounded_profit_units(inst: Instance, a: DualPoint, delta: Fraction) -> list[
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    scale, alpha = a.scaled()
+    scale, alpha = a.scaled
     num = delta.denominator
     den = delta.numerator * scale
-    return [-(-r * num // den) for r in scaled_reduced_profits(inst, scale, alpha)]
+    reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
+    return [-(-r * num // den) for r in reduced]
 
 
 @dataclass(frozen=True)
@@ -311,64 +315,62 @@ def accept_level(
     j: int,
     candidates: CandidateSet,
     mapper=None,
-    bases=None,
     lowers=None,
 ) -> LevelResult:
     """Evaluate the candidates at grid level j and test acceptance.
 
     The level passes when the best rounded bound is at most the limit
-    (1 + eps') * z_j = z_j + n delta_j.  A candidate runs its DP only while
-    it could still win: it is skipped when its alpha . C or its Dantzig
-    lower bound exceeds the cap, and otherwise runs the DP only up to the
-    unit target the cap leaves, so bounds above the cap come back as None.
-    Both are lower bounds on every rounded value of the candidate.  Without
-    a mapper the candidates are scanned in sorted order, and the cap is the
-    limit until one passes, then the incumbent's value: a later candidate
-    replaces it only with a strictly smaller value.  With a mapper (a
-    process pool's map) there is no incumbent: the parent screens at the
-    limit and maps the rest.  Either way a passing level's winner and alpha
-    are those of the unlimited evaluation, ties going to the earliest
+    (1 + eps') * z_j = z_j + n delta_j.  The candidates with alpha . C
+    within the limit are a prefix of the candidates' alpha . C order
+    (``CandidateSet.by_capacity``), found by one bisection; the others are
+    never looked at.  A kept candidate runs its DP only while it could
+    still win: it is skipped when its alpha . C or its Dantzig lower bound
+    exceeds the cap, and otherwise runs the DP only up to the unit target
+    the cap leaves, so bounds above the cap come back as None.  Both are
+    lower bounds on every rounded value of the candidate.  Without a mapper
+    the kept candidates are scanned in index (sorted) order, and the cap is
+    the limit until one passes, then the incumbent's value: a later
+    candidate replaces it only with a strictly smaller value.  With a
+    mapper (a process pool's map) there is no incumbent: the parent screens
+    at the limit and maps the rest.  Either way a passing level's winner and
+    alpha are those of the unlimited evaluation, ties going to the earliest
     candidate, and a failing level fails.
 
-    ``bases`` holds each candidate's alpha . C and ``lowers`` caches its
-    Fraction Dantzig bound by index, computed on first use; a search shares
-    both across its levels.  dp_tables counts the candidates whose alpha . C
-    is within the limit, screened or not, and dp_states is the nominal size
-    n (kmax + 1) of their tables: the paper's counts, not the DPs that ran.
+    ``lowers`` caches each candidate's Fraction Dantzig bound by index,
+    computed on first use; a search shares it across its levels.  dp_tables
+    counts the kept candidates, screened or not, and dp_states is the
+    nominal size n (kmax + 1) of their tables: the paper's counts, not the
+    DPs that ran.
     """
     point = grid.point(j)
     limit = (1 + grid.eps_internal) * point.z
-    if bases is None:
-        bases = [a.dot_capacity(inst) for a in candidates]
+    by_c = candidates.by_capacity(inst.C)
+    points, bases = candidates.points, by_c.bases
     if lowers is None:
         lowers = {}
 
-    def lower(i: int, a: DualPoint) -> Fraction:
+    def lower(i: int) -> Fraction:
         if i not in lowers:
-            lowers[i] = Fraction(*dantzig_lower_bound(inst, a))
+            lowers[i] = Fraction(*dantzig_lower_bound(inst, points[i]))
         return lowers[i]
 
-    kept = [
-        (i, a, base)
-        for i, (a, base) in enumerate(zip(candidates, bases))
-        if base <= limit
-    ]
+    kept = sorted(by_c.order[: bisect_right(by_c.sorted_bases, limit)])
     best: CandidateEval | None = None
     best_alpha = None
     if mapper is None:
-        for i, a, base in kept:
+        for i in kept:
             cap = limit if best is None else best.value
-            if base > cap or lower(i, a) > cap:
+            if bases[i] > cap or lower(i) > cap:
                 continue
-            ev = rounded_dual_bound(inst, a, point, limit=cap, base=base)
+            ev = rounded_dual_bound(inst, points[i], point, limit=cap, base=bases[i])
             if ev.value is not None and (best is None or ev.value < best.value):
-                best, best_alpha = ev, a
+                best, best_alpha = ev, points[i]
     else:
-        screened = [(a, base) for i, a, base in kept if lower(i, a) <= limit]
-        tasks = [(inst, a, point, limit, base) for a, base in screened]
-        for (a, _), ev in zip(screened, mapper(_eval_candidate, tasks)):
+        screened = [i for i in kept if lower(i) <= limit]
+        tasks = [(inst, points[i], point, limit, bases[i]) for i in screened]
+        for i, ev in zip(screened, mapper(_eval_candidate, tasks)):
             if ev.value is not None and (best is None or ev.value < best.value):
-                best, best_alpha = ev, a
+                best, best_alpha = ev, points[i]
     return LevelResult(
         passed=best is not None and best.value <= limit,
         winner=best,
@@ -399,12 +401,12 @@ def search_optimum_guess(
     Levels below the optimum are rejected and levels at or above it are
     accepted, with at most one ambiguous level in between, so acceptance is
     monotone along the grid.  The top level always accepts because it is at
-    least the total profit.  Each candidate's alpha . C, and its Dantzig
-    lower bound once a level needs it, are computed once and shared by every
-    level.  ``mapper`` is passed on to accept_level.  Only the accepted
-    level's winner stores its frontiers, to trace its interdiction back.
+    least the total profit.  The candidates' alpha . C and their order by it
+    (``CandidateSet.by_capacity``), and each Dantzig lower bound once a
+    level needs it, are computed once and shared by every level.
+    ``mapper`` is passed on to accept_level.  Only the accepted level's
+    winner stores its frontiers, to trace its interdiction back.
     """
-    bases = [a.dot_capacity(inst) for a in candidates]
     lowers: dict[int, Fraction] = {}
     cache: dict[int, LevelResult] = {}
     dp_tables = 0
@@ -412,7 +414,7 @@ def search_optimum_guess(
 
     def evaluate(j: int) -> LevelResult:
         nonlocal dp_tables, dp_states
-        res = accept_level(inst, grid, j, candidates, mapper, bases, lowers)
+        res = accept_level(inst, grid, j, candidates, mapper, lowers)
         cache[j] = res
         dp_tables += res.dp_tables
         dp_states += res.dp_states

@@ -13,10 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from .instance import FractionalPacking, Instance, InterdictionVector
 from .linalg import solve_square_system
 from .nominal import best_integer_packing, fractional_knapsack
+
+
+# Most DP states the integer oracle may visit in one call: 2^n interdictions,
+# each a best_integer_packing of at most n x prod(C_j + 1) states.
+WORK_BUDGET = 10**8
 
 
 class InstanceTooLargeError(ValueError):
@@ -54,9 +60,21 @@ def _mask_bits(mask: int, n: int) -> tuple[int, ...]:
 def brute_force_opt_i(
     inst: Instance, limit: int = 20, max_optima: int = 10**6
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Exact integer interdiction optimum and every attaining interdiction."""
+    """Exact integer interdiction optimum and every attaining interdiction.
+
+    Refuses, before enumerating anything, an instance with more than
+    ``limit`` items or whose predicted DP states, 2^n times the n x
+    prod(C_j + 1) that best_integer_packing checks per call, exceed
+    ``WORK_BUDGET``.
+    """
     if inst.n > limit:
         raise InstanceTooLargeError(f"n={inst.n} exceeds oracle limit {limit}")
+    states = inst.n * prod(c + 1 for c in inst.C)
+    if (states << inst.n) > WORK_BUDGET:
+        raise InstanceTooLargeError(
+            f"2^{inst.n} interdictions x {states} packing states exceeds "
+            f"limit {WORK_BUDGET}"
+        )
     best: int | None = None
     argmins: list[tuple[int, ...]] = []
     for mask in _feasible_interdictions(inst):

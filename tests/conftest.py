@@ -1,11 +1,12 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import strategies as st
 
+from kinterdict.dual import DualPoint
 from kinterdict.generator import SplitMix64, generate_instance
 from kinterdict.instance import (
     FractionalPacking,
@@ -13,6 +14,7 @@ from kinterdict.instance import (
     InterdictionVector,
     preprocess,
 )
+from kinterdict.linalg import solve_square_system
 from kinterdict.nominal import DimensionMismatchError, KnapsackAnswer
 
 # Hand-checked fixtures.  Every quoted number below was verified against the
@@ -108,6 +110,46 @@ def surviving_reduced_profit(inst: Instance, x: InterdictionVector, a) -> Fracti
         (reduced_profit(inst, i, a) for i in range(inst.n) if not x.bits[i]),
         start=Fraction(0),
     )
+
+
+# References for kinterdict.dual's vertex enumeration and F(x) scan: every
+# t-subset of the planes solved in Fractions, and every candidate scanned.
+
+def reference_vertex_candidates(inst: Instance) -> list[DualPoint]:
+    """Every t-subset of the n + t hyperplanes {p_i = w_i . alpha} and
+    {alpha_j = 0} solved as a t x t system in Fractions; the non-negative
+    solutions, deduplicated and sorted as Fraction tuples."""
+    t = inst.t
+    planes = [(inst.weight_of(i), inst.p[i]) for i in range(inst.n)]
+    planes += [(tuple(1 if k == j else 0 for k in range(t)), 0) for j in range(t)]
+    seen = {tuple([Fraction(0)] * t)}
+    for subset in combinations(planes, t):
+        sol = solve_square_system([a for a, _ in subset], [b for _, b in subset])
+        if sol is not None and all(v >= 0 for v in sol):
+            seen.add(tuple(sol))
+    return [DualPoint(alpha=pt) for pt in sorted(seen)]
+
+
+def unpruned_fractional_value(
+    inst: Instance, x: InterdictionVector, points
+) -> Fraction:
+    """The dual objective minimised over every candidate, each evaluated in
+    ints scaled by its L, in candidate order with no early stop."""
+    survivors = [
+        (inst.p[i], inst.weight_of(i)) for i in range(inst.n) if not x.bits[i]
+    ]
+    best = None
+    for a in points:
+        scale, alpha = a.scaled
+        total = sum(aj * cj for aj, cj in zip(alpha, inst.C))
+        for p, w in survivors:
+            r = p * scale - sum(wj * aj for wj, aj in zip(w, alpha))
+            if r > 0:
+                total += r
+        v = Fraction(total, scale)
+        if best is None or v < best:
+            best = v
+    return best
 
 
 # Dense references for the frontier DPs of kinterdict.nominal and

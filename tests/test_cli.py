@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 from kinterdict import cli, dual, fptas, instance, nominal
@@ -171,6 +172,24 @@ def test_oracle_packing_over_state_limit_exits_4(tmp_path, capsys):
     assert code == 4 and out == ""
     assert err.startswith("error: ") and "exceeds limit" in err
     assert "Traceback" not in err
+
+
+def test_oracle_over_work_budget_exits_4_at_once(tmp_path, capsys):
+    # `gen` defaults.  Each packing call fits its state limit, but 2^n of
+    # them do not fit the oracle's work budget: 2^20 x 8920 and 2^10 x 839790
+    # predicted states.  A raised --max-n is refused before 2^40 costs exist.
+    cases = (
+        (20, 1, 3, ()), (10, 2, 4, ()), (40, 1, 3, ("--max-n", "40")),
+    )
+    for n, t, seed, flags in cases:
+        inst = generate_instance(n=n, t=t, seed=seed)
+        path = write(tmp_path, f"gen-{n}-{t}.json", serialize_instance(inst))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "--input", path, *flags)
+        assert time.perf_counter() - start < 5
+        assert code == 4 and out == ""
+        assert err.startswith(f"error: 2^{n} interdictions")
+        assert "exceeds limit 100000000" in err
 
 
 # the parser

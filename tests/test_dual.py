@@ -34,7 +34,9 @@ from conftest import (
     instance_strategy,
     random_rat,
     reduced_profit,
+    reference_vertex_candidates,
     surviving_reduced_profit,
+    unpruned_fractional_value,
 )
 
 
@@ -128,6 +130,69 @@ def test_candidate_sets_contain_origin_and_are_sorted():
         assert pts == sorted(pts)
         assert len(set(pts)) == len(pts)
         assert all(a >= 0 for pt in pts for a in pt)
+
+
+@st.composite
+def arrangement_instances(draw):
+    """t = 2, 3, 4 instances with zero profits and weights (values from 0),
+    optionally a row that is a multiple of another (parallel planes), a
+    duplicated item, and every value but the costs scaled beyond 2**64."""
+    t = draw(st.sampled_from((2, 3, 4)))
+    inst = draw(instance_strategy(max_n=(6, 5, 4)[t - 2], t=t, max_value=6))
+    p, W = list(inst.p), [list(row) for row in inst.W]
+    if draw(st.booleans()):
+        src, dst = draw(st.permutations(range(t)))[:2]
+        k = draw(st.integers(0, 3))
+        W[dst] = [k * v for v in W[src]]
+    if inst.n >= 2 and draw(st.booleans()):
+        p[1] = p[0]
+        for row in W:
+            row[1] = row[0]
+    k = draw(st.sampled_from((1, 2**64 + 13)))
+    return Instance(
+        n=inst.n, t=t, p=tuple(v * k for v in p), c=inst.c,
+        W=tuple(tuple(v * k for v in row) for row in W), B=inst.B,
+        C=tuple(v * k for v in inst.C),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrangement_instances(), st.data())
+def test_vertex_candidates_and_fractional_value_match_references(inst, data):
+    cs = dual_vertex_candidates(inst)
+    assert alphas(cs) == alphas(reference_vertex_candidates(inst))
+    # the scaled form the enumeration records is the one computed afresh
+    assert [a.scaled for a in cs] == [DualPoint(a.alpha).scaled for a in cs]
+    # the alpha . C order: by value, ties by index
+    by_c = cs.by_capacity(inst.C)
+    bases = [a.dot_capacity(inst) for a in cs]
+    assert list(by_c.bases) == bases
+    assert list(by_c.order) == sorted(range(len(cs)), key=bases.__getitem__)
+    assert list(by_c.sorted_bases) == sorted(bases)
+    for _ in range(3):
+        bits = data.draw(st.tuples(*[st.integers(0, 1)] * inst.n))
+        x = xvec(inst, bits)
+        value = fractional_value(inst, x, cs)
+        assert value == unpruned_fractional_value(inst, x, cs)
+        if inst.t <= 3 and inst.n <= 4:
+            assert value == vertex_lp_optimum(inst, x).value
+
+
+def test_vertex_candidates_beyond_64_bits_t4():
+    k = 2**64 + 7
+    inst = _beyond_64_bits(
+        Instance(
+            n=5, t=4, p=(4, 3, 5, 2, 6), c=(1,) * 5,
+            W=((2, 1, 0, 3, 1), (1, 2, 1, 0, 2), (0, 1, 3, 1, 1), (2, 2, 2, 2, 2)),
+            B=2, C=(5, 4, 6, 7),
+        ),
+        k,
+    )
+    cs = dual_vertex_candidates(inst)
+    assert alphas(cs) == alphas(reference_vertex_candidates(inst))
+    assert any(q.denominator > 2**64 for a in cs for q in a.alpha)
+    for x in all_interdictions(inst):
+        assert fractional_value(inst, x, cs) == unpruned_fractional_value(inst, x, cs)
 
 
 # dual bound and the exact solver

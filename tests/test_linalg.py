@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinterdict.linalg import solve_square_system
+from kinterdict.linalg import cramer_solve, solve_square_system
 
 
 def fraction_gauss_jordan(A, b):
@@ -72,3 +73,44 @@ def test_solve_square_system_beyond_64_bits():
     sol = solve_square_system(A, b)
     assert sol == fraction_gauss_jordan(A, b)
     assert all(sum(a * x for a, x in zip(row, sol)) == r for row, r in zip(A, b))
+
+
+def leibniz_det(A):
+    """Reference determinant: the signed sum over all permutations."""
+    total = 0
+    for perm in permutations(range(len(A))):
+        inversions = sum(
+            1 for a in range(len(perm)) for b in range(a) if perm[b] > perm[a]
+        )
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= A[row][col]
+        total += term
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_systems())
+def test_cramer_solve_gives_det_and_cramer_numerators(system):
+    A, b = system
+    det = leibniz_det(A)
+    solved = cramer_solve(A, b)
+    if det == 0:
+        assert solved is None
+        return
+    # numerator i is det(A) with column i replaced by b
+    replaced = [
+        leibniz_det([row[:i] + [b[r]] + row[i + 1:] for r, row in enumerate(A)])
+        for i in range(len(A))
+    ]
+    assert solved == (det, replaced)
+
+
+def test_cramer_solve_negative_determinant():
+    # one row swap: det = -1, and x = (3, 2) = (-3 / -1, -2 / -1)
+    assert cramer_solve([[0, 1], [1, 0]], [2, 3]) == (-1, [-3, -2])
+    A = [[2, 1], [7, 3]]  # det = 6 - 7 = -1 with no swap
+    assert cramer_solve(A, [1, 2]) == (-1, [1, -3])
+    assert solve_square_system(A, [1, 2]) == [-1, 3]
+    assert cramer_solve([[0]], [5]) is None
+    assert cramer_solve([], []) == (1, [])
