@@ -3,11 +3,15 @@
 All numeric output is bit-exact: rationals are rendered as "num/den"
 strings, never floats.  Exit codes: 0 success, 2 instance parse/validation
 error, 3 bad parameters, 4 instance too large for an oracle (more items than
---max-n, 2^n integer packings beyond the oracle's work budget, or one
-integer packing DP beyond its state limit).  The solve and
-bench outputs are byte-identical for identical inputs and flags regardless
-of worker count (the wall_ms benchmark column is measured time and is the
-single exception).
+--max-n, 2^n integer packings or, for t >= 2, 2^n LP evaluations beyond
+the oracle's work budgets, or one integer packing DP beyond its state
+limit).
+
+A solve runs in one process: its --jobs flag is accepted and has no
+effect.  bench --jobs spreads the instances over a process pool, one
+solve per task.  The solve and bench outputs are byte-identical for
+identical inputs and flags regardless of --jobs (the wall_ms benchmark
+column is measured time and is the single exception).
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
     eps = _parse_eps(args.eps)
     prepared = prepare(inst)
-    sol = approx_interdiction(inst, eps, jobs=args.jobs, prepared=prepared)
+    sol = approx_interdiction(inst, eps, prepared=prepared)
     _certify(inst, sol, prepared)
     out = _solution_json(sol) if args.output == "json" else _solution_text(sol)
     sys.stdout.write(out)
@@ -278,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--output", choices=("json", "text"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted and ignored: a solve is serial"
+    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("exact-optf", help="exact relaxed optimum (pseudopolynomial)")

@@ -71,10 +71,6 @@ class DualPoint:
         point.__dict__["scaled"] = (scale, alpha)
         return point
 
-    def dot_capacity(self, inst: Instance) -> Fraction:
-        scale, alpha = self.scaled
-        return Fraction(sum(a * c for a, c in zip(alpha, inst.C)), scale)
-
     @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]]:
         """(L, alpha L) with L the lcm of alpha's denominators, all ints;

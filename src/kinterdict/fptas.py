@@ -7,17 +7,20 @@ delta = eps * z / n, and replace the budget knapsack by a DP over rounded
 profit units that stores the minimum budget per unit target.  A guessed z is
 accepted when the best rounded dual bound is at most (1 + eps) * z; the
 accepted set is upward closed, so binary search over the grid finds the
-smallest accepted guess.  That acceptance limit also bounds the work.  A
-level keeps the candidates whose alpha . C is within it, found by one
-bisection of the candidates' alpha . C order (built once per solve, see
-dual.CandidateSet.by_capacity).  It scans them in sorted order, and once
-one passes, its value caps the rest, since only a strictly smaller value
-can replace it.  A candidate runs no DP when its alpha . C, or its
-Dantzig lower bound (dual.dantzig_lower_bound, computed once per solve),
-exceeds the cap; every other DP stops at the largest unit target the cap
-leaves, which keeps every bound that can win.  The DP is nominal's
-budget knapsack, kept as Pareto frontiers: each candidate runs it
-value-only for its least feasible target
+smallest accepted guess.  The search is one serial loop: each level it
+tries is one scan of the candidates, and each candidate scanned runs at
+most one DP.
+
+That acceptance limit also bounds the work.  A level keeps the candidates
+whose alpha . C is within it, found by one bisection of the candidates'
+alpha . C order (built once per solve, see dual.CandidateSet.by_capacity).
+It scans them in sorted order, and once one passes, its value caps the
+rest, since only a strictly smaller value can replace it.  A candidate runs
+no DP when its alpha . C, or its Dantzig lower bound
+(dual.dantzig_lower_bound, computed once per solve), exceeds the cap; every
+other DP stops at the largest unit target the cap leaves, which keeps every
+bound that can win.  The DP is nominal's budget knapsack, kept as Pareto
+frontiers: each candidate runs it value-only for its least feasible target
 (nominal.least_units_within), and only the winner of the accepted level
 stores a frontier per item, capped at its target, to trace its
 interdiction back.  The reported dp_tables and dp_states are the paper's
@@ -35,9 +38,8 @@ for the rounding error.
 
 from __future__ import annotations
 
-import os
+import math
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -102,10 +104,43 @@ def split_accuracy(eps) -> Fraction:
 
 @dataclass(frozen=True)
 class GridPoint:
-    j: int
     z: Fraction
     delta: Fraction
-    kmax: int
+
+
+def _least_power_reaching(base: Fraction, target: int) -> int:
+    """The least j >= 0 with base**j >= target, for a rational base > 1.
+
+    Every test is exact: num**j >= target * den**j in ints.  A
+    floating-point estimate of log(target) / log(base) is only the start:
+    the step doubles away from it until two tests bracket j, then the
+    bracket is bisected.  The estimate is usually exact, so two tests
+    suffice.
+    """
+    num, den = base.numerator, base.denominator
+
+    def reaches(j: int) -> bool:
+        return num**j >= target * den**j
+
+    if reaches(0):
+        return 0
+    try:
+        guess = math.ceil(math.log(target) / math.log1p((num - den) / den))
+    except (OverflowError, ZeroDivisionError):
+        guess = 1
+    # invariant once bracketed: base**lo < target <= base**hi
+    lo, hi, step = max(guess, 1) - 1, max(guess, 1), 1
+    while not reaches(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while reaches(lo):
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -113,28 +148,22 @@ class GeometricGrid:
     """The guesses z = (1 + eps')^j for j in 0..J, with per-point rounding.
 
     J is the first exponent reaching the total profit, found by exact
-    repeated multiplication (no logarithms).  The unit cap kmax is the same
-    at every level: floor(n (1+eps') / eps') units of delta cover every
-    value the acceptance test can use.
+    integer power tests (no logarithm decides it).  The unit cap kmax is
+    the same at every level: floor(n (1+eps') / eps') units of delta cover
+    every value the acceptance test can use.
     """
 
     eps_internal: Fraction
     J: int
     n: int
-    sum_p: int
 
     @classmethod
     def build(cls, inst: Instance, eps_internal: Fraction) -> "GeometricGrid":
         sum_p = sum(inst.p)
         if sum_p <= 0 or inst.n == 0:
             raise ValueError("grid needs a positive total profit")
-        base = 1 + eps_internal
-        v = Fraction(1)
-        J = 0
-        while v < sum_p:
-            v *= base
-            J += 1
-        return cls(eps_internal=eps_internal, J=J, n=inst.n, sum_p=sum_p)
+        J = _least_power_reaching(1 + eps_internal, sum_p)
+        return cls(eps_internal=eps_internal, J=J, n=inst.n)
 
     @property
     def kmax(self) -> int:
@@ -145,9 +174,7 @@ class GeometricGrid:
         if not 0 <= j <= self.J:
             raise ValueError(f"grid level {j} outside [0, {self.J}]")
         z = (1 + self.eps_internal) ** j
-        return GridPoint(
-            j=j, z=z, delta=self.eps_internal * z / self.n, kmax=self.kmax
-        )
+        return GridPoint(z=z, delta=self.eps_internal * z / self.n)
 
 
 def rounded_profit_units(inst: Instance, a: DualPoint, delta: Fraction) -> list[int]:
@@ -235,50 +262,41 @@ def min_budget_table(units, costs, budget: int, kmax: int) -> BudgetTable:
 
 @dataclass(frozen=True)
 class CandidateEval:
-    """One dual candidate's rounded bound at one grid point (None = pruned).
+    """One dual candidate's rounded bound at one grid point.
 
-    k is the least feasible unit target, so value = alpha . C + k delta, and
-    units are the candidate's rounded profits, kept for the traceback; both
-    are None when the candidate was skipped without a DP.
+    k is the least feasible unit target within the cap, so value =
+    alpha . C + k delta; both are None when the cap prunes every
+    budget-feasible interdiction.  units are the candidate's rounded
+    profits and alpha the candidate itself, kept for the traceback and the
+    reported multiplier.
     """
 
     value: Fraction | None
     k: int | None
-    units: list[int] | None
+    units: list[int]
+    alpha: DualPoint
 
 
 def rounded_dual_bound(
-    inst: Instance,
-    a: DualPoint,
-    point: GridPoint,
-    limit: Fraction | None = None,
-    base: Fraction | None = None,
+    inst: Instance, a: DualPoint, point: GridPoint, *, limit: Fraction, base: Fraction
 ) -> CandidateEval:
-    """Rounded dual objective minimised over budget-feasible interdictions.
+    """Rounded dual objective minimised over budget-feasible interdictions,
+    sought only up to ``limit``.
 
-    Returns value alpha . C + k* delta, where k* is the least feasible unit
-    target found by least_units_within; candidate_bits gives the attaining
-    interdiction.  When the unit cap prunes every budget-feasible
-    interdiction the result carries value None: the guess z was too small,
-    which the caller treats as a rejection signal.
-
-    With a limit, only values at most the limit are sought: a candidate with
-    alpha . C > limit returns None without rounding or running the DP, and
-    the DP stops at the largest k with alpha . C + k delta <= limit.  Any
-    value at most the limit is the same as without it.  ``base`` is
-    alpha . C when the caller has it already.
+    ``base`` is alpha . C, at most the limit (the caller skips the others).
+    The DP (least_units_within) stops at the largest unit target k with
+    alpha . C + k delta <= limit, and returns the least feasible one, k*;
+    the value is alpha . C + k* delta, the same as without the limit for
+    every value at most it.  candidate_bits gives the attaining
+    interdiction.  When no target within the limit is feasible the value
+    is None: the caller treats it as a rejection.  The limit never exceeds
+    the level's (1 + eps') z = z + n delta, so the target is at most the
+    grid's kmax.
     """
-    if base is None:
-        base = a.dot_capacity(inst)
-    kmax = point.kmax
-    if limit is not None:
-        if base > limit:
-            return CandidateEval(value=None, k=None, units=None)
-        kmax = min(kmax, (limit - base) // point.delta)
     units = rounded_profit_units(inst, a, point.delta)
-    k = least_units_within(units, inst.c, inst.B, kmax)
+    k = least_units_within(units, inst.c, inst.B, (limit - base) // point.delta)
     value = None if k is None else base + k * point.delta
-    return CandidateEval(value=value, k=k, units=units)
+    return CandidateEval(value=value, k=k, units=units, alpha=a)
 
 
 def candidate_bits(inst: Instance, ev: CandidateEval) -> tuple[int, ...]:
@@ -291,22 +309,15 @@ def candidate_bits(inst: Instance, ev: CandidateEval) -> tuple[int, ...]:
     return min_budget_table(ev.units, inst.c, inst.B, ev.k).traceback(ev.k)
 
 
-def _eval_candidate(task) -> CandidateEval:
-    inst, a, point, limit, base = task
-    return rounded_dual_bound(inst, a, point, limit=limit, base=base)
-
-
 @dataclass(frozen=True)
 class LevelResult:
-    """A level's outcome; winner is the best candidate's evaluation (its
-    value is the level's best bound), whose interdiction candidate_bits
-    traces back."""
+    """A level's outcome: winner is the best candidate's evaluation (its
+    value is the level's best bound, and candidate_bits traces its
+    interdiction back), and dp_tables the paper's nominal table count."""
 
     passed: bool
     winner: CandidateEval | None
-    alpha: DualPoint | None
     dp_tables: int
-    dp_states: int
 
 
 def accept_level(
@@ -314,8 +325,7 @@ def accept_level(
     grid: GeometricGrid,
     j: int,
     candidates: CandidateSet,
-    mapper=None,
-    lowers=None,
+    lowers: dict[int, Fraction] | None = None,
 ) -> LevelResult:
     """Evaluate the candidates at grid level j and test acceptance.
 
@@ -323,23 +333,19 @@ def accept_level(
     (1 + eps') * z_j = z_j + n delta_j.  The candidates with alpha . C
     within the limit are a prefix of the candidates' alpha . C order
     (``CandidateSet.by_capacity``), found by one bisection; the others are
-    never looked at.  A kept candidate runs its DP only while it could
-    still win: it is skipped when its alpha . C or its Dantzig lower bound
-    exceeds the cap, and otherwise runs the DP only up to the unit target
-    the cap leaves, so bounds above the cap come back as None.  Both are
-    lower bounds on every rounded value of the candidate.  Without a mapper
-    the kept candidates are scanned in index (sorted) order, and the cap is
-    the limit until one passes, then the incumbent's value: a later
-    candidate replaces it only with a strictly smaller value.  With a
-    mapper (a process pool's map) there is no incumbent: the parent screens
-    at the limit and maps the rest.  Either way a passing level's winner and
-    alpha are those of the unlimited evaluation, ties going to the earliest
+    never looked at.  The kept candidates are scanned in index (sorted)
+    order with a cap: the limit until one passes, then the incumbent's
+    value, since a later candidate replaces it only with a strictly smaller
+    value.  A candidate whose alpha . C or Dantzig lower bound exceeds the
+    cap runs no DP, as both bound every rounded value of the candidate from
+    below; the others run it only up to the unit target the cap leaves, so
+    every value found is within the cap.  A passing level's winner is
+    therefore that of the unlimited evaluation, ties going to the earliest
     candidate, and a failing level fails.
 
     ``lowers`` caches each candidate's Fraction Dantzig bound by index,
     computed on first use; a search shares it across its levels.  dp_tables
-    counts the kept candidates, screened or not, and dp_states is the
-    nominal size n (kmax + 1) of their tables: the paper's counts, not the
+    counts the kept candidates, screened or not: the paper's count, not the
     DPs that ran.
     """
     point = grid.point(j)
@@ -348,54 +354,25 @@ def accept_level(
     points, bases = candidates.points, by_c.bases
     if lowers is None:
         lowers = {}
-
-    def lower(i: int) -> Fraction:
-        if i not in lowers:
-            lowers[i] = Fraction(*dantzig_lower_bound(inst, points[i]))
-        return lowers[i]
-
     kept = sorted(by_c.order[: bisect_right(by_c.sorted_bases, limit)])
     best: CandidateEval | None = None
-    best_alpha = None
-    if mapper is None:
-        for i in kept:
-            cap = limit if best is None else best.value
-            if bases[i] > cap or lower(i) > cap:
-                continue
-            ev = rounded_dual_bound(inst, points[i], point, limit=cap, base=bases[i])
-            if ev.value is not None and (best is None or ev.value < best.value):
-                best, best_alpha = ev, points[i]
-    else:
-        screened = [i for i in kept if lower(i) <= limit]
-        tasks = [(inst, points[i], point, limit, bases[i]) for i in screened]
-        for i, ev in zip(screened, mapper(_eval_candidate, tasks)):
-            if ev.value is not None and (best is None or ev.value < best.value):
-                best, best_alpha = ev, points[i]
-    return LevelResult(
-        passed=best is not None and best.value <= limit,
-        winner=best,
-        alpha=best_alpha,
-        dp_tables=len(kept),
-        dp_states=len(kept) * inst.n * (point.kmax + 1),
-    )
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    z_star: Fraction
-    value: Fraction
-    bits: tuple[int, ...]
-    alpha_star: DualPoint
-    dp_tables: int
-    dp_states: int
+    for i in kept:
+        cap = limit if best is None else best.value
+        if bases[i] > cap:
+            continue
+        if i not in lowers:
+            lowers[i] = Fraction(*dantzig_lower_bound(inst, points[i]))
+        if lowers[i] > cap:
+            continue
+        ev = rounded_dual_bound(inst, points[i], point, limit=cap, base=bases[i])
+        if ev.value is not None and (best is None or ev.value < best.value):
+            best = ev
+    return LevelResult(passed=best is not None, winner=best, dp_tables=len(kept))
 
 
 def search_optimum_guess(
-    inst: Instance,
-    grid: GeometricGrid,
-    candidates: CandidateSet,
-    mapper=None,
-) -> SearchResult:
+    inst: Instance, grid: GeometricGrid, candidates: CandidateSet
+) -> tuple[int, CandidateEval, int]:
     """Binary search for the smallest accepted grid level.
 
     Levels below the optimum are rejected and levels at or above it are
@@ -404,45 +381,36 @@ def search_optimum_guess(
     least the total profit.  The candidates' alpha . C and their order by it
     (``CandidateSet.by_capacity``), and each Dantzig lower bound once a
     level needs it, are computed once and shared by every level.
-    ``mapper`` is passed on to accept_level.  Only the accepted level's
-    winner stores its frontiers, to trace its interdiction back.
+
+    Returns (j, winner, dp_tables): the accepted level, its winner's
+    evaluation, and the nominal tables summed over every level evaluated.
     """
     lowers: dict[int, Fraction] = {}
-    cache: dict[int, LevelResult] = {}
     dp_tables = 0
-    dp_states = 0
 
     def evaluate(j: int) -> LevelResult:
-        nonlocal dp_tables, dp_states
-        res = accept_level(inst, grid, j, candidates, mapper, lowers)
-        cache[j] = res
+        nonlocal dp_tables
+        res = accept_level(inst, grid, j, candidates, lowers)
         dp_tables += res.dp_tables
-        dp_states += res.dp_states
         return res
 
-    lo, hi = 0, grid.J
+    # winner is the accepted level hi's, None while hi is the unevaluated top
+    lo, hi, winner = 0, grid.J, None
     while lo < hi:
         mid = (lo + hi) // 2
-        if evaluate(mid).passed:
-            hi = mid
+        res = evaluate(mid)
+        if res.passed:
+            hi, winner = mid, res.winner
         else:
             lo = mid + 1
-    res = cache.get(lo) or evaluate(lo)
-    if not res.passed:
+    if winner is None:
+        winner = evaluate(hi).winner
+    if winner is None:
         raise InternalInvariantError(
-            f"top grid level {lo} of {grid.J} rejected; the grid must cover "
+            f"top grid level {hi} of {grid.J} rejected; the grid must cover "
             "the optimum"
         )
-    assert res.winner is not None and res.alpha is not None
-    point = grid.point(lo)
-    return SearchResult(
-        z_star=point.z,
-        value=res.winner.value,
-        bits=candidate_bits(inst, res.winner),
-        alpha_star=res.alpha,
-        dp_tables=dp_tables,
-        dp_states=dp_states,
-    )
+    return hi, winner, dp_tables
 
 
 @dataclass(frozen=True)
@@ -483,7 +451,7 @@ def _zero_solution(
 
 
 def approx_fractional_optimum(
-    inst: Instance, eps, jobs: int = 1, prepared: PreparedInstance | None = None
+    inst: Instance, eps, *, prepared: PreparedInstance | None = None
 ) -> Solution:
     """Interdiction whose exact relaxed value is within (1+eps) of optimal.
 
@@ -505,38 +473,32 @@ def approx_fractional_optimum(
     if sum(c for b, c in zip(cover, reduced.c) if b) <= reduced.B:
         return _zero_solution(reduced, index_map, cover, 0)
 
-    eps_internal = split_accuracy(eps)
-    grid = GeometricGrid.build(reduced, eps_internal)
+    grid = GeometricGrid.build(reduced, split_accuracy(eps))
     candidates = prepared.candidates
-    # a pool forks all its workers at the first submit: no more than the
-    # machine's CPUs or a level's tasks
-    workers = min(jobs, os.cpu_count() or 1, len(candidates))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            result = search_optimum_guess(reduced, grid, candidates, pool.map)
-    else:
-        result = search_optimum_guess(reduced, grid, candidates)
+    j, winner, dp_tables = search_optimum_guess(reduced, grid, candidates)
+    bits = candidate_bits(reduced, winner)
 
-    x_reduced = InterdictionVector.from_bits(result.bits, reduced.c)
+    x_reduced = InterdictionVector.from_bits(bits, reduced.c)
     f_value = fractional_value(reduced, x_reduced, candidates)
-    survivors = [reduced.p[i] for i in range(reduced.n) if not result.bits[i]]
+    survivors = [reduced.p[i] for i in range(reduced.n) if not bits[i]]
     return Solution(
-        x=lift_interdiction(result.bits, index_map),
+        x=lift_interdiction(bits, index_map),
         f_value=f_value,
         guarantee=GUARANTEE_OPT_F,
-        z_star=result.z_star,
-        alpha_star=result.alpha_star.alpha,
+        z_star=grid.point(j).z,
+        alpha_star=winner.alpha.alpha,
         additive_cert=f_value - max(survivors, default=0),
         stats=SolveStats(
             candidates=len(candidates),
-            dp_tables=result.dp_tables,
-            dp_states=result.dp_states,
+            dp_tables=dp_tables,
+            # kmax is the same at every level
+            dp_states=dp_tables * reduced.n * (grid.kmax + 1),
         ),
     )
 
 
 def approx_interdiction(
-    inst: Instance, eps, jobs: int = 1, prepared: PreparedInstance | None = None
+    inst: Instance, eps, *, prepared: PreparedInstance | None = None
 ) -> Solution:
     """Approximate the integer interdiction optimum via the relaxation.
 
@@ -549,14 +511,10 @@ def approx_interdiction(
     if eps <= 0:
         raise NonpositiveEpsError(f"accuracy must be positive, got {eps}")
     if inst.t == 1:
-        sol = approx_fractional_optimum(
-            inst, eps / 2, jobs=jobs, prepared=prepared
-        )
+        sol = approx_fractional_optimum(inst, eps / 2, prepared=prepared)
         tag = GUARANTEE_SINGLE
     else:
-        sol = approx_fractional_optimum(
-            inst, eps / (1 + inst.t), jobs=jobs, prepared=prepared
-        )
+        sol = approx_fractional_optimum(inst, eps / (1 + inst.t), prepared=prepared)
         tag = GUARANTEE_MULTI
     if sol.guarantee == GUARANTEE_EXACT:
         return sol

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 
 from .instance import FractionalPacking, Instance, InterdictionVector
 from .linalg import solve_square_system
@@ -23,6 +23,11 @@ from .nominal import best_integer_packing, fractional_knapsack
 # Most DP states the integer oracle may visit in one call: 2^n interdictions,
 # each a best_integer_packing of at most n x prod(C_j + 1) states.
 WORK_BUDGET = 10**8
+
+# Most LP points the relaxed oracle may enumerate in one call when t >= 2:
+# 2^n interdictions, each a vertex_lp_optimum over at most
+# sum_s C(n, s) C(t, s) 2^(n - s) basic points.
+LP_POINT_BUDGET = 2 * 10**6
 
 
 class InstanceTooLargeError(ValueError):
@@ -53,6 +58,33 @@ def _feasible_interdictions(inst: Instance):
             yield mask
 
 
+def _refuse_integer_work(inst: Instance, limit: int) -> None:
+    if inst.n > limit:
+        raise InstanceTooLargeError(f"n={inst.n} exceeds oracle limit {limit}")
+    states = inst.n * prod(c + 1 for c in inst.C)
+    if (states << inst.n) > WORK_BUDGET:
+        raise InstanceTooLargeError(
+            f"2^{inst.n} interdictions x {states} packing states exceeds "
+            f"limit {WORK_BUDGET}"
+        )
+
+
+def _refuse_relaxed_work(inst: Instance, limit: int) -> None:
+    if inst.n > limit:
+        raise InstanceTooLargeError(f"n={inst.n} exceeds oracle limit {limit}")
+    if inst.t == 1:
+        return  # one greedy per interdiction
+    n = inst.n
+    points = sum(
+        comb(n, s) * comb(inst.t, s) << (n - s) for s in range(min(n, inst.t) + 1)
+    )
+    if (points << n) > LP_POINT_BUDGET:
+        raise InstanceTooLargeError(
+            f"2^{n} interdictions x {points} LP points exceeds "
+            f"limit {LP_POINT_BUDGET}"
+        )
+
+
 def _mask_bits(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
 
@@ -67,14 +99,7 @@ def brute_force_opt_i(
     prod(C_j + 1) that best_integer_packing checks per call, exceed
     ``WORK_BUDGET``.
     """
-    if inst.n > limit:
-        raise InstanceTooLargeError(f"n={inst.n} exceeds oracle limit {limit}")
-    states = inst.n * prod(c + 1 for c in inst.C)
-    if (states << inst.n) > WORK_BUDGET:
-        raise InstanceTooLargeError(
-            f"2^{inst.n} interdictions x {states} packing states exceeds "
-            f"limit {WORK_BUDGET}"
-        )
+    _refuse_integer_work(inst, limit)
     best: int | None = None
     argmins: list[tuple[int, ...]] = []
     for mask in _feasible_interdictions(inst):
@@ -101,9 +126,12 @@ def brute_force_opt_f(
 
     Uses the greedy LP for a single capacity and basic-point enumeration
     otherwise, so it shares no code path with the dual-candidate solver.
+    Refuses, before enumerating anything, an instance with more than
+    ``limit`` items or, for t >= 2, whose predicted basic points, 2^n times
+    the sum over s of C(n, s) C(t, s) 2^(n - s) that vertex_lp_optimum
+    enumerates per call, exceed ``LP_POINT_BUDGET``.
     """
-    if inst.n > limit:
-        raise InstanceTooLargeError(f"n={inst.n} exceeds oracle limit {limit}")
+    _refuse_relaxed_work(inst, limit)
     best: Fraction | None = None
     best_bits: tuple[int, ...] | None = None
     for mask in _feasible_interdictions(inst):
@@ -121,6 +149,10 @@ def brute_force_opt_f(
 
 
 def oracle_report(inst: Instance, limit: int = 20) -> OracleReport:
+    """Both optima and p*, refusing before either brute force starts when
+    one of them would pass its limit or work budget."""
+    _refuse_integer_work(inst, limit)
+    _refuse_relaxed_work(inst, limit)
     opt_i, optima = brute_force_opt_i(inst, limit=limit)
     opt_f, _ = brute_force_opt_f(inst, limit=limit)
     best = min(

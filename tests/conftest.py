@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from kinterdict.dual import DualPoint
+from kinterdict.fptas import rounded_dual_bound
 from kinterdict.generator import SplitMix64, generate_instance
 from kinterdict.instance import (
     FractionalPacking,
@@ -98,6 +99,11 @@ def reduced_profit(inst: Instance, item: int, a) -> Fraction:
     return r if r > 0 else Fraction(0)
 
 
+def dot_capacity(inst: Instance, a) -> Fraction:
+    """alpha . C in Fractions: the tests' reference for a candidate's base."""
+    return sum((q * c for q, c in zip(a.alpha, inst.C)), start=Fraction(0))
+
+
 def surviving_reduced_profit(inst: Instance, x: InterdictionVector, a) -> Fraction:
     """Total reduced profit an interdiction leaves behind, in Fractions."""
     if len(a.alpha) != inst.t:
@@ -150,6 +156,31 @@ def unpruned_fractional_value(
         if best is None or v < best:
             best = v
     return best
+
+
+# References for kinterdict.fptas: the grid's J by the linear loop, and a
+# candidate's rounded bound with no limit below the grid's unit cap.
+
+def linear_grid_J(sum_p: int, eps_internal: Fraction) -> int:
+    """The first exponent j with (1 + eps')^j >= sum_p, by repeated
+    multiplication."""
+    base = 1 + eps_internal
+    v = Fraction(1)
+    J = 0
+    while v < sum_p:
+        v *= base
+        J += 1
+    return J
+
+
+def unlimited_rounded_dual_bound(inst: Instance, a, point, kmax: int):
+    """rounded_dual_bound with the unit target capped only at kmax, the
+    grid's cap: its limit is alpha . C + kmax delta, which may lie above the
+    level's own limit."""
+    base = dot_capacity(inst, a)
+    return rounded_dual_bound(
+        inst, a, point, limit=base + kmax * point.delta, base=base
+    )
 
 
 # Dense references for the frontier DPs of kinterdict.nominal and

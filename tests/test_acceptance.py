@@ -37,6 +37,7 @@ from conftest import (
     T2,
     all_interdictions,
     ceil_div,
+    dot_capacity,
     edge_family,
     family,
     random_rat,
@@ -157,12 +158,12 @@ def test_criterion_5_candidate_completeness():
         for x in all_interdictions(inst):
             f = fractional_knapsack(inst, x).value
             best = min(
-                pt.dot_capacity(inst) + surviving_reduced_profit(inst, x, pt)
+                dot_capacity(inst, pt) + surviving_reduced_profit(inst, x, pt)
                 for pt in points
             )
             assert best == f, "candidate minimum missed F(x)"
             assert all(
-                pt.dot_capacity(inst) + surviving_reduced_profit(inst, x, pt)
+                dot_capacity(inst, pt) + surviving_reduced_profit(inst, x, pt)
                 >= best
                 for pt in mids
             ), "midpoint scan beat the candidate set"
@@ -201,8 +202,8 @@ def test_criterion_6_monotone_acceptance_and_rounding_sandwich():
             assert scan[-1], "top level rejected"
             first = scan.index(True)
             assert all(scan[first:]), "accepted set not upward closed"
-            result = search_optimum_guess(inst, grid, cands)
-            assert result.z_star == grid.point(first).z, "binary search missed"
+            j, _, _ = search_optimum_guess(inst, grid, cands)
+            assert grid.point(j).z == grid.point(first).z, "binary search missed"
             scans += 1
 
     # rounding sandwich on 500 random (x, alpha, level) samples

@@ -3,6 +3,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from kinterdict import cli, dual, fptas, instance, nominal
@@ -10,7 +11,7 @@ from kinterdict.cli import build_parser, main
 from kinterdict.generator import generate_instance
 from kinterdict.instance import Instance, parse_instance, serialize_instance
 
-from conftest import T1, T2, EMPTY
+from conftest import T1, T2, EMPTY, dot_capacity
 
 T1_JSON = serialize_instance(T1)
 T2_JSON = serialize_instance(T2)
@@ -190,6 +191,21 @@ def test_oracle_over_work_budget_exits_4_at_once(tmp_path, capsys):
         assert code == 4 and out == ""
         assert err.startswith(f"error: 2^{n} interdictions")
         assert "exceeds limit 100000000" in err
+
+
+def test_oracle_over_lp_point_budget_exits_4_at_once(tmp_path, capsys):
+    # each fits the integer oracle's budget, but 2^n relaxed LP evaluations
+    # predict 23.3M and 495M basic points; at n = 10 the oracle ran 30 s
+    for n, points in ((10, 22784), (12, 120832)):
+        inst = generate_instance(n=n, t=2, seed=1, wmax=3)
+        path = write(tmp_path, f"gen-{n}.json", serialize_instance(inst))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "--input", path)
+        assert time.perf_counter() - start < 5
+        assert code == 4 and out == ""
+        assert err == (
+            f"error: 2^{n} interdictions x {points} LP points exceeds limit 2000000\n"
+        )
 
 
 # the parser
@@ -428,15 +444,19 @@ class _FakePool:
 
 
 def test_jobs_are_clamped_to_cpus_and_tasks(tmp_path, capsys, monkeypatch):
-    # a huge --jobs must not become that many forked workers
+    # a huge --jobs must not become that many forked workers, and a solve
+    # runs in one process at any --jobs: every kinterdict module's pool is
+    # replaced by the recording fake
     monkeypatch.setattr(_FakePool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _FakePool)
-    monkeypatch.setattr(fptas, "ProcessPoolExecutor", _FakePool)
+    original = cli.ProcessPoolExecutor
+    for name, mod in list(sys.modules.items()):
+        pool = getattr(mod, "ProcessPoolExecutor", None)
+        if name.startswith("kinterdict") and pool is original:
+            monkeypatch.setattr(mod, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     path = write(tmp_path, "t2.json", T2_JSON)
     assert run(capsys, "solve", "--input", path, "--eps", "1", "--jobs", "1000")[0] == 0
-    tasks = len(dual.candidate_set(instance.preprocess(T2)[0]))
-    assert _FakePool.sizes == [min(8, tasks)]
+    assert _FakePool.sizes == []
 
     d = tmp_path / "instances"
     d.mkdir()
@@ -453,7 +473,7 @@ def test_jobs_are_clamped_to_cpus_and_tasks(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     _FakePool.sizes.clear()
     assert run(capsys, "solve", "--input", path, "--eps", "1", "--jobs", "1000")[0] == 0
-    assert _FakePool.sizes == []  # an unknown CPU count means one process
+    assert _FakePool.sizes == []
 
 
 def test_gen_unwritable_output_path(tmp_path, capsys):
@@ -496,22 +516,38 @@ def test_solve_jobs_2_matches_jobs_1_where_both_screens_fire(
     cands = dual.candidate_set(reduced)
     # solve --eps 1/2 runs the relaxed FPTAS at eps 1/4 on t = 1
     grid = fptas.GeometricGrid.build(reduced, fptas.split_accuracy(Fraction(1, 4)))
-    levels = []
+    levels, runs = [], Counter()
+    accept_level, rounded_dual_bound = fptas.accept_level, fptas.rounded_dual_bound
 
-    def mapper(fn, tasks):
-        tasks = list(tasks)
-        levels.append(tasks)
-        return map(fn, tasks)
+    def level(inst, grid, j, *args):
+        levels.append(j)
+        return accept_level(inst, grid, j, *args)
 
-    fptas.search_optimum_guess(reduced, grid, cands, mapper)
+    def bound(inst, a, point, *, limit, base):
+        # a DP runs only for a candidate whose alpha . C and Dantzig lower
+        # bound are both within the cap it is given
+        assert base == dot_capacity(inst, a) <= limit
+        assert Fraction(*dual.dantzig_lower_bound(inst, a)) <= limit
+        runs[point.z] += 1
+        return rounded_dual_bound(inst, a, point, limit=limit, base=base)
+
+    monkeypatch.setattr(fptas, "accept_level", level)
+    monkeypatch.setattr(fptas, "rounded_dual_bound", bound)
+    fptas.search_optimum_guess(reduced, grid, cands)
     fired = 0
-    for tasks in filter(None, levels):
-        point = tasks[0][2]
+    for j in levels:
+        point = grid.point(j)
         limit = (1 + grid.eps_internal) * point.z
-        within = sum(1 for a in cands if a.dot_capacity(reduced) <= limit)
+        within = [a for a in cands if dot_capacity(reduced, a) <= limit]
+        screened = [
+            a for a in within
+            if Fraction(*dual.dantzig_lower_bound(reduced, a)) <= limit
+        ]
+        assert runs[point.z] <= len(screened)
         # some candidates fail the alpha . C screen, some the Dantzig one
-        fired += len(tasks) < within < len(cands)
+        fired += len(screened) < len(within) < len(cands)
     assert fired > 0
+    monkeypatch.undo()
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     path = write(tmp_path, "n12.json", serialize_instance(inst))

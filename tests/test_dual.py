@@ -29,6 +29,7 @@ from conftest import (
     T2,
     all_interdictions,
     dense_knapsack_max_budget,
+    dot_capacity,
     edge_family,
     family,
     instance_strategy,
@@ -165,7 +166,7 @@ def test_vertex_candidates_and_fractional_value_match_references(inst, data):
     assert [a.scaled for a in cs] == [DualPoint(a.alpha).scaled for a in cs]
     # the alpha . C order: by value, ties by index
     by_c = cs.by_capacity(inst.C)
-    bases = [a.dot_capacity(inst) for a in cs]
+    bases = [dot_capacity(inst, a) for a in cs]
     assert list(by_c.bases) == bases
     assert list(by_c.order) == sorted(range(len(cs)), key=bases.__getitem__)
     assert list(by_c.sorted_bases) == sorted(bases)
@@ -282,7 +283,7 @@ def test_weak_duality_200_samples():
             bits = [rng.uniform(0, 1) for _ in range(inst.n)]
             x = xvec(inst, bits)
             a = DualPoint.of(random_rat(rng))
-            bound = a.dot_capacity(inst) + surviving_reduced_profit(inst, x, a)
+            bound = dot_capacity(inst, a) + surviving_reduced_profit(inst, x, a)
             assert fractional_knapsack(inst, x).value <= bound
 
 
@@ -296,13 +297,13 @@ def test_breakpoint_completeness_with_midpoint_scan():
         for x in all_interdictions(inst):
             f = fractional_knapsack(inst, x).value
             best = min(
-                pt.dot_capacity(inst) + surviving_reduced_profit(inst, x, pt)
+                dot_capacity(inst, pt) + surviving_reduced_profit(inst, x, pt)
                 for pt in points
             )
             assert best == f
             for pt in mids:
                 assert (
-                    pt.dot_capacity(inst)
+                    dot_capacity(inst, pt)
                     + surviving_reduced_profit(inst, x, pt)
                     >= best
                 )
@@ -315,7 +316,7 @@ def test_piecewise_linearity_between_breakpoints():
         for x in all_interdictions(inst):
             def h(a):
                 pt = DualPoint.of(a)
-                return pt.dot_capacity(inst) + surviving_reduced_profit(
+                return dot_capacity(inst, pt) + surviving_reduced_profit(
                     inst, x, pt
                 )
 
@@ -351,7 +352,7 @@ def unpruned_scan(inst):
     for a in candidate_set(inst):
         reduced = [reduced_profit(inst, i, a) for i in range(inst.n)]
         answer = dense_knapsack_max_budget(reduced, inst.c, inst.B)
-        value = a.dot_capacity(inst) + sum(reduced) - answer.value
+        value = dot_capacity(inst, a) + sum(reduced) - answer.value
         if best is None or value < best[0]:
             best = (value, answer.chosen, a)
     return best

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -20,13 +21,13 @@ from kinterdict.fptas import (
     GUARANTEE_OPT_F,
     GUARANTEE_SINGLE,
     GeometricGrid,
+    GridPoint,
     NonpositiveEpsError,
     accept_level,
     approx_fractional_optimum,
     approx_interdiction,
     candidate_bits,
     min_budget_table,
-    rounded_dual_bound,
     rounded_profit_units,
     search_optimum_guess,
     split_accuracy,
@@ -46,12 +47,16 @@ from conftest import (
     EMPTY,
     ceil_div,
     dense_min_budget_table,
+    dot_capacity,
     edge_family,
     family,
+    instance_strategy,
+    linear_grid_J,
     min_units_within,
     random_rat,
     reduced_profit,
     surviving_reduced_profit,
+    unlimited_rounded_dual_bound,
 )
 
 
@@ -134,9 +139,35 @@ def test_grid_kmax_constant_across_levels():
     assert grid.kmax == q.numerator // q.denominator == 7
     for j in range(grid.J + 1):
         pt = grid.point(j)
-        assert pt.kmax == grid.kmax
-        assert pt.kmax * pt.delta <= (1 + e) * pt.z
-        assert (pt.kmax + 1) * pt.delta > (1 + e) * pt.z
+        assert grid.kmax * pt.delta <= (1 + e) * pt.z
+        assert (grid.kmax + 1) * pt.delta > (1 + e) * pt.z
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10**4),
+    st.sampled_from([Fraction(3), Fraction(1), Fraction(2, 5), Fraction(1, 21)])
+    | st.fractions(min_value=Fraction(1, 100), max_value=3, max_denominator=1000),
+)
+def test_grid_J_matches_the_linear_loop(sum_p, e):
+    inst = Instance(n=1, t=1, p=(sum_p,), c=(1,), W=((1,),), B=0, C=(1,))
+    assert GeometricGrid.build(inst, e).J == linear_grid_J(sum_p, e)
+
+
+def test_grid_J_at_fine_accuracy_takes_well_under_a_second():
+    # solve --eps 1/1000 on gen --n 20 --t 3 --seed 3: eps' = 31/250000 and
+    # a total profit of 973 need J = 55491, which the linear loop took about
+    # 20 s to reach
+    e = split_accuracy(Fraction(1, 1000) / 4)
+    assert e == Fraction(31, 250000)
+    inst = Instance(n=1, t=1, p=(973,), c=(1,), W=((1,),), B=0, C=(1,))
+    start = time.perf_counter()
+    grid = GeometricGrid.build(inst, e)
+    assert time.perf_counter() - start < 1
+    assert grid.J == 55491
+    num, den = (1 + e).numerator, (1 + e).denominator
+    assert num**grid.J >= 973 * den**grid.J
+    assert num ** (grid.J - 1) < 973 * den ** (grid.J - 1)
 
 
 # rounded profit units
@@ -300,10 +331,8 @@ def test_rounded_bound_t1_example():
     e = Fraction(2, 5)
     grid = GeometricGrid.build(T1, e)
     # z = 2 is not on this grid; build the point directly
-    from kinterdict.fptas import GridPoint
-
-    pt = GridPoint(j=-1, z=Fraction(2), delta=e * 2 / T1.n, kmax=grid.kmax)
-    ev = rounded_dual_bound(T1, DualPoint.of(1), pt)
+    pt = GridPoint(z=Fraction(2), delta=e * 2 / T1.n)
+    ev = unlimited_rounded_dual_bound(T1, DualPoint.of(1), pt, grid.kmax)
     assert ev.value == 2
     assert candidate_bits(T1, ev) == (1, 0)
 
@@ -313,8 +342,8 @@ def test_rounded_bound_zero_mass_costs_alpha_dot_c():
     e = Fraction(2, 5)
     grid = GeometricGrid.build(inst, e)
     big = DualPoint.of(1)  # reduced profits are max(0, 2-2)=0
-    ev = rounded_dual_bound(inst, big, grid.point(0))
-    assert ev.value == big.dot_capacity(inst) == 2
+    ev = unlimited_rounded_dual_bound(inst, big, grid.point(0), grid.kmax)
+    assert ev.value == dot_capacity(inst, big) == 2
     # keeping everything is free here
     assert sum(candidate_bits(inst, ev)) == 0
 
@@ -324,7 +353,7 @@ def test_rounded_bound_rejects_when_pruned():
     inst = Instance(n=2, t=1, p=(50, 50), c=(1, 1), W=((1, 1),), B=0, C=(2,))
     e = Fraction(2, 5)
     grid = GeometricGrid.build(inst, e)
-    ev = rounded_dual_bound(inst, DualPoint.of(0), grid.point(0))
+    ev = unlimited_rounded_dual_bound(inst, DualPoint.of(0), grid.point(0), grid.kmax)
     assert ev.value is None and ev.k is None
     assert ev.units is not None  # the DP ran and found no target
 
@@ -366,34 +395,35 @@ def test_acceptance_upward_closed_and_binary_search_finds_smallest():
             assert scan[-1], "top level must accept"
             first = scan.index(True)
             assert all(scan[first:]), "accepted set must be upward closed"
-            result = search_optimum_guess(inst, grid, cands)
-            assert result.z_star == grid.point(first).z
+            j, _, _ = search_optimum_guess(inst, grid, cands)
+            assert grid.point(j).z == grid.point(first).z
 
 
 def test_search_t1_guarantee_bound():
     e = Fraction(2, 5)
     grid = GeometricGrid.build(T1, e)
-    result = search_optimum_guess(T1, grid, dual_breakpoints(T1))
-    x = xvec(T1, result.bits)
+    j, winner, _ = search_optimum_guess(T1, grid, dual_breakpoints(T1))
+    x = xvec(T1, candidate_bits(T1, winner))
     assert fractional_value(T1, x) <= (1 + e) ** 2 * 2  # oracle OPT_F = 2
-    assert result.z_star <= (1 + e) * 2
+    assert grid.point(j).z <= (1 + e) * 2
 
 
 def test_search_single_item_forced_empty():
     inst = Instance(n=1, t=1, p=(5,), c=(1,), W=((1,),), B=0, C=(1,))
     e = split_accuracy(Fraction(1))
     grid = GeometricGrid.build(inst, e)
-    result = search_optimum_guess(inst, grid, dual_breakpoints(inst))
-    assert result.bits == (0,)
-    assert fractional_value(inst, xvec(inst, result.bits)) == 5
+    _, winner, _ = search_optimum_guess(inst, grid, dual_breakpoints(inst))
+    bits = candidate_bits(inst, winner)
+    assert bits == (0,)
+    assert fractional_value(inst, xvec(inst, bits)) == 5
 
 
 def test_search_accepts_level_zero_when_opt_is_one():
     inst = Instance(n=1, t=1, p=(1,), c=(1,), W=((1,),), B=0, C=(1,))
     e = split_accuracy(Fraction(1))
     grid = GeometricGrid.build(inst, e)
-    result = search_optimum_guess(inst, grid, dual_breakpoints(inst))
-    assert result.z_star == 1
+    j, _, _ = search_optimum_guess(inst, grid, dual_breakpoints(inst))
+    assert grid.point(j).z == 1
 
 
 # rounding identities
@@ -435,7 +465,7 @@ def test_rounding_sandwich_on_masses_and_bounds():
             assert exact <= rounded <= exact + e * pt.z
             # same sandwich for the minimised bounds, pruning-free
             g_exact, _ = dual_bound_exact(inst, a)
-            g_rounded = a.dot_capacity(inst) + min(
+            g_rounded = dot_capacity(inst, a) + min(
                 rounded_mass(inst, b, a, pt.delta)
                 for b in product((0, 1), repeat=inst.n)
                 if sum(c for c, bb in zip(inst.c, b) if bb) <= inst.B
@@ -455,7 +485,7 @@ def test_survivor_never_pruned_at_feasible_levels():
         # the candidate achieving equality in the dual lower bound
         a_hat = min(
             cands,
-            key=lambda a: a.dot_capacity(inst)
+            key=lambda a: dot_capacity(inst, a)
             + surviving_reduced_profit(inst, x_hat, a),
         )
         for j in range(grid.J + 1):
@@ -464,7 +494,7 @@ def test_survivor_never_pruned_at_feasible_levels():
                 continue
             mass = rounded_mass(inst, opt_bits, a_hat, pt.delta)
             assert mass <= (1 + e) * pt.z
-            assert mass / pt.delta <= pt.kmax
+            assert mass / pt.delta <= grid.kmax
 
 
 # end-to-end approximation
@@ -535,13 +565,6 @@ def test_approx_interdiction_dropped_items_stay_uninterdicted():
     assert sol.x == (1, 0) and sol.f_value == 0
 
 
-def test_parallel_candidate_evaluation_matches_serial():
-    for inst in (T1, T2):
-        serial = approx_interdiction(inst, Fraction(1, 2), jobs=1)
-        parallel = approx_interdiction(inst, Fraction(1, 2), jobs=3)
-        assert serial == parallel
-
-
 def test_state_bound_per_table():
     for inst in family(seed=78, count=6, n_lo=1, n_hi=8):
         for eps in (Fraction(1), Fraction(1, 2)):
@@ -554,7 +577,7 @@ def test_state_bound_per_table():
             for j in (0, grid.J // 2, grid.J):
                 pt = grid.point(j)
                 units = rounded_profit_units(inst, DualPoint.of(0), pt.delta)
-                table = min_budget_table(units, inst.c, inst.B, pt.kmax)
+                table = min_budget_table(units, inst.c, inst.B, grid.kmax)
                 assert table.states <= bound
 
 
@@ -601,8 +624,6 @@ def test_huge_values_stay_polynomial():
     assert sol.f_value <= (1 + Fraction(1, 2)) * opt  # inner accuracy eps/2
     assert sum(c for c, b in zip(inst.c, sol.x) if b) <= inst.B
 
-
-from conftest import instance_strategy
 
 
 @settings(max_examples=120, deadline=None)
@@ -680,15 +701,15 @@ def unlimited_level(inst, grid, j, cands):
     best = None
     for a in cands:
         units = rounded_profit_units(inst, a, point.delta)
-        table = dense_min_budget_table(units, inst.c, point.kmax)
+        table = dense_min_budget_table(units, inst.c, grid.kmax)
         k = min_units_within(table, inst.B)
         if k is None:
             continue
-        value = a.dot_capacity(inst) + k * point.delta
+        value = dot_capacity(inst, a) + k * point.delta
         if best is None or value < best[0]:
             best = (value, table.traceback(k), a)
     passed = best is not None and best[0] <= limit
-    within = sum(1 for a in cands if a.dot_capacity(inst) <= limit)
+    within = sum(1 for a in cands if dot_capacity(inst, a) <= limit)
     return passed, best, within
 
 
@@ -706,15 +727,12 @@ def test_limited_accept_level_matches_unlimited_reference(inst, eps):
     cands = candidates_for(inst)
     for j in range(grid.J + 1):
         passed, best, within = unlimited_level(inst, grid, j, cands)
-        states = within * inst.n * (grid.kmax + 1)
-        # the incumbent-capped scan, then the parallel path's limit screen
-        for res in (accept_level(inst, grid, j, cands),
-                    accept_level(inst, grid, j, cands, mapper=map)):
-            assert res.passed == passed
-            assert (res.dp_tables, res.dp_states) == (within, states)
-            if passed:
-                bits = candidate_bits(inst, res.winner)
-                assert (res.winner.value, bits, res.alpha) == best
+        res = accept_level(inst, grid, j, cands)
+        assert res.passed == passed
+        assert res.dp_tables == within
+        if passed:
+            bits = candidate_bits(inst, res.winner)
+            assert (res.winner.value, bits, res.winner.alpha) == best
 
 
 def test_accept_level_keeps_candidate_whose_alpha_c_equals_the_limit():
@@ -735,12 +753,10 @@ def test_accept_level_tie_goes_to_the_earlier_candidate():
     grid = GeometricGrid.build(inst, Fraction(1))
     zero, two = DualPoint.of(0), DualPoint.of(2)
     for order in ((zero, two), (two, zero)):
-        cands = CandidateSet(points=order)
-        for mapper in (None, map):
-            res = accept_level(inst, grid, 1, cands, mapper=mapper)
-            assert res.passed and res.winner.value == 4
-            assert res.alpha == order[0]
-            assert res.dp_tables == 2
+        res = accept_level(inst, grid, 1, CandidateSet(points=order))
+        assert res.passed and res.winner.value == 4
+        assert res.winner.alpha == order[0]
+        assert res.dp_tables == 2
 
 
 @st.composite
@@ -765,8 +781,9 @@ def test_dantzig_lower_bound_is_below_exact_and_every_rounded_value(inst, eps):
     grid = GeometricGrid.build(inst, split_accuracy(eps))
     for a in candidates_for(inst):
         lower = Fraction(*dantzig_lower_bound(inst, a))
-        assert lower >= a.dot_capacity(inst)
+        assert lower >= dot_capacity(inst, a)
         assert lower <= dual_bound_exact(inst, a)[0]
         for j in range(grid.J + 1):
-            value = rounded_dual_bound(inst, a, grid.point(j)).value
+            point = grid.point(j)
+            value = unlimited_rounded_dual_bound(inst, a, point, grid.kmax).value
             assert value is None or lower <= value

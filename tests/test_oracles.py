@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from kinterdict import oracles
 from kinterdict.dual import exact_fractional_optimum
-from kinterdict.instance import Instance, InterdictionVector
+from kinterdict.generator import generate_instance
+from kinterdict.instance import Instance, InterdictionVector, preprocess
 from kinterdict.nominal import best_integer_packing
 from kinterdict.oracles import (
     InstanceTooLargeError,
@@ -137,3 +140,28 @@ def test_oracle_invariants_on_random_families():
         assert rep.opt_i >= rep.opt_f - rep.p_star
         value, _, _ = exact_fractional_optimum(inst)
         assert value == rep.opt_f
+
+
+def test_relaxed_oracle_refuses_before_either_brute_force(monkeypatch):
+    # gen --n 10 --t 2 --wmax 3 --seed 1: 2^10 x 22784 predicted LP points
+    # pass the budget, while its integer half alone fits WORK_BUDGET
+    inst = generate_instance(n=10, t=2, seed=1, wmax=3)
+    assert 2**10 * sum(
+        comb(10, s) * comb(2, s) * 2 ** (10 - s) for s in range(3)
+    ) > oracles.LP_POINT_BUDGET
+    with pytest.raises(InstanceTooLargeError, match="LP points"):
+        brute_force_opt_f(inst)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a brute force started")
+
+    monkeypatch.setattr(oracles, "brute_force_opt_i", refuse)
+    with pytest.raises(InstanceTooLargeError, match="LP points"):
+        oracle_report(inst)
+
+
+def test_relaxed_oracle_budget_skips_single_capacity():
+    # t = 1 runs one greedy per interdiction, so only --max-n bounds it
+    inst = generate_instance(n=14, t=1, seed=2)
+    opt, _ = brute_force_opt_f(inst)
+    assert opt == exact_fractional_optimum(preprocess(inst)[0])[0]
