@@ -18,11 +18,12 @@ planes fix at 0 drop out, and the item planes leave a smaller square system
 on the rest, solved in ints (``linalg.cramer_solve``).  Signs, duplicates
 and the sorted order are all decided on int tuples, so each point builds
 its Fractions once, and keeps its scaled int form for every later use.  A
-candidate set also keeps, per capacity vector, each candidate's alpha . C
-and the candidates' order by it (``CandidateSet.by_capacity``): the FPTAS
-levels take the candidates within their limit from it by bisection, and
-F(x) scans in that order and stops once alpha . C reaches the best value,
-since a candidate's value is at least its alpha . C.
+candidate set is bound to its instance's capacity vector C and also keeps
+each candidate's alpha . C and the candidates' order by it
+(``CandidateSet``): the FPTAS levels take the candidates within their
+limit from it by bisection, F(x) scans in that order and stops once
+alpha . C reaches the best value, since a candidate's value is at least
+its alpha . C, and the exact scan prunes by the int alpha . C.
 
 That solver scans the candidates in sorted order and keeps the first strict
 minimum.  A candidate's value is alpha . C + sum r_i - K(r), with r_i the
@@ -38,11 +39,12 @@ bound, ``dantzig_lower_bound``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .instance import Instance, InterdictionVector, preprocess
 from .linalg import cramer_solve
@@ -80,50 +82,18 @@ class DualPoint:
 
 
 @dataclass(frozen=True)
-class CapacityOrder:
-    """The candidates' alpha . C for one capacity vector C, by index.
-
-    dots[i] is (alpha L) . C in ints with (L, alpha L) = points[i].scaled,
-    bases[i] the Fraction alpha . C, and order the indices sorted by
-    alpha . C, ties by index, with sorted_bases the bases in that order.
-    """
-
-    dots: tuple[int, ...]
-    bases: tuple[Fraction, ...]
-    order: tuple[int, ...]
-    sorted_bases: tuple[Fraction, ...]
-
-    @classmethod
-    def build(cls, points, C) -> "CapacityOrder":
-        scaled = [a.scaled for a in points]
-        dots = [sum(aj * cj for aj, cj in zip(alpha, C)) for _, alpha in scaled]
-        # distinct values dot / L differ by at least 1 / max(L)^2, so the
-        # floors of K times them, K > max(L)^2, order them exactly in ints
-        k = max((scale for scale, _ in scaled), default=0) ** 2 + 1
-        keys = [dot * k // scale for dot, (scale, _) in zip(dots, scaled)]
-        order = sorted(range(len(dots)), key=keys.__getitem__)
-        bases = [Fraction(dot, scale) for dot, (scale, _) in zip(dots, scaled)]
-        return cls(
-            dots=tuple(dots),
-            bases=tuple(bases),
-            order=tuple(order),
-            sorted_bases=tuple(bases[i] for i in order),
-        )
-
-
-@dataclass(frozen=True)
 class CandidateSet:
-    """Sorted, deduplicated dual candidates; always contains the origin.
+    """Sorted, deduplicated dual candidates of an instance with capacities
+    C; always contains the origin.
 
-    ``by_capacity(C)`` gives the candidates' alpha . C and their order by
-    it, built on the first call for C and kept: the search, its levels and
-    every F(x) of a solve share one.
+    Each form of alpha . C is computed on first use and kept: dots[i] is
+    (alpha L) . C in ints with (L, alpha L) = points[i].scaled, bases[i]
+    the Fraction alpha . C, and order the indices sorted by alpha . C, ties
+    by index, with sorted_bases the bases in that order.
     """
 
     points: tuple[DualPoint, ...]
-    _orders: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    C: tuple[int, ...]
 
     def __iter__(self):
         return iter(self.points)
@@ -131,11 +101,26 @@ class CandidateSet:
     def __len__(self):
         return len(self.points)
 
-    def by_capacity(self, C: tuple[int, ...]) -> CapacityOrder:
-        order = self._orders.get(C)
-        if order is None:
-            order = self._orders[C] = CapacityOrder.build(self.points, C)
-        return order
+    @cached_property
+    def dots(self) -> tuple[int, ...]:
+        return tuple(sum(map(mul, a.scaled[1], self.C)) for a in self.points)
+
+    @cached_property
+    def bases(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(d, a.scaled[0]) for d, a in zip(self.dots, self.points))
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        # distinct values dot / L differ by at least 1 / max(L)^2, so the
+        # floors of K times them, K > max(L)^2, order them exactly in ints
+        scales = [a.scaled[0] for a in self.points]
+        k = max(scales, default=0) ** 2 + 1
+        keys = [dot * k // scale for dot, scale in zip(self.dots, scales)]
+        return tuple(sorted(range(len(keys)), key=keys.__getitem__))
+
+    @cached_property
+    def sorted_bases(self) -> tuple[Fraction, ...]:
+        return tuple(self.bases[i] for i in self.order)
 
 
 def dual_breakpoints(inst: Instance) -> CandidateSet:
@@ -150,7 +135,7 @@ def dual_breakpoints(inst: Instance) -> CandidateSet:
     for i in range(inst.n):
         if inst.W[0][i] > 0:
             values.add(Fraction(inst.p[i], inst.W[0][i]))
-    return CandidateSet(points=tuple(DualPoint.of(v) for v in sorted(values)))
+    return CandidateSet(tuple(DualPoint.of(v) for v in sorted(values)), inst.C)
 
 
 def dual_vertex_candidates(inst: Instance) -> CandidateSet:
@@ -202,7 +187,8 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
         found, key=lambda point: [v * k // point[t] for v in point[:t]]
     )
     return CandidateSet(
-        points=tuple(DualPoint.from_scaled(point[t], point[:t]) for point in ordered)
+        points=tuple(DualPoint.from_scaled(point[t], point[:t]) for point in ordered),
+        C=inst.C,
     )
 
 
@@ -318,11 +304,10 @@ def exact_fractional_optimum(
     if candidates is None:
         candidates = candidate_set(inst)
     best = None
-    for a in candidates:
+    for a, dot in zip(candidates.points, candidates.dots):
         if best is not None:
             num, den = best[0].numerator, best[0].denominator
-            scale, alpha = a.scaled
-            if sum(aj * cj for aj, cj in zip(alpha, inst.C)) * den >= num * scale:
+            if dot * den >= num * a.scaled[0]:
                 continue
             lower, scale = dantzig_lower_bound(inst, a)
             if lower * den >= num * scale:
@@ -348,7 +333,7 @@ def fractional_value(
     surviving items is L times the dual objective, built one capacity row
     at a time; values compare by int cross-products, and one Fraction is
     built for the answer.  The candidates are scanned in alpha . C order
-    (``CandidateSet.by_capacity``), and the scan stops at the first one
+    (``CandidateSet.order``), and the scan stops at the first one
     whose alpha . C reaches the best value so far: every later value is at
     least its own alpha . C, so none is smaller and the minimum is exact.
     """
@@ -361,11 +346,10 @@ def fractional_value(
     kept = [i for i in range(inst.n) if not x.bits[i]]
     p = [inst.p[i] for i in kept]
     W = [[row[i] for i in kept] for row in inst.W]
-    by_c = candidates.by_capacity(inst.C)
     best, best_scale = None, 1
-    for i in by_c.order:
+    for i in candidates.order:
         scale, alpha = candidates.points[i].scaled
-        dot = by_c.dots[i]
+        dot = candidates.dots[i]
         if best is not None and dot * best_scale >= best * scale:
             break
         total = dot + sum(scaled_reduced_profits(p, W, scale, alpha))

@@ -13,7 +13,7 @@ most one DP.
 
 That acceptance limit also bounds the work.  A level keeps the candidates
 whose alpha . C is within it, found by one bisection of the candidates'
-alpha . C order (built once per solve, see dual.CandidateSet.by_capacity).
+alpha . C order (built once per solve, see dual.CandidateSet).
 It scans them in sorted order, and once one passes, its value caps the
 rest, since only a strictly smaller value can replace it.  A candidate runs
 no DP when its alpha . C, or its Dantzig lower bound
@@ -23,9 +23,10 @@ bound that can win.  The DP is nominal's budget knapsack, kept as Pareto
 frontiers: each candidate runs it value-only for its least feasible target
 (nominal.least_units_within), and only the winner of the accepted level
 stores a frontier per item, capped at its target, to trace its
-interdiction back.  The reported dp_tables and dp_states are the paper's
-nominal counts: one table of n (kmax + 1) states for every candidate whose
-alpha . C is within the level's limit, whether its DP ran or not.
+interdiction back (nominal.suffix_frontiers and nominal.select_on_ties).
+The reported dp_tables and dp_states are the paper's nominal counts: one
+table of n (kmax + 1) states for every candidate whose alpha . C is within
+the level's limit, whether its DP ran or not.
 
 Composing with the integrality gap of the packing LP turns the (1+eps)
 guarantee on the relaxed optimum into 2+eps for a single capacity and
@@ -53,7 +54,7 @@ from .dual import (
     scaled_reduced_profits,
 )
 from .instance import Instance, InterdictionVector, lift_interdiction
-from .nominal import budget_frontier, least_units_within
+from .nominal import least_units_within, select_on_ties, suffix_frontiers
 
 GUARANTEE_EXACT = "exact-opt-f"
 GUARANTEE_OPT_F = "1+eps-of-opt-f"
@@ -74,32 +75,18 @@ class InternalInvariantError(RuntimeError):
 def split_accuracy(eps) -> Fraction:
     """A rational eps' with 0 < eps' and (1 + eps')^2 <= 1 + eps.
 
-    Uses the largest multiple of 1/10^6 that satisfies the square bound and
+    Uses the largest multiple k/d, d = 10^6, that satisfies the square
+    bound, (d + k)^2 <= floor(d^2 (1 + eps)) for an int left side, and
     falls back to eps/3 (valid for all eps <= 3) when eps is tiny.  Any such
     under-approximation of sqrt(1+eps) - 1 preserves the guarantee.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise NonpositiveEpsError(f"accuracy must be positive, got {eps}")
-    target = 1 + eps
+    a, b = eps.numerator, eps.denominator
     d = _SPLIT_DENOMINATOR
-
-    def ok(k: int) -> bool:
-        return Fraction(d + k, d) ** 2 <= target
-
-    if not ok(1):
-        return eps / 3
-    lo = 1
-    hi = (d * eps.numerator) // (2 * eps.denominator) + 1  # eps' <= eps/2
-    while ok(hi):
-        hi *= 2
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return Fraction(lo, d)
+    k = math.isqrt(d * d * (a + b) // b) - d
+    return Fraction(k, d) if k >= 1 else eps / 3
 
 
 @dataclass(frozen=True)
@@ -201,7 +188,7 @@ class BudgetTable:
     """The min-budget DP over rounded profit units, kept as frontiers.
 
     rows[i] is the budget frontier of items i..n-1 (see
-    nominal.budget_frontier) as lists ks and needs: the least budget that
+    nominal.suffix_frontiers) as lists ks and needs: the least budget that
     lets those items keep at most k units is the need of the last pair at
     or before k, and above the budget when there is none.  rows[n] is the
     empty selection.  states is the nominal size n (kmax + 1) of the dense
@@ -218,46 +205,31 @@ class BudgetTable:
         return len(self.units) * (self.kmax + 1)
 
     def traceback(self, k: int) -> tuple[int, ...]:
-        """Interdiction bits attaining the least budget for target k,
-        interdict-first on ties.
+        """Interdiction bits attaining the least budget for target k.
 
-        k must be the least target within the budget, rows[0]'s first pair:
-        along its path every column read is within the cap of the row read,
-        so each choice is that of the dense table.
+        k must be the least target within the budget, rows[0]'s first pair.
+        The walk (nominal.select_on_ties) starts from that pair's need, the
+        least budget that reaches k, so no budget is left to spend on a tie:
+        its choices are the dense table's, interdict-first on ties.
         """
-        ks = self.rows[0][0]
+        ks, needs = self.rows[0]
         if not ks or ks[0] != k:
             raise ValueError(f"{k} is not the least unit target within budget")
-        bits = [0] * len(self.units)
-        cur = k
-        for i, (u, ci) in enumerate(zip(self.units, self.costs)):
-            nks, needs = self.rows[i + 1]
-            at = bisect_right(nks, cur) - 1  # interdict: column cur
-            kb = bisect_right(nks, cur - u) - 1  # keep: column cur - u
-            if cur < u or kb < 0 or ci + needs[at] <= needs[kb]:
-                bits[i] = 1
-            else:
-                cur -= u
-        return tuple(bits)
+        return select_on_ties(self.rows, self.units, self.costs, needs[0])
 
 
 def min_budget_table(units, costs, budget: int, kmax: int) -> BudgetTable:
     """The frontiers of the min-budget DP for the given unit costs, one per
-    suffix of the items, built in reverse index order.
+    suffix of the items (nominal.suffix_frontiers).
 
     The solver builds it only to trace back the accepted level's winner,
-    with kmax its least target.  Every row is capped at the unit sum the
-    first pair can still reach (see nominal.budget_frontier), so a row has
-    at most min(budget, kmax) + 1 entries.
+    with kmax its least target, so a row has at most min(budget, kmax) + 1
+    pairs.
     """
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
-    rows: list = []
-    budget_frontier(units[::-1], costs[::-1], budget, kmax, rows)
-    rows.reverse()
-    return BudgetTable(
-        units=tuple(units), costs=tuple(costs), kmax=kmax, rows=tuple(rows)
-    )
+    rows = tuple(suffix_frontiers(units, costs, budget, kmax))
+    return BudgetTable(units=tuple(units), costs=tuple(costs), kmax=kmax, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -300,11 +272,11 @@ def rounded_dual_bound(
 
 
 def candidate_bits(inst: Instance, ev: CandidateEval) -> tuple[int, ...]:
-    """The interdiction attaining a candidate's bound, interdict-first on ties.
+    """The interdiction attaining a candidate's bound: the dense min-budget
+    table's, interdict-first on ties.
 
-    Builds the frontiers only up to unit target ev.k, the least one: the
-    traceback reads no column above it, so the bits are those of the
-    uncapped dense table.
+    Builds the frontiers only up to unit target ev.k, the least one, and
+    walks them back from its least need (``BudgetTable.traceback``).
     """
     return min_budget_table(ev.units, inst.c, inst.B, ev.k).traceback(ev.k)
 
@@ -332,9 +304,9 @@ def accept_level(
     The level passes when the best rounded bound is at most the limit
     (1 + eps') * z_j = z_j + n delta_j.  The candidates with alpha . C
     within the limit are a prefix of the candidates' alpha . C order
-    (``CandidateSet.by_capacity``), found by one bisection; the others are
-    never looked at.  The kept candidates are scanned in index (sorted)
-    order with a cap: the limit until one passes, then the incumbent's
+    (``CandidateSet.order``), found by one bisection; the others are never
+    looked at.  The kept candidates are scanned in index (sorted) order
+    with a cap: the limit until one passes, then the incumbent's
     value, since a later candidate replaces it only with a strictly smaller
     value.  A candidate whose alpha . C or Dantzig lower bound exceeds the
     cap runs no DP, as both bound every rounded value of the candidate from
@@ -350,11 +322,10 @@ def accept_level(
     """
     point = grid.point(j)
     limit = (1 + grid.eps_internal) * point.z
-    by_c = candidates.by_capacity(inst.C)
-    points, bases = candidates.points, by_c.bases
+    points, bases = candidates.points, candidates.bases
     if lowers is None:
         lowers = {}
-    kept = sorted(by_c.order[: bisect_right(by_c.sorted_bases, limit)])
+    kept = sorted(candidates.order[: bisect_right(candidates.sorted_bases, limit)])
     best: CandidateEval | None = None
     for i in kept:
         cap = limit if best is None else best.value
@@ -379,7 +350,7 @@ def search_optimum_guess(
     accepted, with at most one ambiguous level in between, so acceptance is
     monotone along the grid.  The top level always accepts because it is at
     least the total profit.  The candidates' alpha . C and their order by it
-    (``CandidateSet.by_capacity``), and each Dantzig lower bound once a
+    (kept by the ``CandidateSet``), and each Dantzig lower bound once a
     level needs it, are computed once and shared by every level.
 
     Returns (j, winner, dp_tables): the accepted level, its winner's

@@ -6,6 +6,12 @@ budget per kept-profit level), which serves the FPTAS's value test and
 traceback, the exact dual scan and the t = 1 integer packing; the greedy
 fractional knapsack for single-capacity instances; and the exact integer
 packing value of the survivors of an interdiction.
+
+A traceback stores the frontier of every suffix of the items, under a
+budget of stored pairs (``suffix_frontiers``), and walks them forward from
+a budget, selecting each item that does at least as well selected as kept
+(``select_on_ties``): from the whole budget for the exact scan, and from
+the least need of the least unit target for the FPTAS.
 """
 
 from __future__ import annotations
@@ -26,7 +32,12 @@ class DimensionMismatchError(ValueError):
 
 
 class StateLimitError(ValueError):
-    """The capacity-product DP would exceed its configured state budget."""
+    """A DP would exceed its state budget."""
+
+
+# The budget of frontier pairs one suffix_frontiers call may store, the
+# same as best_integer_packing's default state limit.
+FRONTIER_PAIR_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -52,12 +63,15 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None):
     kmax can lead to the least one, and none is kept: each list is a
     prefix of the uncapped frontier.  An empty frontier means no target is
     feasible.  With ``rows`` a list, the frontier after each item is
-    appended to it, starting with the empty selection; without, the loop
-    stops at the first empty frontier.
+    appended to it, starting with the empty selection, and StateLimitError
+    is raised once more than FRONTIER_PAIR_LIMIT pairs are stored; a
+    frontier at most doubles per item, so the overshoot is bounded.
+    Without, the loop stops at the first empty frontier.
     """
     ks, needs = ([0], [0]) if budget >= 0 else ([], [])
     if rows is not None:
         rows.append((ks, needs))
+        stored = len(ks)
     rest = sum(units)
     for u, c in zip(units, costs):
         if u and ks:
@@ -98,9 +112,51 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None):
             ks, needs = nk, nn
         if rows is not None:
             rows.append((ks, needs))
+            stored += len(ks)
+            if stored > FRONTIER_PAIR_LIMIT:
+                raise StateLimitError(
+                    f"stored knapsack frontiers exceed {FRONTIER_PAIR_LIMIT} pairs"
+                )
         elif not ks:
             break
     return ks, needs
+
+
+def suffix_frontiers(gains, costs, budget: int, kmax) -> list:
+    """The budget frontier of every suffix of the items: rows[r] covers
+    items r..n-1 and rows[n] is the empty selection.
+
+    Built in reverse index order by ``budget_frontier``, so each row is
+    capped as there, at kmax and at the gain sum its first pair can still
+    reach, and the stored pairs are bounded by FRONTIER_PAIR_LIMIT.
+    """
+    rows: list = []
+    budget_frontier(gains[::-1], costs[::-1], budget, kmax, rows)
+    rows.reverse()
+    return rows
+
+
+def select_on_ties(rows, gains, costs, cap: int) -> tuple[int, ...]:
+    """The selection read back from suffix frontiers, starting from budget
+    cap: item r is selected when the least kept gain of the items after it
+    within cap - c_r is at most g_r plus their least kept gain within cap,
+    that is, when selecting it is at least as good as keeping it.
+
+    The least kept gain within a budget b is the k of the first pair whose
+    need is at most b.  Along the walk from cap each row holds that pair
+    for the branch taken, since a row is a prefix of the uncapped frontier
+    and a pair the cap dropped lies on a branch that strictly loses; such
+    a pair reads as absent.
+    """
+    chosen = [0] * len(gains)
+    for r, (g, c) in enumerate(zip(gains, costs)):
+        ks, needs = rows[r + 1]
+        sel = bisect_left(needs, c - cap, key=neg)  # first need <= cap - c
+        keep = bisect_left(needs, -cap, key=neg)  # first need <= cap
+        if sel < len(ks) and ks[sel] <= ks[keep] + g:
+            chosen[r] = 1
+            cap -= c
+    return tuple(chosen)
 
 
 def least_units_within(units, costs, budget: int, kmax: int) -> int | None:
@@ -122,38 +178,21 @@ def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
 
     Profits are non-negative ints or Fractions; costs and budget are
     non-negative ints.  The selected profit is the total minus the least
-    kept profit of the budget frontier, built over the items in reverse
-    index order with row r covering items r..n-1, so a row has at most
-    budget + 1 entries.  The choices are traced forward from the full
-    budget b: best_r(b) is the total of row r minus the kept profit of the
-    first pair whose need is at most b.  When both keeping and selecting
-    an item achieve the optimum, the item is selected.  A pair the cap
-    dropped lies on a branch that strictly loses, so reading it as absent
-    keeps every choice of the uncapped DP.
+    kept profit of the budget frontier (``suffix_frontiers``, so a row has
+    at most budget + 1 pairs), and the choices are traced forward from the
+    full budget by ``select_on_ties``: when both keeping and selecting an
+    item achieve the optimum, the item is selected.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    m = len(profits)
-    if len(costs) != m:
+    if len(costs) != len(profits):
         raise DimensionMismatchError("profits and costs must have equal length")
     if any(p < 0 for p in profits):
         raise ValueError("profits must be non-negative")
     total = sum(profits)
-    rows: list = []
-    ks, _ = budget_frontier(profits[::-1], costs[::-1], budget, total, rows)
-    rows.reverse()
-
-    chosen = [0] * m
-    cap = budget
-    for r in range(m):
-        nks, needs = rows[r + 1]
-        sel = bisect_left(needs, costs[r] - cap, key=neg)  # need <= cap - c
-        keep = bisect_left(needs, -cap, key=neg)  # first need <= cap
-        # p + best(cap - c) >= best(cap), in kept profit
-        if sel < len(nks) and nks[sel] <= nks[keep] + profits[r]:
-            chosen[r] = 1
-            cap -= costs[r]
-    return KnapsackAnswer(value=total - ks[0], chosen=tuple(chosen))
+    rows = suffix_frontiers(profits, costs, budget, total)
+    chosen = select_on_ties(rows, profits, costs, budget)
+    return KnapsackAnswer(value=total - rows[0][0][0], chosen=chosen)
 
 
 @lru_cache(maxsize=8)

@@ -158,8 +158,34 @@ def unpruned_fractional_value(
     return best
 
 
-# References for kinterdict.fptas: the grid's J by the linear loop, and a
-# candidate's rounded bound with no limit below the grid's unit cap.
+# References for kinterdict.fptas: the accuracy split by bisection, the
+# grid's J by the linear loop, and a candidate's rounded bound with no limit
+# below the grid's unit cap.
+
+def bisected_split_accuracy(eps: Fraction) -> Fraction:
+    """The largest k / 10^6 with (1 + k / 10^6)^2 <= 1 + eps, found by
+    doubling then bisection over exact Fraction tests, or eps / 3 when
+    k = 1 already fails; eps must be positive."""
+    target = 1 + eps
+    d = 10**6
+
+    def ok(k: int) -> bool:
+        return Fraction(d + k, d) ** 2 <= target
+
+    if not ok(1):
+        return eps / 3
+    lo = 1
+    hi = (d * eps.numerator) // (2 * eps.denominator) + 1  # eps' <= eps/2
+    while ok(hi):
+        hi *= 2
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return Fraction(lo, d)
+
 
 def linear_grid_J(sum_p: int, eps_internal: Fraction) -> int:
     """The first exponent j with (1 + eps')^j >= sum_p, by repeated

@@ -425,6 +425,25 @@ def test_exact_optf_with_costs_and_budget_beyond_ten_trillion(tmp_path, capsys):
     assert (b["opt_f"], b["x"]) == (a["opt_f"], a["x"])
 
 
+def test_exact_optf_over_the_frontier_pair_budget_exits_4(tmp_path, capsys):
+    # p_i = c_i = 2^(n-1-i): every subset has its own cost, so the frontier
+    # of the last k items holds 2^k pairs, and unguarded the stored rows
+    # grow as 2^n
+    n = 40
+    p = [2 ** (n - 1 - i) for i in range(n)]
+    inst = Instance(
+        n=n, t=1, p=tuple(p), c=tuple(p), W=((1,) * n,), B=(2**n - 1) // 2, C=(n,)
+    )
+    path = write(tmp_path, "adversarial.json", serialize_instance(inst))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "exact-optf", "--input", path)
+    assert time.perf_counter() - start < 15
+    assert code == 4 and out == ""
+    assert err == (
+        f"error: stored knapsack frontiers exceed {nominal.FRONTIER_PAIR_LIMIT} pairs\n"
+    )
+
+
 class _FakePool:
     """Records max_workers and maps in the calling process."""
 

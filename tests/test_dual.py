@@ -165,11 +165,10 @@ def test_vertex_candidates_and_fractional_value_match_references(inst, data):
     # the scaled form the enumeration records is the one computed afresh
     assert [a.scaled for a in cs] == [DualPoint(a.alpha).scaled for a in cs]
     # the alpha . C order: by value, ties by index
-    by_c = cs.by_capacity(inst.C)
     bases = [dot_capacity(inst, a) for a in cs]
-    assert list(by_c.bases) == bases
-    assert list(by_c.order) == sorted(range(len(cs)), key=bases.__getitem__)
-    assert list(by_c.sorted_bases) == sorted(bases)
+    assert list(cs.bases) == bases
+    assert list(cs.order) == sorted(range(len(cs)), key=bases.__getitem__)
+    assert list(cs.sorted_bases) == sorted(bases)
     for _ in range(3):
         bits = data.draw(st.tuples(*[st.integers(0, 1)] * inst.n))
         x = xvec(inst, bits)

@@ -45,6 +45,7 @@ from conftest import (
     T1,
     T2,
     EMPTY,
+    bisected_split_accuracy,
     ceil_div,
     dense_min_budget_table,
     dot_capacity,
@@ -107,6 +108,17 @@ def test_split_accuracy_examples_admit_known_values():
     assert (1 + Fraction(1, 21)) ** 2 <= Fraction(11, 10)  # eps = 1/10
     assert split_accuracy(Fraction(1)) >= Fraction(2, 5)
     assert split_accuracy(Fraction(1, 10)) >= Fraction(1, 21)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10**12), max_value=10**9))
+@example(eps=Fraction(3))
+@example(eps=Fraction(1, 10**12))
+@example(eps=Fraction(10**9))
+@example(eps=Fraction(2000001, 10**12))  # k = 1 exactly: (1 + 10^-6)^2 = 1 + eps
+@example(eps=Fraction(2000000, 10**12))  # just below it: the eps / 3 fallback
+def test_split_accuracy_matches_the_bisection(eps):
+    assert split_accuracy(eps) == bisected_split_accuracy(eps)
 
 
 def test_split_accuracy_rejects_nonpositive():
@@ -297,6 +309,8 @@ def test_least_units_within_matches_dense_table(items, budget, kmax):
 @example(items=[(0, 0), (0, 3), (5, 13)], budget=12, kmax=0)
 @example(items=[(1, 0), (2, 3), (1, 0)], budget=3, kmax=9)
 @example(items=[(3, 2**64), (1, 2**64 + 2), (2, 1)], budget=2**64 + 1, kmax=6)
+# a walk from the budget instead of the least need picks (1, 0), not (0, 1)
+@example(items=[(1, 5), (1, 1)], budget=5, kmax=1)
 def test_budget_table_traceback_matches_dense_reference(items, budget, kmax):
     # ties, zero units and zero costs, costs above the budget, kmax = 0 and
     # values beyond 2**64: at the least target within the budget the
@@ -740,7 +754,7 @@ def test_accept_level_keeps_candidate_whose_alpha_c_equals_the_limit():
     # reduced profit is 0, so the bound is exactly the limit and passes
     inst = Instance(n=1, t=1, p=(4,), c=(1,), W=((2,),), B=0, C=(2,))
     grid = GeometricGrid.build(inst, Fraction(1))
-    only = CandidateSet(points=(DualPoint.of(2),))
+    only = CandidateSet(points=(DualPoint.of(2),), C=inst.C)
     res = accept_level(inst, grid, 1, only)
     assert res.passed and res.winner.value == 4 and res.dp_tables == 1
 
@@ -753,7 +767,7 @@ def test_accept_level_tie_goes_to_the_earlier_candidate():
     grid = GeometricGrid.build(inst, Fraction(1))
     zero, two = DualPoint.of(0), DualPoint.of(2)
     for order in ((zero, two), (two, zero)):
-        res = accept_level(inst, grid, 1, CandidateSet(points=order))
+        res = accept_level(inst, grid, 1, CandidateSet(points=order, C=inst.C))
         assert res.passed and res.winner.value == 4
         assert res.winner.alpha == order[0]
         assert res.dp_tables == 2
