@@ -15,9 +15,11 @@ optimum.
 
 The vertices are found per zero-set: the coordinates a subset's coordinate
 planes fix at 0 drop out, and the item planes leave a smaller square system
-on the rest, solved in ints (``linalg.cramer_solve``).  Signs, duplicates
-and the sorted order are all decided on int tuples, so each point builds
-its Fractions once, and keeps its scaled int form for every later use.  A
+on the rest.  Its item subsets are walked depth-first in ints
+(``linalg.subset_minors``), so the minors of rows shared by many subsets
+are computed once.  Signs, duplicates and the sorted order are all decided
+on int tuples, and a point (``DualPoint``) keeps that scaled int form as
+its state: it builds its Fractions only if they are read.  A
 candidate set is bound to its instance's capacity vector C and also keeps
 each candidate's alpha . C and the candidates' order by it
 (``CandidateSet``): the FPTAS levels take the candidates within their
@@ -47,38 +49,64 @@ from math import gcd, lcm
 from operator import mul
 
 from .instance import Instance, InterdictionVector, preprocess
-from .linalg import cramer_solve
+from .linalg import subset_minors
 from .nominal import DimensionMismatchError, fractional_knapsack, knapsack_max_budget
 
 
-@dataclass(frozen=True)
 class DualPoint:
-    """A componentwise non-negative capacity multiplier vector."""
+    """A componentwise non-negative capacity multiplier vector alpha.
 
-    alpha: tuple[Fraction, ...]
+    Stored in ints as ``scaled`` = (L, alpha L), with L the lcm of alpha's
+    denominators.  That form is canonical, so points compare and hash by
+    it, and the Fraction tuple ``alpha`` is built only when it is read.
+    Points are not changed after they are made.
+    """
 
-    def __post_init__(self):
-        if any(a < 0 for a in self.alpha):
+    __slots__ = ("scaled", "_alpha")
+
+    def __init__(self, alpha):
+        alpha = tuple(Fraction(a) for a in alpha)
+        if any(a < 0 for a in alpha):
             raise ValueError("dual multipliers must be non-negative")
+        scale = lcm(*(q.denominator for q in alpha))
+        self.scaled = scale, tuple(q.numerator * (scale // q.denominator) for q in alpha)
+        self._alpha = alpha
 
     @classmethod
     def of(cls, *values) -> "DualPoint":
-        return cls(alpha=tuple(Fraction(v) for v in values))
+        return cls(values)
 
     @classmethod
     def from_scaled(cls, scale: int, alpha: tuple[int, ...]) -> "DualPoint":
-        """The point alpha / scale, for ints alpha >= 0 and scale > 0 with no
-        common factor, whose ``scaled`` is then (scale, alpha) itself."""
-        point = cls(alpha=tuple(Fraction(a, scale) for a in alpha))
-        point.__dict__["scaled"] = (scale, alpha)
+        """The point alpha / scale, for ints alpha >= 0 and scale > 0; its
+        ``scaled`` is (scale, alpha) divided by their gcd."""
+        if scale <= 0 or min(alpha, default=0) < 0:
+            raise ValueError("dual multipliers must be non-negative")
+        g = gcd(scale, *alpha)
+        if g != 1:
+            scale, alpha = scale // g, tuple(a // g for a in alpha)
+        point = object.__new__(cls)
+        point.scaled = scale, alpha
+        point._alpha = None
         return point
 
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """(L, alpha L) with L the lcm of alpha's denominators, all ints;
-        computed on first use and kept with the point."""
-        scale = lcm(*(q.denominator for q in self.alpha))
-        return scale, tuple(q.numerator * (scale // q.denominator) for q in self.alpha)
+    @property
+    def alpha(self) -> tuple[Fraction, ...]:
+        if self._alpha is None:
+            scale, alpha = self.scaled
+            self._alpha = tuple(Fraction(a, scale) for a in alpha)
+        return self._alpha
+
+    def __eq__(self, other):
+        if not isinstance(other, DualPoint):
+            return NotImplemented
+        return self.scaled == other.scaled
+
+    def __hash__(self):
+        return hash(self.scaled)
+
+    def __repr__(self):
+        return f"DualPoint(alpha={self.alpha!r})"
 
 
 @dataclass(frozen=True)
@@ -127,15 +155,13 @@ def dual_breakpoints(inst: Instance) -> CandidateSet:
     """Candidate multipliers for t = 1: zero plus every ratio p_i / w_i.
 
     The dual objective is piecewise linear in alpha with breakpoints exactly
-    at these ratios, so its minimum over alpha >= 0 is attained here.
+    at these ratios, so its minimum over alpha >= 0 is attained here.  They
+    are the vertices of ``dual_vertex_candidates`` for t = 1, found the
+    same way.
     """
     if inst.t != 1:
         raise DimensionMismatchError(f"dual_breakpoints needs t=1, got t={inst.t}")
-    values = {Fraction(0)}
-    for i in range(inst.n):
-        if inst.W[0][i] > 0:
-            values.add(Fraction(inst.p[i], inst.W[0][i]))
-    return CandidateSet(tuple(DualPoint.of(v) for v in sorted(values)), inst.C)
+    return _arrangement_vertices(inst)
 
 
 def dual_vertex_candidates(inst: Instance) -> CandidateSet:
@@ -145,33 +171,40 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
     {alpha_j = 0} contributes its unique solution when the system is
     nonsingular and the solution is componentwise non-negative.  Agrees with
     ``dual_breakpoints`` when t = 1.
+    """
+    return _arrangement_vertices(inst)
 
-    A subset fixes the coordinates of its coordinate planes, a zero-set S,
-    at 0 and leaves the (t - |S|)-square system of its item planes on the
-    free coordinates, nonsingular exactly when the whole system is.  So each
-    zero-set's item subsets are solved in that smaller system, in ints by
-    ``cramer_solve``: a solution is kept when its numerators have the
-    determinant's sign or are 0, and is recorded as the gcd-reduced int
-    tuple (numerators..., det) with det > 0, which is unique per point.
-    The points are sorted in ints too, in the lexicographic order of their
-    coordinates, and each becomes one Fraction per coordinate at the end;
-    its tuple is already its ``scaled`` form.
+
+def _arrangement_vertices(inst: Instance) -> CandidateSet:
+    """The vertices of the dual arrangement, for both public enumerations.
+
+    A subset of the planes fixes the coordinates of its coordinate planes,
+    a zero-set S, at 0 and leaves the (t - |S|)-square system of its item
+    planes on the free coordinates, nonsingular exactly when the whole
+    system is.  So each zero-set's item subsets are walked in that smaller
+    system by ``linalg.subset_minors`` over the rows (w_i[free]..., p_i):
+    a subset's minors are det(A) and, up to sign, its Cramer numerators.  A
+    solution is kept when its numerators have the determinant's sign or are
+    0, and is recorded as the gcd-reduced int tuple (numerators..., det)
+    with det > 0, which is unique per point.  The points are sorted in ints
+    too, in the lexicographic order of their coordinates; no Fraction is
+    built, and each tuple is its point's ``scaled`` form.
     """
     t = inst.t
     weights = [inst.weight_of(i) for i in range(inst.n)]
     found = {(0,) * t + (1,)}  # the origin, zero-set [t]
     for size in range(1, t + 1):
+        # x_j = (-1)^(size - 1 - j) minors[j] / minors[size]
+        signs = [(-1) ** (size - 1 - j) for j in range(size)]
         for free in combinations(range(t), size):
-            rows = [[w[j] for j in free] for w in weights]
-            # item subsets in lockstep: their rows and their profits
-            systems = zip(combinations(rows, size), combinations(inst.p, size))
-            for A, b in systems:
-                solved = cramer_solve(A, b)
-                if solved is None:
-                    continue
-                det, numerators = solved
+            rows = [[w[j] for j in free] + [p] for w, p in zip(weights, inst.p)]
+            for _, minors in subset_minors(rows, size):
+                det = minors[size]
                 if det < 0:
-                    det, numerators = -det, [-v for v in numerators]
+                    det, minors = -det, [-v for v in minors]
+                elif det == 0:
+                    continue
+                numerators = [s * v for s, v in zip(signs, minors)]
                 if min(numerators) < 0:
                     continue
                 g = gcd(det, *numerators)

@@ -64,9 +64,11 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None):
     prefix of the uncapped frontier.  An empty frontier means no target is
     feasible.  With ``rows`` a list, the frontier after each item is
     appended to it, starting with the empty selection, and StateLimitError
-    is raised once more than FRONTIER_PAIR_LIMIT pairs are stored; a
-    frontier at most doubles per item, so the overshoot is bounded.
-    Without, the loop stops at the first empty frontier.
+    is raised before a row is built whose merge could take the pairs stored
+    past FRONTIER_PAIR_LIMIT: a merge yields at most the pairs it reads
+    from both branches.  A zero-unit item's row is the one before it,
+    lists shared, and stores nothing.  Without ``rows``, the loop stops at
+    the first empty frontier.
     """
     ks, needs = ([0], [0]) if budget >= 0 else ([], [])
     if rows is not None:
@@ -80,6 +82,10 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None):
             i = bisect_left(needs, c - budget, key=neg)  # first need + c <= budget
             iend = bisect_right(ks, cap)
             j, jend = 0, bisect_right(ks, cap - u)
+            if rows is not None and stored + iend - i + jend > FRONTIER_PAIR_LIMIT:
+                raise StateLimitError(
+                    f"stored knapsack frontiers exceed {FRONTIER_PAIR_LIMIT} pairs"
+                )
             nk, nn = [], []
             last = budget + 1
             while i < iend and j < jend:
@@ -110,13 +116,10 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None):
                     nn.append(needs[j])
                     last = needs[j]
             ks, needs = nk, nn
+            if rows is not None:
+                stored += len(ks)
         if rows is not None:
             rows.append((ks, needs))
-            stored += len(ks)
-            if stored > FRONTIER_PAIR_LIMIT:
-                raise StateLimitError(
-                    f"stored knapsack frontiers exceed {FRONTIER_PAIR_LIMIT} pairs"
-                )
         elif not ks:
             break
     return ks, needs

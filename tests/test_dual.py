@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinterdict import dual
@@ -76,6 +77,29 @@ def test_reduced_profit_sum_dimension_mismatch():
 def test_dual_point_rejects_negative():
     with pytest.raises(ValueError):
         DualPoint.of(-1)
+    for scale, alpha in ((3, (1, -1)), (0, (1,)), (-2, (1,)), (-1, (0,))):
+        with pytest.raises(ValueError):
+            DualPoint.from_scaled(scale, alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, 2**64 + 13)),
+    st.integers(1, 60),
+    st.lists(st.integers(0, 90), max_size=4),
+)
+def test_dual_point_from_scaled_matches_its_fractions(k, scale, values):
+    # a common factor k, above 64 bits when k > 1, is divided out
+    point = DualPoint.from_scaled(k * scale, tuple(k * v for v in values))
+    same = DualPoint.of(*(Fraction(v, scale) for v in values))
+    assert point == same and hash(point) == hash(same)
+    assert point.scaled == same.scaled
+    assert point.alpha == same.alpha
+    assert all(
+        type(q) is Fraction and (q.numerator, q.denominator) == (v // g, scale // g)
+        for q, v, g in zip(point.alpha, values, (gcd(v, scale) for v in values))
+    )
+    assert point != DualPoint.of(*(Fraction(v, scale) for v in values), 1)
 
 
 # candidate sets
@@ -159,6 +183,15 @@ def arrangement_instances(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(arrangement_instances(), st.data())
+# items 0 and 1 have proportional rows and item 2 all-zero ones, so the
+# vertex walk skips a dependent prefix at every zero-set size
+@example(
+    Instance(
+        n=4, t=3, p=(3, 6, 0, 4), c=(1, 2, 1, 1),
+        W=((1, 2, 0, 2), (2, 4, 0, 1), (1, 2, 0, 3)), B=2, C=(4, 5, 6),
+    ),
+    None,
+)
 def test_vertex_candidates_and_fractional_value_match_references(inst, data):
     cs = dual_vertex_candidates(inst)
     assert alphas(cs) == alphas(reference_vertex_candidates(inst))
@@ -169,9 +202,15 @@ def test_vertex_candidates_and_fractional_value_match_references(inst, data):
     assert list(cs.bases) == bases
     assert list(cs.order) == sorted(range(len(cs)), key=bases.__getitem__)
     assert list(cs.sorted_bases) == sorted(bases)
-    for _ in range(3):
-        bits = data.draw(st.tuples(*[st.integers(0, 1)] * inst.n))
-        x = xvec(inst, bits)
+    # an explicit example has no data and checks every interdiction
+    if data is None:
+        xs = list(all_interdictions(inst))
+    else:
+        xs = [
+            xvec(inst, data.draw(st.tuples(*[st.integers(0, 1)] * inst.n)))
+            for _ in range(3)
+        ]
+    for x in xs:
         value = fractional_value(inst, x, cs)
         assert value == unpruned_fractional_value(inst, x, cs)
         if inst.t <= 3 and inst.n <= 4:

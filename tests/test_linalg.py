@@ -1,10 +1,10 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinterdict.linalg import cramer_solve, solve_square_system
+from kinterdict.linalg import cramer_solve, solve_square_system, subset_minors
 
 
 def fraction_gauss_jordan(A, b):
@@ -114,3 +114,54 @@ def test_cramer_solve_negative_determinant():
     assert solve_square_system(A, [1, 2]) == [-1, 3]
     assert cramer_solve([[0]], [5]) is None
     assert cramer_solve([], []) == (1, [])
+
+
+@st.composite
+def row_lists(draw):
+    """m and up to 6 rows of width m + 1, optionally with a row that is a
+    multiple of another (a dependent prefix), one that is the sum of two
+    others (dependent only at the full subset) and an all-zero row."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 6))
+    rows = [[draw(ENTRIES) for _ in range(m + 1)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        k = draw(ENTRIES)
+        rows[dst] = [k * v for v in rows[src]]
+    if n >= 3 and draw(st.booleans()):
+        a, b, dst = draw(st.permutations(range(n)))[:3]
+        rows[dst] = [u + v for u, v in zip(rows[a], rows[b])]
+    if n >= 1 and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [0] * (m + 1)
+    return rows, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+def test_subset_minors_match_leibniz_determinants(case):
+    rows, m = case
+    expected = []
+    for subset in combinations(range(len(rows)), m):
+        chosen = [rows[i] for i in subset]
+        minors = [leibniz_det([row[:l] + row[l + 1:] for row in chosen]) for l in range(m + 1)]
+        if any(minors):
+            expected.append((subset, minors))
+    walked = list(subset_minors(rows, m))
+    assert walked == expected
+    # the minors are det(A) and the signed Cramer numerators of A x = b
+    for subset, minors in walked:
+        A = [rows[i][:m] for i in subset]
+        b = [rows[i][m] for i in subset]
+        numerators = [(-1) ** (m - 1 - j) * minors[j] for j in range(m)]
+        assert cramer_solve(A, b) == (
+            None if minors[m] == 0 else (minors[m], numerators)
+        )
+
+
+def test_subset_minors_small_cases():
+    # the prefix of rows 0 and 1 is dependent, so no subset with both is walked
+    rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 0, 0, 2]]
+    assert [s for s, _ in subset_minors(rows, 3)] == [(0, 2, 3), (1, 2, 3)]
+    assert list(subset_minors([[0, 0], [3, 5]], 1)) == [((1,), [5, 3])]
+    assert list(subset_minors([[1], [2]], 0)) == [((), [1])]
+    assert list(subset_minors([[1, 2, 3]], 2)) == []

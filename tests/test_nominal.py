@@ -4,12 +4,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kinterdict import nominal
 from kinterdict.generator import SplitMix64
 from kinterdict.instance import Instance, InterdictionVector
 from kinterdict.nominal import (
     DimensionMismatchError,
     StateLimitError,
     best_integer_packing,
+    budget_frontier,
     fractional_knapsack,
     knapsack_max_budget,
 )
@@ -189,6 +191,34 @@ def test_integer_packing_state_limit():
     )
     with pytest.raises(StateLimitError):
         best_integer_packing(inst, xvec(inst, (0, 0, 0)), state_limit=100)
+
+
+def test_stored_frontiers_never_exceed_the_pair_budget(monkeypatch):
+    # units = costs = 2^i: every subset has its own cost, so the frontier
+    # of the first k items holds up to 2^k pairs and the rows double;
+    # zero-unit items share the row before them and store nothing
+    n = 10
+    units = [2**i for i in range(n)]
+    units[3:3] = [0, 0]
+    budget = (2**n - 1) // 2
+
+    def stored(rows):
+        return sum({id(ks): len(ks) for ks, _ in rows}.values())
+
+    full: list = []
+    budget_frontier(units, units, budget, sum(units), full)
+    need = stored(full)
+    assert need > 2**n // 2
+    for limit in (1, 2, 3, 10, need // 4, need // 2, need - 1, need, 2 * need):
+        monkeypatch.setattr(nominal, "FRONTIER_PAIR_LIMIT", limit)
+        rows: list = []
+        try:
+            budget_frontier(units, units, budget, sum(units), rows)
+        except StateLimitError:
+            assert limit < 2 * need
+        else:
+            assert rows == full
+        assert stored(rows) <= limit
 
 
 # integrality gap sandwiches
