@@ -21,7 +21,11 @@ no DP when its alpha . C, or its Dantzig lower bound
 other DP stops at the largest unit target the cap leaves, which keeps every
 bound that can win.  The DP is nominal's budget knapsack, kept as Pareto
 frontiers: each candidate runs it value-only for its least feasible target
-(nominal.least_units_within), and only the winner of the accepted level
+(nominal.least_units_within).  That run is bounded in turn: the greedy
+interdiction in units/cost order gives an achievable target and the LP
+relaxation a lower bound.  The DP runs only when they leave a gap, only on
+the items the LP bound leaves free, and merges only the pairs whose LP
+bound is within the greedy's.  Only the winner of the accepted level
 stores a frontier per item, capped at its target, to trace its
 interdiction back (nominal.suffix_frontiers and nominal.select_on_ties).
 The reported dp_tables and dp_states are the paper's nominal counts: one

@@ -7,11 +7,24 @@ traceback, the exact dual scan and the t = 1 integer packing; the greedy
 fractional knapsack for single-capacity instances; and the exact integer
 packing value of the survivors of an interdiction.
 
+A value-only run (``least_units_within``) takes the items in decreasing
+units/cost order and first brackets its answer: the greedy removal keeps
+an achievable number of units, and the LP relaxation (Dantzig 1957) bounds
+the least from below.  It ends there when the two meet.  Otherwise it
+fixes each item that the LP bound shows every selection within the greedy
+removes, or keeps, and the DP runs on the items left free.  It merges only
+the frontier pairs whose own LP bound, with the budget they have left, is
+within the greedy's (Pisinger 1997), which keeps every pair on the way to
+the least target and so the answer.
+
 A traceback stores the frontier of every suffix of the items, under a
 budget of stored pairs (``suffix_frontiers``), and walks them forward from
 a budget, selecting each item that does at least as well selected as kept
 (``select_on_ties``): from the whole budget for the exact scan, and from
-the least need of the least unit target for the FPTAS.
+the least need of the least unit target for the FPTAS.  Both cap the rows
+at the least target, which the value-only run finds first for the exact
+scan: a capped row is a prefix of the full one, and the walk reads no pair
+beyond it.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from operator import neg
 
 from .instance import FractionalPacking, Instance, InterdictionVector
@@ -46,7 +59,7 @@ class KnapsackAnswer:
     chosen: tuple[int, ...]
 
 
-def budget_frontier(units, costs, budget: int, kmax, rows=None):
+def budget_frontier(units, costs, budget: int, kmax, rows=None, bound=None):
     """The Pareto frontier of the 0-1 knapsack over the items in the given
     order: lists ks and needs, where needs[i] is the least total cost of
     the removed items that keeps at most ks[i] units.
@@ -62,23 +75,44 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None):
     from the first pair is feasible, so no pair above that target or above
     kmax can lead to the least one, and none is kept: each list is a
     prefix of the uncapped frontier.  An empty frontier means no target is
-    feasible.  With ``rows`` a list, the frontier after each item is
-    appended to it, starting with the empty selection, and StateLimitError
-    is raised before a row is built whose merge could take the pairs stored
-    past FRONTIER_PAIR_LIMIT: a merge yields at most the pairs it reads
-    from both branches.  A zero-unit item's row is the one before it,
-    lists shared, and stores nothing.  Without ``rows``, the loop stops at
-    the first empty frontier.
+    feasible; a negative budget or kmax starts with one.  With ``rows`` a
+    list, the frontier after each item is appended to it, starting with the
+    empty selection, and StateLimitError is raised before a row is built
+    whose merge could take the pairs stored past FRONTIER_PAIR_LIMIT: a
+    merge yields at most the pairs it reads from both branches.  A
+    zero-unit item's row is the one before it, lists shared, and stores
+    nothing.  Without ``rows``, the loop stops at the first empty frontier.
+
+    ``bound`` = (pcs, sus), which only ``least_units_within`` passes, keeps
+    only the pairs that can still reach a target at most kmax.  The items
+    are then ints in decreasing units/cost order, ending with a zero-unit
+    item of cost 1; pcs[r] is the cost of the items before r, except that
+    the last entry lies above pcs[-2] + budget, and sus[r] is the units of
+    the items from r on.  A pair (k, need) is dropped when k plus the LP
+    bound on the units that the items still to come keep within
+    budget - need exceeds kmax (Dantzig 1957): the LP removes them whole in
+    order while they fit, then a fraction of the next one.  A pair at the
+    bound is kept.  The least target, when it is at most kmax, is reached
+    through pairs whose bounds are at most it, so the first pair is still
+    the least target; the other pairs need not be the frontier's.  A
+    dropped pair still caps the needs after it, since every pair it
+    dominates has a bound at least its own.  As the budget left rises
+    along a merge, one pointer per row finds the LP's split item.
     """
-    ks, needs = ([0], [0]) if budget >= 0 else ([], [])
+    ks, needs = ([0], [0]) if budget >= 0 and kmax >= 0 else ([], [])
     if rows is not None:
         rows.append((ks, needs))
         stored = len(ks)
+    bounded = bound is not None
+    if bounded:
+        pcs, sus = bound
     rest = sum(units)
-    for u, c in zip(units, costs):
+    for s, (u, c) in enumerate(zip(units, costs), 1):
         if u and ks:
             rest -= u
-            cap = min(kmax, ks[0] + u + rest)
+            cap = ks[0] + u + rest
+            if cap > kmax:
+                cap = kmax
             i = bisect_left(needs, c - budget, key=neg)  # first need + c <= budget
             iend = bisect_right(ks, cap)
             j, jend = 0, bisect_right(ks, cap - u)
@@ -86,6 +120,10 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None):
                 raise StateLimitError(
                     f"stored knapsack frontiers exceed {FRONTIER_PAIR_LIMIT} pairs"
                 )
+            if bounded:
+                # items s.. are still to come; pos is the prefix cost that
+                # a pair's budget left reaches, and t the LP's split item
+                top, t = pcs[s] + budget, s
             nk, nn = [], []
             last = budget + 1
             while i < iend and j < jend:
@@ -101,20 +139,29 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None):
                     k, v = kb, needs[j]
                     j += 1
                 if v < last:
+                    last = v
+                    if bounded:
+                        pos = top - v
+                        while pcs[t + 1] <= pos:
+                            t += 1
+                        if (k + sus[t] - kmax) * costs[t] > (pos - pcs[t]) * units[t]:
+                            continue
                     nk.append(k)
                     nn.append(v)
-                    last = v
-            for i in range(i, iend):
-                v = needs[i] + c
+            # the rest of the one branch left: removed, or kept
+            x, xend, du, dc = (i, iend, 0, c) if i < iend else (j, jend, u, 0)
+            for x in range(x, xend):
+                k, v = ks[x] + du, needs[x] + dc
                 if v < last:
-                    nk.append(ks[i])
-                    nn.append(v)
                     last = v
-            for j in range(j, jend):
-                if needs[j] < last:
-                    nk.append(ks[j] + u)
-                    nn.append(needs[j])
-                    last = needs[j]
+                    if bounded:
+                        pos = top - v
+                        while pcs[t + 1] <= pos:
+                            t += 1
+                        if (k + sus[t] - kmax) * costs[t] > (pos - pcs[t]) * units[t]:
+                            continue
+                    nk.append(k)
+                    nn.append(v)
             ks, needs = nk, nn
             if rows is not None:
                 stored += len(ks)
@@ -162,29 +209,112 @@ def select_on_ties(rows, gains, costs, cap: int) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def _lp_lists(units, costs, budget: int):
+    """The lists the LP bound reads for items in decreasing units/cost
+    order: units and costs, each with a zero-unit item of cost 1 appended;
+    the prefix costs pcs, whose last entry is raised above every prefix
+    cost a budget left can reach; and the suffix units sus."""
+    units = [*units, 0]
+    costs = [*costs, 1]
+    pcs = [0, *accumulate(costs)]
+    pcs[-1] += budget
+    total = sum(units)
+    sus = [total - x for x in accumulate(units, initial=0)]
+    sus.pop()
+    return units, costs, pcs, sus
+
+
 def least_units_within(units, costs, budget: int, kmax: int) -> int | None:
     """Least k <= kmax such that removing items of total cost at most the
     budget keeps at most k units, or None when there is none.
 
-    The FPTAS's acceptance test for one candidate.  It is the first pair of
-    the budget frontier, which does not depend on the item order; items go
-    in decreasing-unit order, and no row is stored.
+    The FPTAS's acceptance test for one candidate; units, costs and budget
+    are ints.  The answer does not depend on the item order.  Items costing
+    more than the budget are always kept and zero-cost ones always removed,
+    so neither enters the DP.  The others are sorted by units/cost, exactly
+    in ints.  The greedy removal in that order keeps ``greedy`` units, so a
+    target within kmax is at most ub = min(kmax, greedy); the LP relaxation
+    bounds every target from below (Dantzig 1957).  When the LP bound
+    exceeds ub no target is within kmax; when its ceiling is the greedy's,
+    the greedy is least.
+
+    Otherwise an item is fixed when the LP bound with it kept, or with it
+    removed, exceeds ub (Ingargiola and Korsh 1973): every selection within
+    ub removes it, or keeps it.  ``budget_frontier`` then runs on the items
+    left free, with their own LP lists as its ``bound``, the budget less
+    the fixed removed costs and kmax = ub less the fixed kept units.  It
+    stores no row, and its first pair plus the fixed units is the answer.
     """
-    items = sorted(zip(units, costs), reverse=True)
-    units, costs = zip(*items) if items else ((), ())
-    ks, _ = budget_frontier(units, costs, budget, kmax)
-    return ks[0] if ks else None
+    if kmax < 0 or budget < 0:
+        return None
+    # two ratios of costs at most the budget differ by at least
+    # 1 / budget**2, so u * budget**2 // c orders u / c exactly
+    kept, items, square = 0, [], budget * budget
+    for u, c in zip(units, costs):
+        if c > budget:
+            kept += u
+        elif u and c:
+            items.append((u * square // c, u, c))
+    items.sort(reverse=True)
+    us, cs, pcs, sus = _lp_lists(
+        [u for _, u, _ in items], [c for _, _, c in items], budget
+    )
+    # the LP removes the items before split whole; the greedy removes them
+    # too, then every later item that still fits
+    split = bisect_right(pcs, budget) - 1
+    rem, greedy = budget - pcs[split], sus[split]
+    for u, c in zip(us[split:], cs[split:]):
+        if c <= rem:
+            rem -= c
+            greedy -= u
+    ub = min(kmax - kept, greedy)
+    # the LP bound on the kept units is lower / cs[split]
+    lower = sus[split] * cs[split] - (budget - pcs[split]) * us[split]
+    if lower > ub * cs[split]:
+        return None
+    if -(-lower // cs[split]) == greedy:
+        return kept + greedy
+    # The LP removes each item before split and keeps each one after it,
+    # so only the other branch can exceed ub.  An item j kept leaves its
+    # cost to the items after it, which the LP then reaches as if the
+    # budget were budget + c; an item removed leaves budget - c, and the
+    # LP's new split t lies before it.
+    left, fixed, free_units, free_costs = budget, 0, [], []
+    for j in range(len(us) - 1):
+        u, c = us[j], cs[j]
+        if j <= split:
+            pos = budget + c
+            t = bisect_right(pcs, pos) - 1
+            if (u + sus[t] - ub) * cs[t] > (pos - pcs[t]) * us[t]:
+                left -= c
+                continue
+        if j >= split:
+            pos = budget - c
+            t = bisect_right(pcs, pos) - 1
+            if (sus[t] - u - ub) * cs[t] > (pos - pcs[t]) * us[t]:
+                fixed += u
+                continue
+        free_units.append(u)
+        free_costs.append(c)
+    us, cs, pcs, sus = _lp_lists(free_units, free_costs, left)
+    ks, _ = budget_frontier(us, cs, left, ub - fixed, bound=(pcs, sus))
+    return kept + fixed + ks[0] if ks else None
 
 
 def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
     """Maximise sum of profits over selections with sum of costs <= budget.
 
-    Profits are non-negative ints or Fractions; costs and budget are
-    non-negative ints.  The selected profit is the total minus the least
-    kept profit of the budget frontier (``suffix_frontiers``, so a row has
-    at most budget + 1 pairs), and the choices are traced forward from the
-    full budget by ``select_on_ties``: when both keeping and selecting an
-    item achieve the optimum, the item is selected.
+    Profits are non-negative ints or Fractions, scaled by the lcm d of
+    their denominators to ints; costs and budget are non-negative ints.
+    The selected profit is the total minus the least kept profit, which
+    ``least_units_within`` finds by its bounded DP.  The rows for the
+    traceback (``suffix_frontiers``) are then capped at that least kept
+    profit, and the choices are traced forward from the full budget by
+    ``select_on_ties``: when both keeping and selecting an item achieve the
+    optimum, the item is selected.  Each capped row is a prefix of the
+    uncapped one, and no suffix on the optimal walk keeps more than the
+    least kept profit, so every pair the walk reads, or that would decide
+    it, is in the prefix: the choices are those of the uncapped rows.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -192,10 +322,14 @@ def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
         raise DimensionMismatchError("profits and costs must have equal length")
     if any(p < 0 for p in profits):
         raise ValueError("profits must be non-negative")
-    total = sum(profits)
-    rows = suffix_frontiers(profits, costs, budget, total)
-    chosen = select_on_ties(rows, profits, costs, budget)
-    return KnapsackAnswer(value=total - rows[0][0][0], chosen=chosen)
+    d = math.lcm(*(p.denominator for p in profits))
+    gains = [p.numerator * (d // p.denominator) for p in profits]
+    total = sum(gains)
+    least = least_units_within(gains, costs, budget, total)
+    rows = suffix_frontiers(gains, costs, budget, least)
+    chosen = select_on_ties(rows, gains, costs, budget)
+    value = total - least
+    return KnapsackAnswer(value=value if d == 1 else Fraction(value, d), chosen=chosen)
 
 
 @lru_cache(maxsize=8)

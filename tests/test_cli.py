@@ -520,6 +520,19 @@ def test_solve_eps_1_50_renders_a_z_star_beyond_4300_digits(tmp_path, capsys):
     assert doc["guarantee"] == "2+eps-of-opt-i"
 
 
+def test_solve_n160_within_its_guarantee_of_the_exact_scan(tmp_path, capsys):
+    # a size the value DP's differential tests never reach: on t = 1,
+    # solve --eps 1/10 runs the relaxed FPTAS at eps 1/20
+    path = _gen(tmp_path, capsys, "--n", "160", "--t", "1", "--seed", "3")
+    code, out, _ = run(capsys, "solve", "--input", path, "--eps", "1/10")
+    assert code == 0
+    f_value = Fraction(json.loads(out)["f_value"])
+    code, out, _ = run(capsys, "exact-optf", "--input", path)
+    assert code == 0
+    opt_f = Fraction(json.loads(out)["opt_f"])
+    assert opt_f <= f_value <= (1 + Fraction(1, 20)) * opt_f
+
+
 def test_solve_t3_eps_1_100_exits_0(tmp_path, capsys):
     path = _gen(tmp_path, capsys, "--n", "20", "--t", "3", "--seed", "3")
     code, out, _ = run(capsys, "solve", "--input", path, "--eps", "1/100")

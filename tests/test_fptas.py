@@ -269,8 +269,11 @@ _small_or_huge = st.one_of(st.integers(0, 12), st.integers(2**64, 2**64 + 40))
 @given(
     st.lists(st.tuples(st.integers(0, 9), _small_or_huge), max_size=8),
     _small_or_huge,
-    st.integers(0, 30),
+    st.integers(-3, 30),
 )
+# a negative kmax admits no target, with or without items
+@example(items=[], budget=0, kmax=-1)
+@example(items=[(0, 1)], budget=0, kmax=-1)
 @example(items=[(3, 2), (0, 5), (4, 1)], budget=2, kmax=0)
 @example(items=[(2, 5), (1, 2**64 + 1)], budget=4, kmax=6)
 @example(items=[(0, 0), (5, 0), (2, 0)], budget=0, kmax=3)
@@ -278,8 +281,8 @@ _small_or_huge = st.one_of(st.integers(0, 12), st.integers(2**64, 2**64 + 40))
 @example(items=[(1, 0), (2, 3), (1, 0)], budget=18, kmax=9)
 @example(items=[(2, 0), (2, 2), (3, 2)], budget=3, kmax=3)
 def test_least_units_within_matches_dense_table(items, budget, kmax):
-    # zero units, zero costs, costs above the budget, kmax = 0, and costs
-    # and budgets beyond 2**64
+    # zero units, zero costs, costs above the budget, kmax = 0 or below,
+    # and costs and budgets beyond 2**64
     units = [u for u, _ in items]
     costs = [c for _, c in items]
     table = dense_min_budget_table(units, costs, kmax)

@@ -4,7 +4,20 @@ from itertools import combinations, permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinterdict.linalg import cramer_solve, solve_square_system, subset_minors
+from kinterdict.linalg import solve_square_system, subset_minors
+
+from conftest import cramer_solve
+
+
+def minors_solve(A, b):
+    """(det(A), Cramer numerators) of A x = b read from subset_minors on the
+    rows (A_i..., b_i), as solve_square_system reads them; None when A is
+    singular."""
+    m = len(A)
+    for _, minors in subset_minors([[*row, b_i] for row, b_i in zip(A, b)], m):
+        if minors[m]:
+            return minors[m], [(-1) ** (m - 1 - j) * minors[j] for j in range(m)]
+    return None
 
 
 def fraction_gauss_jordan(A, b):
@@ -94,26 +107,29 @@ def leibniz_det(A):
 def test_cramer_solve_gives_det_and_cramer_numerators(system):
     A, b = system
     det = leibniz_det(A)
-    solved = cramer_solve(A, b)
-    if det == 0:
-        assert solved is None
-        return
-    # numerator i is det(A) with column i replaced by b
-    replaced = [
-        leibniz_det([row[:i] + [b[r]] + row[i + 1:] for r, row in enumerate(A)])
-        for i in range(len(A))
-    ]
-    assert solved == (det, replaced)
+    # the minors solve_square_system reads, and the elimination reference
+    for solved in (minors_solve(A, b), cramer_solve(A, b)):
+        if det == 0:
+            assert solved is None
+            continue
+        # numerator i is det(A) with column i replaced by b
+        replaced = [
+            leibniz_det([row[:i] + [b[r]] + row[i + 1:] for r, row in enumerate(A)])
+            for i in range(len(A))
+        ]
+        assert solved == (det, replaced)
 
 
 def test_cramer_solve_negative_determinant():
-    # one row swap: det = -1, and x = (3, 2) = (-3 / -1, -2 / -1)
-    assert cramer_solve([[0, 1], [1, 0]], [2, 3]) == (-1, [-3, -2])
-    A = [[2, 1], [7, 3]]  # det = 6 - 7 = -1 with no swap
-    assert cramer_solve(A, [1, 2]) == (-1, [1, -3])
+    for solve in (minors_solve, cramer_solve):
+        # one row swap: det = -1, and x = (3, 2) = (-3 / -1, -2 / -1)
+        assert solve([[0, 1], [1, 0]], [2, 3]) == (-1, [-3, -2])
+        A = [[2, 1], [7, 3]]  # det = 6 - 7 = -1 with no swap
+        assert solve(A, [1, 2]) == (-1, [1, -3])
+        assert solve([[0]], [5]) is None
+        assert solve([], []) == (1, [])
+    assert solve_square_system([[0, 1], [1, 0]], [2, 3]) == [3, 2]
     assert solve_square_system(A, [1, 2]) == [-1, 3]
-    assert cramer_solve([[0]], [5]) is None
-    assert cramer_solve([], []) == (1, [])
 
 
 @st.composite

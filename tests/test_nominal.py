@@ -14,6 +14,7 @@ from kinterdict.nominal import (
     budget_frontier,
     fractional_knapsack,
     knapsack_max_budget,
+    least_units_within,
 )
 from kinterdict.oracles import vertex_lp_optimum
 
@@ -22,7 +23,9 @@ from conftest import (
     T2,
     all_interdictions,
     dense_knapsack_max_budget,
+    dense_min_budget_table,
     edge_family,
+    min_units_within,
     round_down_packing,
 )
 
@@ -101,6 +104,76 @@ def test_budget_knapsack_matches_dense_reference(items, budget):
     # ties, zero profits and zero costs, costs above the budget, values
     # beyond 2**64 and Fraction profits: the frontier DP gives the dense
     # table's value and its select-on-ties choices
+    profits = [p for p, _ in items]
+    costs = [c for _, c in items]
+    ans = knapsack_max_budget(profits, costs, budget)
+    ref = dense_knapsack_max_budget(profits, costs, budget)
+    assert (ans.value, ans.chosen) == (ref.value, ref.chosen)
+
+
+# the value DP bounded by the greedy and the LP relaxation
+
+# costs and budgets: small with many ties and zero costs, or beyond 2**64;
+# units: up to 40, or beyond 2**64 and so above every kmax drawn
+_cost = st.one_of(st.integers(0, 12), st.integers(2**64, 2**64 + 40))
+_budget = st.one_of(st.integers(0, 60), st.integers(2**64, 2**64 + 80))
+_units = st.one_of(st.integers(0, 40), st.integers(2**64, 2**64 + 3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.tuples(_units, _cost), max_size=16),
+    _budget,
+    st.integers(-3, 700),
+    st.randoms(use_true_random=False),
+)
+# the greedy meets the LP bound's ceiling, so the DP never runs
+@example(items=[(3, 2), (4, 3), (2, 2)], budget=4, kmax=10, rnd=None)
+# the greedy keeps 4 and the LP bound is 14/5, whose ceiling 3 is least
+@example(items=[(3, 5), (1, 5), (2, 3)], budget=5, kmax=30, rnd=None)
+# the greedy keeps 2 and the LP bound is 1: every pair that leads to the
+# answer 2 has its bound equal to ub = 2
+@example(items=[(2, 1), (2, 2)], budget=2, kmax=9, rnd=None)
+# items of equal units/cost
+@example(items=[(2, 2), (2, 2), (3, 3)], budget=4, kmax=10, rnd=None)
+# (8, 1) is fixed removed and (2, 2) fixed kept, so no item is left free
+@example(items=[(8, 1), (2, 2)], budget=2, kmax=7, rnd=None)
+# with (5, 3) removed the LP bound is 5 = ub, so it is not fixed kept
+@example(items=[(5, 3), (1, 2), (4, 1)], budget=3, kmax=60, rnd=None)
+# both items are fixed removed, at a total cost above the budget
+@example(items=[(2, 2), (5, 1)], budget=2, kmax=1, rnd=None)
+# the items fixed kept hold more units than kmax leaves
+@example(items=[(2, 2), (8, 1), (7, 2), (1, 2), (2, 2)], budget=2, kmax=11, rnd=None)
+# every item costs more than the budget, and they keep more than kmax
+@example(items=[(5, 9), (6, 9)], budget=4, kmax=11, rnd=None)
+@example(items=[(5, 9), (6, 9)], budget=4, kmax=10, rnd=None)
+def test_bounded_least_units_within_matches_dense_table(items, budget, kmax, rnd):
+    units = [u for u, _ in items]
+    costs = [c for _, c in items]
+    least = min_units_within(dense_min_budget_table(units, costs, kmax), budget)
+    assert least_units_within(units, costs, budget, kmax) == least
+    # the answer does not depend on the item order
+    if rnd is not None:
+        rnd.shuffle(items)
+        units = [u for u, _ in items]
+        costs = [c for _, c in items]
+        assert least_units_within(units, costs, budget, kmax) == least
+
+
+_profit14 = st.one_of(
+    st.integers(0, 40),
+    st.integers(2**64, 2**64 + 40),
+    st.fractions(min_value=0, max_value=9, max_denominator=7),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_profit14, st.integers(0, 14)), max_size=14), st.integers(0, 60))
+@example(items=[(Fraction(3, 2), 2), (Fraction(4, 3), 3), (1, 2)], budget=4)
+@example(items=[(2, 2), (2, 2), (3, 3)], budget=4)
+def test_bounded_knapsack_max_budget_matches_dense_reference(items, budget):
+    # the value from the bounded DP, and rows capped at the least kept
+    # profit: the dense table's value and select-on-ties choices
     profits = [p for p, _ in items]
     costs = [c for _, c in items]
     ans = knapsack_max_budget(profits, costs, budget)
