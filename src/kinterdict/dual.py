@@ -32,11 +32,11 @@ minimum.  A candidate's value is alpha . C + sum r_i - K(r), with r_i the
 reduced profits and K(r) the most reduced profit removable within the budget,
 so it is at least alpha . C, and at least alpha . C + sum r_i - U for any
 upper bound U on K(r).  Dantzig's bound (the LP relaxation of the knapsack,
-filled greedily by r_i / c_i) is such a U.  A candidate for which either
-lower bound already reaches the incumbent cannot replace it under the strict
-update, so its knapsack is never built; the result is exactly that of the
-unpruned scan, ties included.  The FPTAS screens its candidates by the same
-bound, ``dantzig_lower_bound``.
+filled greedily by r_i / c_i, read from nominal.lp_least_units) is such a
+U.  A candidate for which either lower bound already reaches the incumbent
+cannot replace it under the strict update, so its knapsack is never built;
+the result is exactly that of the unpruned scan, ties included.  The FPTAS
+screens its candidates by the same bound, ``dantzig_lower_bound``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,12 @@ from operator import mul
 
 from .instance import Instance, InterdictionVector, preprocess
 from .linalg import subset_minors
-from .nominal import DimensionMismatchError, fractional_knapsack, knapsack_max_budget
+from .nominal import (
+    DimensionMismatchError,
+    fractional_knapsack,
+    knapsack_max_budget,
+    lp_least_units,
+)
 
 
 class DualPoint:
@@ -264,31 +269,11 @@ def scaled_reduced_profits(p, W, scale: int, alpha) -> list[int]:
     return [r if r > 0 else 0 for r in rs]
 
 
-def _dantzig_bound(profits: list[int], costs, budget: int) -> int:
-    """Floor of the LP relaxation of a 0-1 knapsack, so at least its optimum.
-
-    Zero-cost items are taken whole, then the others by profit/cost ratio
-    until one does not fit and fills the rest of the budget fractionally.
-    Items costing more than the budget fit in no selection and are left out.
-    """
-    total = sum(r for r, c in zip(profits, costs) if c == 0)
-    items = [(r, c) for r, c in zip(profits, costs) if r and 0 < c <= budget]
-    # d is a common multiple of the costs, so r * (d // c) orders r / c exactly
-    d = lcm(*(c for _, c in items))
-    items.sort(key=lambda item: item[0] * (d // item[1]), reverse=True)
-    rem = budget
-    for r, c in items:
-        if c > rem:
-            return total + r * rem // c
-        total += r
-        rem -= c
-    return total
-
-
 def dantzig_lower_bound(inst: Instance, a: DualPoint) -> tuple[int, int]:
     """(lower L, L), with L the lcm of alpha's denominators and lower a
-    lower bound on the candidate's dual value: alpha . C plus its reduced
-    profits minus their Dantzig bound, all in ints scaled by L.
+    lower bound on the candidate's dual value: alpha . C plus the least
+    reduced profit the knapsack's LP relaxation keeps within the budget
+    (nominal.lp_least_units), rounded up, all in ints scaled by L.
 
     The FPTAS rounds each reduced profit up, so lower also bounds every
     rounded value of the candidate from below, at every grid level.
@@ -296,7 +281,7 @@ def dantzig_lower_bound(inst: Instance, a: DualPoint) -> tuple[int, int]:
     scale, alpha = a.scaled
     reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
     base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
-    return base + sum(reduced) - _dantzig_bound(reduced, inst.c, inst.B), scale
+    return base + lp_least_units(reduced, inst.c, inst.B), scale
 
 
 def dual_bound_exact(

@@ -26,8 +26,9 @@ interdiction in units/cost order gives an achievable target and the LP
 relaxation a lower bound.  The DP runs only when they leave a gap, only on
 the items the LP bound leaves free, and merges only the pairs whose LP
 bound is within the greedy's.  Only the winner of the accepted level
-stores a frontier per item, capped at its target, to trace its
-interdiction back (nominal.suffix_frontiers and nominal.select_on_ties).
+stores a frontier per item, capped at its target and only for the items
+the LP bound leaves free given that target, to trace its interdiction
+back (nominal.trace_unfixed, suffix_frontiers and select_on_ties).
 The reported dp_tables and dp_states are the paper's nominal counts: one
 table of n (kmax + 1) states for every candidate whose alpha . C is within
 the level's limit, whether its DP ran or not.
@@ -58,7 +59,12 @@ from .dual import (
     scaled_reduced_profits,
 )
 from .instance import Instance, InterdictionVector, lift_interdiction
-from .nominal import least_units_within, select_on_ties, suffix_frontiers
+from .nominal import (
+    least_units_within,
+    select_on_ties,
+    suffix_frontiers,
+    trace_unfixed,
+)
 
 GUARANTEE_EXACT = "exact-opt-f"
 GUARANTEE_OPT_F = "1+eps-of-opt-f"
@@ -196,7 +202,9 @@ class BudgetTable:
     lets those items keep at most k units is the need of the last pair at
     or before k, and above the budget when there is none.  rows[n] is the
     empty selection.  states is the nominal size n (kmax + 1) of the dense
-    table the frontiers replace.
+    table the frontiers replace.  The solver's tables hold only the items
+    that the LP bound leaves free (see candidate_bits), so n, kmax and the
+    budget are theirs.
     """
 
     units: tuple[int, ...]
@@ -227,8 +235,8 @@ def min_budget_table(units, costs, budget: int, kmax: int) -> BudgetTable:
     suffix of the items (nominal.suffix_frontiers).
 
     The solver builds it only to trace back the accepted level's winner,
-    with kmax its least target, so a row has at most min(budget, kmax) + 1
-    pairs.
+    over the items the LP bound leaves free and with kmax their least
+    target, so a row has at most min(budget, kmax) + 1 pairs.
     """
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
@@ -279,10 +287,18 @@ def candidate_bits(inst: Instance, ev: CandidateEval) -> tuple[int, ...]:
     """The interdiction attaining a candidate's bound: the dense min-budget
     table's, interdict-first on ties.
 
-    Builds the frontiers only up to unit target ev.k, the least one, and
-    walks them back from its least need (``BudgetTable.traceback``).
+    The LP bound with ub = ev.k, the least target, fixes most items
+    (nominal.trace_unfixed).  The frontiers are built over the items left
+    free only, up to their least target k, and walked back from its least
+    need (``BudgetTable.traceback``).  That need plus the fixed removed
+    costs is the least need of ev.k, where the walk over all the items
+    starts.
     """
-    return min_budget_table(ev.units, inst.c, inst.B, ev.k).traceback(ev.k)
+
+    def trace(units, costs, left, k):
+        return min_budget_table(units, costs, left, k).traceback(k)
+
+    return trace_unfixed(ev.units, inst.c, inst.B, ev.k, trace)
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,20 @@ removes, or keeps, and the DP runs on the items left free.  It merges only
 the frontier pairs whose own LP bound, with the budget they have left, is
 within the greedy's (Pisinger 1997), which keeps every pair on the way to
 the least target and so the answer.
+The same sorted items give the LP bound alone (``lp_least_units``), which
+the dual scan's and the FPTAS's Dantzig screens read.
 
-A traceback stores the frontier of every suffix of the items, under a
+A traceback first fixes items by the same LP test, with the least target
+already known as ub, which fixes more of them (``trace_unfixed``).  It
+stores the frontier of every suffix of the items left free only, under a
 budget of stored pairs (``suffix_frontiers``), and walks them forward from
 a budget, selecting each item that does at least as well selected as kept
-(``select_on_ties``): from the whole budget for the exact scan, and from
-the least need of the least unit target for the FPTAS.  Both cap the rows
-at the least target, which the value-only run finds first for the exact
-scan: a capped row is a prefix of the full one, and the walk reads no pair
-beyond it.
+(``select_on_ties``): from the whole budget less the fixed removed costs
+for the exact scan, and from the least need of the free items' least
+target for the FPTAS.  Both cap the rows at that target, which the
+value-only run finds first for the exact scan: a capped row is a prefix of
+the full one, and the walk reads no pair beyond it.  The bits are those of
+the walk over all the items and their uncapped rows.
 """
 
 from __future__ import annotations
@@ -224,6 +229,102 @@ def _lp_lists(units, costs, budget: int):
     return units, costs, pcs, sus
 
 
+def _sorted_items(units, costs, budget: int):
+    """(kept, items) for the items of a budget knapsack: kept is the units
+    of the items costing more than the budget, which every selection keeps;
+    items are (key, u, c, i) for the others with units and a cost, i the
+    item's index, in decreasing units/cost order.  Zero-cost items, which
+    every selection removes, are left out."""
+    # two ratios of costs at most the budget differ by at least
+    # 1 / budget**2, so u * budget**2 // c orders u / c exactly; equal
+    # ratios go larger item first
+    kept, items, square = 0, [], budget * budget
+    for i, (u, c) in enumerate(zip(units, costs)):
+        if c > budget:
+            kept += u
+        elif u and c:
+            items.append((u * square // c, u, c, i))
+    items.sort(reverse=True)
+    return kept, items
+
+
+def _relaxation(units, costs, budget: int):
+    """(kept, items, us, cs, pcs, sus, split): ``_sorted_items``, the
+    ``_lp_lists`` of the sorted items and the LP's split item.  The LP
+    removes the items before split whole and a fraction of it (Dantzig
+    1957); when every item fits, split is the zero-unit item of cost 1 that
+    ``_lp_lists`` appends."""
+    kept, items = _sorted_items(units, costs, budget)
+    us, cs, pcs, sus = _lp_lists(
+        [u for _, u, _, _ in items], [c for _, _, c, _ in items], budget
+    )
+    return kept, items, us, cs, pcs, sus, bisect_right(pcs, budget) - 1
+
+
+def _fixed(us, cs, pcs, sus, split, budget: int, ub):
+    """(fix, left, fixed, free_units, free_costs) for items in decreasing
+    units/cost order with their ``_lp_lists`` and the LP's split item, and
+    a bound ub on the units they keep within the budget.
+
+    fix[j] is 1 when the LP bound shows that every selection within the
+    budget that keeps at most ub units removes item j, 0 when every one
+    keeps it, and None when it is left free (Ingargiola and Korsh 1973).
+    left is the budget less the costs of the items fixed removed, fixed
+    the units of those fixed kept, and free_units and free_costs are the
+    free items', in order.
+
+    The LP removes each item before split and keeps each one after it, so
+    only the other branch can exceed ub.  An item j kept leaves its cost to
+    the items after it, which the LP then reaches as if the budget were
+    budget + c; an item removed leaves budget - c, and the LP's new split t
+    lies before it.
+    """
+    fix, left, fixed, free_units, free_costs = [], budget, 0, [], []
+    for j in range(len(us) - 1):
+        u, c = us[j], cs[j]
+        if j <= split:
+            pos = budget + c
+            t = bisect_right(pcs, pos) - 1
+            if (u + sus[t] - ub) * cs[t] > (pos - pcs[t]) * us[t]:
+                fix.append(1)
+                left -= c
+                continue
+        if j >= split:
+            pos = budget - c
+            t = bisect_right(pcs, pos) - 1
+            if (sus[t] - u - ub) * cs[t] > (pos - pcs[t]) * us[t]:
+                fix.append(0)
+                fixed += u
+                continue
+        fix.append(None)
+        free_units.append(u)
+        free_costs.append(c)
+    return fix, left, fixed, free_units, free_costs
+
+
+def _least(relaxation, budget: int, kmax: int) -> int | None:
+    """``least_units_within`` for the items of a ``_relaxation``."""
+    kept, _, us, cs, pcs, sus, split = relaxation
+    # the LP removes the items before split whole; the greedy removes them
+    # too, then every later item that still fits
+    rem, greedy = budget - pcs[split], sus[split]
+    for u, c in zip(us[split:], cs[split:]):
+        if c <= rem:
+            rem -= c
+            greedy -= u
+    ub = min(kmax - kept, greedy)
+    # the LP bound on the kept units is lower / cs[split]
+    lower = sus[split] * cs[split] - (budget - pcs[split]) * us[split]
+    if lower > ub * cs[split]:
+        return None
+    if -(-lower // cs[split]) == greedy:
+        return kept + greedy
+    _, left, fixed, free_us, free_cs = _fixed(us, cs, pcs, sus, split, budget, ub)
+    us, cs, pcs, sus = _lp_lists(free_us, free_cs, left)
+    ks, _ = budget_frontier(us, cs, left, ub - fixed, bound=(pcs, sus))
+    return kept + fixed + ks[0] if ks else None
+
+
 def least_units_within(units, costs, budget: int, kmax: int) -> int | None:
     """Least k <= kmax such that removing items of total cost at most the
     budget keeps at most k units, or None when there is none.
@@ -238,67 +339,70 @@ def least_units_within(units, costs, budget: int, kmax: int) -> int | None:
     exceeds ub no target is within kmax; when its ceiling is the greedy's,
     the greedy is least.
 
-    Otherwise an item is fixed when the LP bound with it kept, or with it
-    removed, exceeds ub (Ingargiola and Korsh 1973): every selection within
-    ub removes it, or keeps it.  ``budget_frontier`` then runs on the items
-    left free, with their own LP lists as its ``bound``, the budget less
-    the fixed removed costs and kmax = ub less the fixed kept units.  It
-    stores no row, and its first pair plus the fixed units is the answer.
+    Otherwise each item that the LP bound shows every selection within ub
+    removes, or keeps, is fixed (``_fixed``).  ``budget_frontier`` then
+    runs on the items left free, with their own LP lists as its ``bound``,
+    the budget less the fixed removed costs and kmax = ub less the fixed
+    kept units.  It stores no row, and its first pair plus the fixed units
+    is the answer.
     """
     if kmax < 0 or budget < 0:
         return None
-    # two ratios of costs at most the budget differ by at least
-    # 1 / budget**2, so u * budget**2 // c orders u / c exactly
-    kept, items, square = 0, [], budget * budget
-    for u, c in zip(units, costs):
-        if c > budget:
-            kept += u
-        elif u and c:
-            items.append((u * square // c, u, c))
-    items.sort(reverse=True)
-    us, cs, pcs, sus = _lp_lists(
-        [u for _, u, _ in items], [c for _, _, c in items], budget
-    )
-    # the LP removes the items before split whole; the greedy removes them
-    # too, then every later item that still fits
-    split = bisect_right(pcs, budget) - 1
-    rem, greedy = budget - pcs[split], sus[split]
-    for u, c in zip(us[split:], cs[split:]):
-        if c <= rem:
-            rem -= c
-            greedy -= u
-    ub = min(kmax - kept, greedy)
-    # the LP bound on the kept units is lower / cs[split]
-    lower = sus[split] * cs[split] - (budget - pcs[split]) * us[split]
-    if lower > ub * cs[split]:
-        return None
-    if -(-lower // cs[split]) == greedy:
-        return kept + greedy
-    # The LP removes each item before split and keeps each one after it,
-    # so only the other branch can exceed ub.  An item j kept leaves its
-    # cost to the items after it, which the LP then reaches as if the
-    # budget were budget + c; an item removed leaves budget - c, and the
-    # LP's new split t lies before it.
-    left, fixed, free_units, free_costs = budget, 0, [], []
-    for j in range(len(us) - 1):
-        u, c = us[j], cs[j]
-        if j <= split:
-            pos = budget + c
-            t = bisect_right(pcs, pos) - 1
-            if (u + sus[t] - ub) * cs[t] > (pos - pcs[t]) * us[t]:
-                left -= c
-                continue
-        if j >= split:
-            pos = budget - c
-            t = bisect_right(pcs, pos) - 1
-            if (sus[t] - u - ub) * cs[t] > (pos - pcs[t]) * us[t]:
-                fixed += u
-                continue
-        free_units.append(u)
-        free_costs.append(c)
-    us, cs, pcs, sus = _lp_lists(free_units, free_costs, left)
-    ks, _ = budget_frontier(us, cs, left, ub - fixed, bound=(pcs, sus))
-    return kept + fixed + ks[0] if ks else None
+    return _least(_relaxation(units, costs, budget), budget, kmax)
+
+
+def lp_least_units(units, costs, budget: int) -> int:
+    """The ceiling of the least units the LP relaxation keeps within the
+    budget (Dantzig 1957): a lower bound on the units kept by every
+    removal of total cost at most the budget.  Units, costs and budget are
+    non-negative ints."""
+    kept, items = _sorted_items(units, costs, budget)
+    rem, rest = budget, sum(u for _, u, _, _ in items)
+    # the LP removes the items in order while they fit, then the fraction
+    # rem / c of the next one
+    for _, u, c, _ in items:
+        if c > rem:
+            return kept + rest - u * rem // c
+        rem -= c
+        rest -= u
+    return kept + rest
+
+
+def trace_unfixed(units, costs, budget: int, target: int, trace, relaxation=None):
+    """The bits that a walk over the suffix frontiers of all the items
+    gives, traced over the items the LP bound leaves free only.
+
+    target is the least number of units kept within the budget.
+    ``trace(units, costs, left, rest)`` walks the items left free, in index
+    order, zero-unit ones included, and returns their bits: left is the
+    budget less the costs of the items fixed removed, and rest the target
+    less the units of those fixed kept.  Zero-cost items are selected and
+    items costing more than the budget kept, as every walk does; the LP
+    bound (``_fixed``, on the items' ``_relaxation`` when the caller has
+    it) fixes the others with ub = target less the units kept.
+
+    Every selection within the budget that keeps target units removes each
+    fixed-removed item and keeps each fixed-kept one.  So at a free item of
+    the walk, a branch that can still reach the target keeps, over the
+    items after it, the free items' least units within its budget less the
+    fixed-removed costs after it, plus the fixed-kept units after it; a
+    branch that cannot stays above the target on the free items too.  Each
+    free item's tie test falls the same way, and each fixed item's bit is
+    the one its only winning branch gives.
+    """
+    if relaxation is None:
+        relaxation = _relaxation(units, costs, budget)
+    kept, items, us, cs, pcs, sus, split = relaxation
+    bits = [1 if c == 0 else 0 if c > budget else None for c in costs]
+    ub = target - kept
+    fix, left, fixed, _, _ = _fixed(us, cs, pcs, sus, split, budget, ub)
+    for (_, _, _, i), bit in zip(items, fix):
+        bits[i] = bit
+    free = [i for i, bit in enumerate(bits) if bit is None]
+    free_units, free_costs = [units[i] for i in free], [costs[i] for i in free]
+    for i, bit in zip(free, trace(free_units, free_costs, left, ub - fixed)):
+        bits[i] = bit
+    return tuple(bits)
 
 
 def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
@@ -306,15 +410,19 @@ def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
 
     Profits are non-negative ints or Fractions, scaled by the lcm d of
     their denominators to ints; costs and budget are non-negative ints.
-    The selected profit is the total minus the least kept profit, which
-    ``least_units_within`` finds by its bounded DP.  The rows for the
-    traceback (``suffix_frontiers``) are then capped at that least kept
-    profit, and the choices are traced forward from the full budget by
+    The selected profit is the total minus the least kept profit, which the
+    bounded DP of ``least_units_within`` finds.  The items are sorted for
+    it once, and with that least kept profit as ub the LP bound fixes more
+    of them (``trace_unfixed``).  The rows for the traceback
+    (``suffix_frontiers``) are stored over the items left free only,
+    capped at the least kept profit they add, and the choices are traced
+    forward from the budget less the fixed removed costs by
     ``select_on_ties``: when both keeping and selecting an item achieve the
     optimum, the item is selected.  Each capped row is a prefix of the
     uncapped one, and no suffix on the optimal walk keeps more than the
     least kept profit, so every pair the walk reads, or that would decide
-    it, is in the prefix: the choices are those of the uncapped rows.
+    it, is in the prefix: the choices are those of the uncapped rows over
+    all the items.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -325,9 +433,14 @@ def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
     d = math.lcm(*(p.denominator for p in profits))
     gains = [p.numerator * (d // p.denominator) for p in profits]
     total = sum(gains)
-    least = least_units_within(gains, costs, budget, total)
-    rows = suffix_frontiers(gains, costs, budget, least)
-    chosen = select_on_ties(rows, gains, costs, budget)
+    relaxation = _relaxation(gains, costs, budget)
+    least = _least(relaxation, budget, total)
+
+    def trace(gains, costs, left, rest):
+        rows = suffix_frontiers(gains, costs, left, rest)
+        return select_on_ties(rows, gains, costs, left)
+
+    chosen = trace_unfixed(gains, costs, budget, least, trace, relaxation)
     value = total - least
     return KnapsackAnswer(value=value if d == 1 else Fraction(value, d), chosen=chosen)
 
@@ -338,10 +451,14 @@ def _greedy_order(inst: Instance) -> tuple[int, ...]:
     # the bound keeps a long-lived process from holding every instance seen.
     # Profit-bearing items only: zero-weight ones first (they cost nothing),
     # then by profit/weight ratio descending, ties broken by lower index.
-    w = inst.W[0]
-    free_riders = [i for i in range(inst.n) if inst.p[i] > 0 and w[i] == 0]
-    weighted = [i for i in range(inst.n) if inst.p[i] > 0 and w[i] > 0]
-    weighted.sort(key=lambda i: (-Fraction(inst.p[i], w[i]), i))
+    # Two ratios of weights at most m differ by at least 1 / m**2, so
+    # p * m**2 // w orders p / w exactly, and the stable sort keeps the
+    # index order on ties.
+    p, w = inst.p, inst.W[0]
+    free_riders = [i for i in range(inst.n) if p[i] > 0 and w[i] == 0]
+    weighted = [i for i in range(inst.n) if p[i] > 0 and w[i] > 0]
+    square = max(w, default=0) ** 2
+    weighted.sort(key=lambda i: -(p[i] * square // w[i]))
     return tuple(free_riders + weighted)
 
 

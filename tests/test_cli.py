@@ -425,14 +425,38 @@ def test_exact_optf_with_costs_and_budget_beyond_ten_trillion(tmp_path, capsys):
     assert (b["opt_f"], b["x"]) == (a["opt_f"], a["x"])
 
 
-def test_exact_optf_over_the_frontier_pair_budget_exits_4(tmp_path, capsys):
-    # p_i = c_i = 2^(n-1-i): every subset has its own cost, so the frontier
-    # of the last k items holds 2^k pairs, and unguarded the stored rows
-    # grow as 2^n
+def test_exact_optf_solves_the_doubling_costs_at_the_lp_root(tmp_path, capsys):
+    # p_i = c_i = 2^(n-1-i) and B = 2^(n-1) - 1: every subset has its own
+    # cost, so the whole frontier of the last k items holds 2^k pairs; but
+    # the greedy removal fills the budget, so the LP bound fixes every item
+    # and no frontier row is stored
     n = 40
     p = [2 ** (n - 1 - i) for i in range(n)]
     inst = Instance(
         n=n, t=1, p=tuple(p), c=tuple(p), W=((1,) * n,), B=(2**n - 1) // 2, C=(n,)
+    )
+    path = write(tmp_path, "doubling.json", serialize_instance(inst))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "exact-optf", "--input", path)
+    assert time.perf_counter() - start < 15
+    assert code == 0
+    # every item fits the capacity, so F(x) is the surviving profit; item 0
+    # costs more than the budget and all the others fit it together
+    result = json.loads(out)
+    assert result["opt_f"] == str(2 ** (n - 1))
+    assert result["x"] == [0] + [1] * (n - 1)
+
+
+def test_exact_optf_over_the_frontier_pair_budget_exits_4(tmp_path, capsys):
+    # p_i = c_i = 2^(n-i): every subset has its own cost, so the frontier of
+    # the last k items holds 2^k pairs, and unguarded the stored rows grow
+    # as 2^n.  The costs are even and B odd, so the greedy removal never
+    # fills the budget, the LP bound fixes no item, and every row is stored
+    n = 40
+    p = [2 ** (n - i) for i in range(n)]
+    inst = Instance(
+        n=n, t=1, p=tuple(p), c=tuple(p), W=((1,) * n,),
+        B=2 ** (n - 1) + 2 ** (n - 3) + 1, C=(n,),
     )
     path = write(tmp_path, "adversarial.json", serialize_instance(inst))
     start = time.perf_counter()

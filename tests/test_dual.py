@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kinterdict import dual
 from kinterdict.dual import (
     DualPoint,
-    _dantzig_bound,
     candidate_set,
     dual_bound_exact,
     dual_breakpoints,
@@ -22,6 +21,7 @@ from kinterdict.nominal import (
     DimensionMismatchError,
     fractional_knapsack,
     knapsack_max_budget,
+    lp_least_units,
 )
 from kinterdict.oracles import brute_force_opt_f, vertex_lp_optimum
 
@@ -437,9 +437,11 @@ def test_exact_scan_skips_candidates_whose_bound_ties_the_incumbent(monkeypatch)
     st.integers(0, 30),
 )
 def test_dantzig_bound_is_at_least_the_knapsack_optimum(items, budget):
+    # the floor of the LP relaxation's most removed profit is the total
+    # less the ceiling of its least kept profit
     profits = [r for r, _ in items]
     costs = [c for _, c in items]
-    bound = _dantzig_bound(profits, costs, budget)
+    bound = sum(profits) - lp_least_units(profits, costs, budget)
     best = knapsack_max_budget(profits, costs, budget).value
     assert bound >= best
     if sum(costs) <= budget:

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinterdict import nominal
+from kinterdict.dual import DualPoint
+from kinterdict.fptas import CandidateEval, candidate_bits, min_budget_table
 from kinterdict.generator import SplitMix64
 from kinterdict.instance import Instance, InterdictionVector
 from kinterdict.nominal import (
@@ -15,6 +17,8 @@ from kinterdict.nominal import (
     fractional_knapsack,
     knapsack_max_budget,
     least_units_within,
+    select_on_ties,
+    suffix_frontiers,
 )
 from kinterdict.oracles import vertex_lp_optimum
 
@@ -179,6 +183,49 @@ def test_bounded_knapsack_max_budget_matches_dense_reference(items, budget):
     ans = knapsack_max_budget(profits, costs, budget)
     ref = dense_knapsack_max_budget(profits, costs, budget)
     assert (ans.value, ans.chosen) == (ref.value, ref.chosen)
+
+
+# tracebacks over the items the LP bound leaves free
+
+# items of units/cost 2/3, so that many ratios are equal
+_equal_ratio = st.integers(1, 6).map(lambda m: (2 * m, 3 * m))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.one_of(st.tuples(_units, _cost), _equal_ratio), max_size=14),
+    _budget,
+    st.integers(0, 700),
+)
+# zero units, zero costs and a cost above the budget, all in one instance
+@example(items=[(0, 3), (4, 0), (0, 0), (5, 13), (3, 2), (2, 3)], budget=4, kmax=20)
+# every item is fixed: item 0 kept, the other two removed
+@example(items=[(2, 5), (8, 1), (7, 2)], budget=3, kmax=30)
+# equal ratios, the greedy short of the budget
+@example(items=[(2, 3), (4, 6), (6, 9), (2, 3)], budget=10, kmax=40)
+def test_traces_over_the_free_items_match_the_full_tracebacks(items, budget, kmax):
+    # candidate_bits and knapsack_max_budget store rows over the items the
+    # LP bound leaves free only; their bits are those of the walks over all
+    # the items, and of the dense tables
+    units = [u for u, _ in items]
+    costs = [c for _, c in items]
+    k = least_units_within(units, costs, budget, kmax)
+    if k is not None:
+        full = min_budget_table(units, costs, budget, k).traceback(k)
+        inst = Instance(
+            n=len(units), t=1, p=tuple(units), c=tuple(costs),
+            W=((1,) * len(units),), B=budget, C=(1,),
+        )
+        ev = CandidateEval(value=None, k=k, units=units, alpha=DualPoint.of(0))
+        assert candidate_bits(inst, ev) == full
+        assert dense_min_budget_table(units, costs, k).traceback(k) == full
+    ans = knapsack_max_budget(units, costs, budget)
+    least = sum(units) - ans.value
+    rows = suffix_frontiers(units, costs, budget, least)
+    assert ans.chosen == select_on_ties(rows, units, costs, budget)
+    if budget <= 60:
+        ref = dense_knapsack_max_budget(units, costs, budget)
+        assert (ans.value, ans.chosen) == (ref.value, ref.chosen)
 
 
 # fractional_knapsack
