@@ -43,12 +43,12 @@ from .instance import (
 )
 from .nominal import (
     KnapsackAnswer,
-    best_integer_packing,
     fractional_knapsack,
     knapsack_max_budget,
 )
 from .oracles import (
     OracleReport,
+    best_integer_packing,
     brute_force_opt_f,
     brute_force_opt_i,
     oracle_report,

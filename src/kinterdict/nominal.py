@@ -3,9 +3,8 @@
 These are the inner building blocks everything else reduces to: one 0-1
 knapsack DP over an integer budget, kept as Pareto frontiers (the least
 budget per kept-profit level), which serves the FPTAS's value test and
-traceback, the exact dual scan and the t = 1 integer packing; the greedy
-fractional knapsack for single-capacity instances; and the exact integer
-packing value of the survivors of an interdiction.
+traceback and the exact dual scan; and the greedy fractional knapsack for
+single-capacity instances.
 
 A value-only run (``least_units_within``) takes the items in decreasing
 units/cost order and first brackets its answer: the greedy removal keeps
@@ -39,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import neg
 
 from .instance import FractionalPacking, Instance, InterdictionVector
@@ -53,8 +52,8 @@ class StateLimitError(ValueError):
     """A DP would exceed its state budget."""
 
 
-# The budget of frontier pairs one suffix_frontiers call may store, the
-# same as best_integer_packing's default state limit.
+# The budget of frontier pairs one suffix_frontiers call may store, about
+# 470 MB of stored rows.
 FRONTIER_PAIR_LIMIT = 10_000_000
 
 
@@ -494,90 +493,3 @@ def fractional_knapsack(inst: Instance, x: InterdictionVector) -> FractionalPack
         value=Fraction(value),
         frac_support=frac_support,
     )
-
-
-def best_integer_packing(
-    inst: Instance, x: InterdictionVector, state_limit: int = 10_000_000
-) -> KnapsackAnswer:
-    """Exact best integer packing of the items surviving interdiction x.
-
-    t = 1 is ``knapsack_max_budget`` over the survivors, with weights as
-    costs and the capacity as budget: at most n * (C + 1) frontier pairs.
-    For t >= 2 the DP is over the full product of capacities.  Both are
-    guarded by their nominal state counts against ``state_limit``; they
-    exist as desk-scale ground truth, not as scalable solvers.
-    """
-    survivors = [i for i in range(inst.n) if not x.bits[i]]
-    if inst.t == 1:
-        return _packing_1d(inst, survivors, state_limit)
-    return _packing_multi(inst, survivors, state_limit)
-
-
-def _packing_1d(inst: Instance, survivors, state_limit: int) -> KnapsackAnswer:
-    C = inst.C[0]
-    if len(survivors) * (C + 1) > state_limit:
-        raise StateLimitError(
-            f"{len(survivors)} items x {C + 1} capacity states exceeds "
-            f"limit {state_limit}"
-        )
-    w = inst.W[0]
-    answer = knapsack_max_budget(
-        [inst.p[i] for i in survivors], [w[i] for i in survivors], C
-    )
-    chosen = [0] * inst.n
-    for i, bit in zip(survivors, answer.chosen):
-        chosen[i] = bit
-    return KnapsackAnswer(value=answer.value, chosen=tuple(chosen))
-
-
-def _packing_multi(inst: Instance, survivors, state_limit: int) -> KnapsackAnswer:
-    caps = inst.C
-    t = inst.t
-    sizes = [c + 1 for c in caps]
-    n_states = math.prod(sizes)
-    if len(survivors) * n_states > state_limit:
-        raise StateLimitError(
-            f"{len(survivors)} items x {n_states} capacity states exceeds "
-            f"limit {state_limit}"
-        )
-    strides = [0] * t
-    acc = 1
-    for j in range(t - 1, -1, -1):
-        strides[j] = acc
-        acc *= sizes[j]
-
-    def idx(coords) -> int:
-        return sum(coords[j] * strides[j] for j in range(t))
-
-    dp = [0] * n_states
-    snaps = [dp[:]]
-    for k in survivors:
-        wv = inst.weight_of(k)
-        pi = inst.p[k]
-        if all(v == 0 for v in wv):
-            if pi > 0:
-                dp = [v + pi for v in dp]
-        else:
-            offset = idx(wv)
-            # descending lexicographic order: the source state (coords - wv)
-            # still holds the previous item's value when it is read
-            for coords in product(
-                *(range(caps[j], wv[j] - 1, -1) for j in range(t))
-            ):
-                i0 = idx(coords)
-                cand = dp[i0 - offset] + pi
-                if cand > dp[i0]:
-                    dp[i0] = cand
-        snaps.append(dp[:])
-
-    chosen = [0] * inst.n
-    coords = list(caps)
-    for k in range(len(survivors) - 1, -1, -1):
-        i = survivors[k]
-        cur, prev = snaps[k + 1], snaps[k]
-        at = idx(coords)
-        if cur[at] != prev[at]:
-            chosen[i] = 1
-            wv = inst.weight_of(i)
-            coords = [coords[j] - wv[j] for j in range(t)]
-    return KnapsackAnswer(value=snaps[-1][idx(caps)], chosen=tuple(chosen))

@@ -6,23 +6,35 @@ relaxed optimum, the additive-gap witness (the smallest possible "largest
 surviving profit" among optimal interdictions), and an LP evaluator that
 enumerates basic feasible points instead of running a greedy.  These are the
 independent second route every fast path is checked against.
+
+The integer packing is its own dense DP over the product of the capacities,
+value only and in ints, for every t: it shares no code with the frontier
+DPs of ``nominal`` that the solvers run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import comb, prod
+from operator import mul
 
 from .instance import FractionalPacking, Instance, InterdictionVector
 from .linalg import solve_square_system
-from .nominal import best_integer_packing, fractional_knapsack
+from .nominal import StateLimitError, fractional_knapsack
 
 
-# Most DP states the integer oracle may visit in one call: 2^n interdictions,
-# each a best_integer_packing of at most n x prod(C_j + 1) states.
+# Most DP states the integer oracle may predict for one call: 2^n
+# interdictions, each a packing of at most n x prod(C_j + 1) states.  It
+# bounds the walk of brute_force_opt_i from above, which adds an item to a
+# row fewer than 2^n times, each row prod(C_j + 1) cells.
 WORK_BUDGET = 10**8
+
+# Most packing states, items x prod(C_j + 1), that one best_integer_packing
+# call, or the rows live at once along the walk of brute_force_opt_i, hold.
+PACKING_STATE_LIMIT = 10_000_000
 
 # Most LP points the relaxed oracle may enumerate in one call when t >= 2:
 # 2^n interdictions, each a vertex_lp_optimum over at most
@@ -89,32 +101,104 @@ def _mask_bits(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
 
 
+def _packing(inst: Instance, items: int, state_limit: int):
+    """(row, add): the empty packing row of the instance, and a function
+    that returns a row with item i added.
+
+    A row holds, for each capacity use k in the product of the ranges
+    0..C_j, the most profit of a selection whose weight is at most k in
+    every capacity; the last capacity varies fastest.  Adding an item sets
+    row[k] = max(old[k], old[k - w] + p) for every k >= w, one slice per
+    run of the last capacity, in a copy of the old row, which is left as it
+    is.  An item heavier than a capacity adds nothing, and its row is the
+    old one.  Raises StateLimitError, before any row exists, when items
+    rows would pass state_limit states.
+    """
+    sizes = [c + 1 for c in inst.C]
+    states = prod(sizes)
+    if items * states > state_limit:
+        raise StateLimitError(
+            f"{items} items x {states} capacity states exceeds limit {state_limit}"
+        )
+    strides = [prod(sizes[j + 1:]) for j in range(inst.t)]
+
+    def add(row: list[int], i: int) -> list[int]:
+        w = inst.weight_of(i)
+        if any(wj > cj for wj, cj in zip(w, inst.C)):
+            return row
+        p, shift = inst.p[i], sum(map(mul, w, strides))
+        lo, hi = w[-1], sizes[-1]
+        new = row[:]
+        for base in map(sum, product(
+            *(range(wj * s, z * s, s) for wj, z, s in zip(w[:-1], sizes, strides))
+        )):
+            a, b = base + lo, base + hi
+            new[a:b] = map(max, row[a:b], [v + p for v in row[a - shift:b - shift]])
+        return new
+
+    return [0] * states, add
+
+
+def best_integer_packing(
+    inst: Instance, x: InterdictionVector, state_limit: int = PACKING_STATE_LIMIT
+) -> int:
+    """Exact best integer packing value of the items surviving interdiction
+    x: the dense DP of ``_packing`` folded over the survivors.
+
+    Guarded by survivors x prod(C_j + 1) states against ``state_limit``; it
+    exists as desk-scale ground truth, not as a scalable solver.
+    """
+    survivors = [i for i in range(inst.n) if not x.bits[i]]
+    row, add = _packing(inst, len(survivors), state_limit)
+    return reduce(add, survivors, row)[-1]
+
+
 def brute_force_opt_i(
     inst: Instance, limit: int = 20, max_optima: int = 10**6
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Exact integer interdiction optimum and every attaining interdiction.
+    """Exact integer interdiction optimum and every attaining interdiction,
+    in increasing order of their bitmasks (item i is bit i).
 
     Refuses, before enumerating anything, an instance with more than
-    ``limit`` items or whose predicted DP states, 2^n times the n x
-    prod(C_j + 1) that best_integer_packing checks per call, exceed
-    ``WORK_BUDGET``.
+    ``limit`` items, or whose predicted DP states, 2^n times n x
+    prod(C_j + 1), exceed ``WORK_BUDGET``; and raises StateLimitError when
+    n x prod(C_j + 1) exceeds ``PACKING_STATE_LIMIT``, which bounds the at
+    most n + 1 rows live at once.
+
+    A depth-first walk decides items n - 1 down to 0, the keep branch
+    first, and interdicts an item only while the budget allows, so it meets
+    the budget-feasible interdictions in increasing mask order.  Keeping an
+    item adds it to the packing row of the survivors decided so far; the
+    row is shared by the whole subtree below, and an interdicted item
+    leaves it as it is.  So the walk adds an item fewer than 2^n times.
     """
     _refuse_integer_work(inst, limit)
+    empty, add = _packing(inst, inst.n, PACKING_STATE_LIMIT)
     best: int | None = None
     argmins: list[tuple[int, ...]] = []
-    for mask in _feasible_interdictions(inst):
-        bits = _mask_bits(mask, inst.n)
-        x = InterdictionVector.from_bits(bits, inst.c)
-        k = best_integer_packing(inst, x).value
-        if best is None or k < best:
-            best = k
-            argmins = [bits]
-        elif k == best:
-            if len(argmins) >= max_optima:
-                raise TooManyOptimaError(
-                    f"more than {max_optima} optimal interdictions"
-                )
-            argmins.append(bits)
+    bits = [0] * inst.n
+
+    def walk(i: int, row: list[int], spent: int) -> None:
+        nonlocal best, argmins
+        if i < 0:
+            k = row[-1]
+            if best is None or k < best:
+                best = k
+                argmins = [tuple(bits)]
+            elif k == best:
+                if len(argmins) >= max_optima:
+                    raise TooManyOptimaError(
+                        f"more than {max_optima} optimal interdictions"
+                    )
+                argmins.append(tuple(bits))
+            return
+        walk(i - 1, add(row, i), spent)
+        if spent + inst.c[i] <= inst.B:
+            bits[i] = 1
+            walk(i - 1, row, spent + inst.c[i])
+            bits[i] = 0
+
+    walk(inst.n - 1, empty, 0)
     assert best is not None  # the empty interdiction is always feasible
     return best, tuple(argmins)
 

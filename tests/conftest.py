@@ -329,6 +329,32 @@ def min_units_within(table, budget) -> int | None:
     return None
 
 
+def enumerated_opt_i(inst: Instance):
+    """(opt_i, optima) by plain enumeration: every budget-feasible
+    interdiction in increasing bitmask order (item i is bit i), each valued
+    by its best packing over every subset of its survivors.  The reference
+    for oracles.brute_force_opt_i."""
+    best, optima = None, []
+    for mask in range(1 << inst.n):
+        bits = tuple((mask >> i) & 1 for i in range(inst.n))
+        if sum(c for c, b in zip(inst.c, bits) if b) > inst.B:
+            continue
+        value = max(
+            sum(p for p, y in zip(inst.p, ys) if y)
+            for ys in product((0, 1), repeat=inst.n)
+            if not any(b and y for b, y in zip(bits, ys))
+            and all(
+                sum(w * y for w, y in zip(row, ys)) <= cap
+                for row, cap in zip(inst.W, inst.C)
+            )
+        )
+        if best is None or value < best:
+            best, optima = value, [bits]
+        elif value == best:
+            optima.append(bits)
+    return best, tuple(optima)
+
+
 def round_down_packing(fp: FractionalPacking, profits) -> KnapsackAnswer:
     """Zero out the fractional coordinates of an LP vertex.
 

@@ -29,8 +29,13 @@ from kinterdict.fptas import (
 )
 from kinterdict.generator import SplitMix64, generate_instance
 from kinterdict.instance import InterdictionVector, preprocess, serialize_instance
-from kinterdict.nominal import best_integer_packing, fractional_knapsack
-from kinterdict.oracles import brute_force_opt_f, brute_force_opt_i, oracle_report
+from kinterdict.nominal import fractional_knapsack
+from kinterdict.oracles import (
+    best_integer_packing,
+    brute_force_opt_f,
+    brute_force_opt_i,
+    oracle_report,
+)
 
 from conftest import (
     T1,
@@ -105,7 +110,7 @@ def test_criterion_3_two_plus_eps_guarantee():
         opt_i, _ = brute_force_opt_i(inst)
         for eps in (Fraction(1), Fraction(1, 2)):
             sol = approx_interdiction(inst, eps)
-            k = best_integer_packing(inst, xvec(inst, sol.x)).value
+            k = best_integer_packing(inst, xvec(inst, sol.x))
             assert k <= (2 + eps) * opt_i, f"2+eps broken at eps={eps}, n={inst.n}"
             checked += 1
     elapsed = time.time() - start
@@ -253,7 +258,7 @@ def test_criterion_7_multidimensional():
     for inst in big:
         opt_i, _ = brute_force_opt_i(inst)
         sol = approx_interdiction(inst, eps)
-        k = best_integer_packing(inst, xvec(inst, sol.x)).value
+        k = best_integer_packing(inst, xvec(inst, sol.x))
         assert k <= (1 + inst.t + eps) * opt_i, "1+t+eps guarantee broken"
         guarantee_checked += 1
     elapsed = time.time() - start

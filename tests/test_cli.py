@@ -165,14 +165,28 @@ def test_oracle_too_large_exits_4(tmp_path, capsys):
 
 
 def test_oracle_packing_over_state_limit_exits_4(tmp_path, capsys):
-    # six items fit --max-n, but the t = 3 packing DP has 4225068 capacity
-    # states per item, over best_integer_packing's state limit
-    inst = generate_instance(n=6, t=3, seed=300, pmax=100, wmax=100, cmax=30)
-    path = write(tmp_path, "t3.json", serialize_instance(inst))
-    code, out, err = run(capsys, "oracle", "--input", path, "--max-n", "12")
-    assert code == 4 and out == ""
-    assert err.startswith("error: ") and "exceeds limit" in err
-    assert "Traceback" not in err
+    # Six items fit --max-n, but their t = 3 packing DP predicts more states
+    # than the work budget.  One item with C = 2 * 10^7 fits the work
+    # budget, 2^1 x 20000001 states, but its packing row does not fit the
+    # state limit, which refuses it before any row exists.
+    t3 = generate_instance(n=6, t=3, seed=300, pmax=100, wmax=100, cmax=30)
+    cases = (
+        (
+            serialize_instance(t3),
+            "error: 2^6 interdictions x 25350408 packing states exceeds "
+            "limit 100000000\n",
+        ),
+        (
+            '{"n":1,"t":1,"p":[5],"c":[1],"w":[[1]],"B":0,"C":[20000000]}',
+            "error: 1 items x 20000001 capacity states exceeds limit 10000000\n",
+        ),
+    )
+    for k, (text, expected) in enumerate(cases):
+        path = write(tmp_path, f"case-{k}.json", text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "--input", path, "--max-n", "12")
+        assert time.perf_counter() - start < 5
+        assert code == 4 and out == "" and err == expected
 
 
 def test_oracle_over_work_budget_exits_4_at_once(tmp_path, capsys):

@@ -34,12 +34,8 @@ from kinterdict.fptas import (
 )
 from kinterdict.generator import SplitMix64
 from kinterdict.instance import Instance, InterdictionVector
-from kinterdict.nominal import (
-    best_integer_packing,
-    budget_frontier,
-    least_units_within,
-)
-from kinterdict.oracles import brute_force_opt_f
+from kinterdict.nominal import budget_frontier, least_units_within
+from kinterdict.oracles import best_integer_packing, brute_force_opt_f
 
 from conftest import (
     T1,
@@ -558,14 +554,14 @@ def test_approx_fractional_rejects_bad_eps():
 def test_approx_interdiction_t1():
     sol = approx_interdiction(T1, Fraction(1, 2))
     assert sol.guarantee == GUARANTEE_SINGLE
-    k = best_integer_packing(T1, xvec(T1, sol.x)).value
+    k = best_integer_packing(T1, xvec(T1, sol.x))
     assert k <= Fraction(5, 2) * 2  # oracle OPT_I = 2
 
 
 def test_approx_interdiction_t2():
     sol = approx_interdiction(T2, Fraction(1))
     assert sol.guarantee == GUARANTEE_MULTI
-    k = best_integer_packing(T2, xvec(T2, sol.x)).value
+    k = best_integer_packing(T2, xvec(T2, sol.x))
     assert k <= (1 + T2.t + 1) * 3  # oracle OPT_I(T2) = 3
 
 

@@ -2,22 +2,24 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinterdict import oracles
 from kinterdict.dual import exact_fractional_optimum
 from kinterdict.generator import generate_instance
 from kinterdict.instance import Instance, InterdictionVector, preprocess
-from kinterdict.nominal import best_integer_packing
 from kinterdict.oracles import (
     InstanceTooLargeError,
     TooManyOptimaError,
+    best_integer_packing,
     brute_force_opt_f,
     brute_force_opt_i,
     oracle_report,
     vertex_lp_optimum,
 )
 
-from conftest import T1, T2, family
+from conftest import T1, T2, enumerated_opt_i, family, instance_strategy
 
 
 def xvec(inst, bits):
@@ -38,7 +40,7 @@ def test_opt_i_budget_covers_everything():
 def test_opt_i_zero_budget_is_unhindered_packing():
     inst = Instance(n=2, t=1, p=(3, 2), c=(1, 1), W=((2, 2),), B=0, C=(2,))
     opt, optima = brute_force_opt_i(inst)
-    assert opt == best_integer_packing(inst, xvec(inst, (0, 0))).value == 3
+    assert opt == best_integer_packing(inst, xvec(inst, (0, 0))) == 3
     assert optima == ((0, 0),)
 
 
@@ -54,6 +56,18 @@ def test_opt_i_optima_cap_overflows_honestly():
     )
     with pytest.raises(TooManyOptimaError):
         brute_force_opt_i(inst, max_optima=100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, 2)).flatmap(
+        lambda t: instance_strategy(max_n=6, t=t, max_value=6)
+    )
+)
+def test_opt_i_walk_matches_enumeration(inst):
+    # zero profits, weights and costs and weights above a capacity are all
+    # drawn; the optima must come in increasing bitmask order
+    assert brute_force_opt_i(inst) == enumerated_opt_i(inst)
 
 
 def test_opt_f_t1_and_zero_profit():
