@@ -13,7 +13,9 @@ over interdictions at a fixed alpha is a 0-1 knapsack over the reduced
 profits, which gives the exact pseudopolynomial solver for the relaxed
 optimum.
 
-The vertices are found per zero-set: the coordinates a subset's coordinate
+One enumeration, ``dual_vertex_candidates``, finds them for every t
+(``dual_breakpoints`` is the same set, checked to be for t = 1).  The
+vertices are found per zero-set: the coordinates a subset's coordinate
 planes fix at 0 drop out, and the item planes leave a smaller square system
 on the rest.  Its item subsets are walked depth-first in ints
 (``linalg.subset_minors``), so the minors of rows shared by many subsets
@@ -161,12 +163,11 @@ def dual_breakpoints(inst: Instance) -> CandidateSet:
 
     The dual objective is piecewise linear in alpha with breakpoints exactly
     at these ratios, so its minimum over alpha >= 0 is attained here.  They
-    are the vertices of ``dual_vertex_candidates`` for t = 1, found the
-    same way.
+    are the vertices of ``dual_vertex_candidates`` for t = 1.
     """
     if inst.t != 1:
         raise DimensionMismatchError(f"dual_breakpoints needs t=1, got t={inst.t}")
-    return _arrangement_vertices(inst)
+    return dual_vertex_candidates(inst)
 
 
 def dual_vertex_candidates(inst: Instance) -> CandidateSet:
@@ -174,14 +175,7 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
 
     Every t-subset of the n + t hyperplanes {p_i = w_i . alpha} and
     {alpha_j = 0} contributes its unique solution when the system is
-    nonsingular and the solution is componentwise non-negative.  Agrees with
-    ``dual_breakpoints`` when t = 1.
-    """
-    return _arrangement_vertices(inst)
-
-
-def _arrangement_vertices(inst: Instance) -> CandidateSet:
-    """The vertices of the dual arrangement, for both public enumerations.
+    nonsingular and the solution is componentwise non-negative.
 
     A subset of the planes fixes the coordinates of its coordinate planes,
     a zero-set S, at 0 and leaves the (t - |S|)-square system of its item
@@ -230,11 +224,6 @@ def _arrangement_vertices(inst: Instance) -> CandidateSet:
     )
 
 
-def candidate_set(inst: Instance) -> CandidateSet:
-    """The breakpoints for t = 1, the vertices of the arrangement otherwise."""
-    return dual_breakpoints(inst) if inst.t == 1 else dual_vertex_candidates(inst)
-
-
 @dataclass(frozen=True)
 class PreparedInstance:
     """An instance after ``preprocess``, with its dual candidate set.
@@ -251,9 +240,8 @@ class PreparedInstance:
 def prepare(inst: Instance) -> PreparedInstance:
     """Preprocess an instance and enumerate the candidates of the result."""
     reduced, index_map = preprocess(inst)
-    return PreparedInstance(
-        reduced=reduced, index_map=index_map, candidates=candidate_set(reduced)
-    )
+    candidates = dual_vertex_candidates(reduced)
+    return PreparedInstance(reduced=reduced, index_map=index_map, candidates=candidates)
 
 
 def scaled_reduced_profits(p, W, scale: int, alpha) -> list[int]:
@@ -310,8 +298,8 @@ def exact_fractional_optimum(
 
     Pseudopolynomial: at most one budget knapsack per candidate.  Ties
     between candidates are broken by the first point in sorted order.  A
-    shared ``candidates`` must be ``candidate_set(inst)``; it is built when
-    omitted.
+    shared ``candidates`` must be ``dual_vertex_candidates(inst)``; it is
+    built when omitted.
 
     Once there is an incumbent value v, a later candidate is skipped when,
     in ints scaled by L, (alpha L) . C >= v L, or else when its
@@ -320,7 +308,7 @@ def exact_fractional_optimum(
     ``value < v`` update: the answer is the unpruned scan's, ties included.
     """
     if candidates is None:
-        candidates = candidate_set(inst)
+        candidates = dual_vertex_candidates(inst)
     best = None
     for a, dot in zip(candidates.points, candidates.dots):
         if best is not None:

@@ -6,7 +6,8 @@ vector C of length t.  The interdictor deletes items subject to
 ``sum(c[i] for deleted i) <= B`` to minimise the best packing value of the
 survivors under ``W y <= C``.
 
-All values are arbitrary-precision integers.  The JSON format also accepts
+All values are arbitrary-precision integers, within Python's limit on the
+digits of one int (4300 by default).  The JSON format also accepts ASCII
 decimal strings for values that overflow typical 64-bit readers.
 """
 
@@ -94,9 +95,15 @@ def _as_nonneg_int(value, field: str) -> int:
     elif isinstance(value, str):
         s = value.strip()
         body = s[1:] if s.startswith("-") else s
-        if not body.isdigit():
+        # str.isdigit also holds for other scripts' digits and superscripts
+        if not (body.isascii() and body.isdigit()):
             raise SchemaViolationError(field, f"not a decimal integer: {value!r}")
-        n = int(s)
+        try:
+            n = int(s)
+        except ValueError as exc:  # past Python's limit on digits parsed
+            raise SchemaViolationError(
+                field, f"{len(body)} digits, too many to read"
+            ) from exc
     else:
         raise SchemaViolationError(field, "expected a non-negative integer")
     if n < 0:
@@ -118,13 +125,14 @@ def parse_instance(text) -> Instance:
     """Parse and validate an instance from JSON text or bytes.
 
     Field order is irrelevant; unknown keys, missing fields, negative values,
-    floats, and length mismatches are all rejected.
+    floats, digits other than ASCII ones, values past the digit limit, and
+    length mismatches are all rejected.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         raw = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or too many digits
         raise MalformedSyntaxError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaViolationError("<root>", "top-level value must be an object")

@@ -16,12 +16,13 @@ the frontier pairs whose own LP bound, with the budget they have left, is
 within the greedy's (Pisinger 1997), which keeps every pair on the way to
 the least target and so the answer.
 The same sorted items give the LP bound alone (``lp_least_units``), which
-the dual scan's and the FPTAS's Dantzig screens read.
+the dual scan's and the FPTAS's Dantzig screens read.  Every frontier run,
+value-only or stored, has one budget of pairs built (FRONTIER_PAIR_LIMIT).
 
 A traceback first fixes items by the same LP test, with the least target
 already known as ub, which fixes more of them (``trace_unfixed``).  It
 stores the frontier of every suffix of the items left free only, under a
-budget of stored pairs (``suffix_frontiers``), and walks them forward from
+budget of pairs (``suffix_frontiers``), and walks them forward from
 a budget, selecting each item that does at least as well selected as kept
 (``select_on_ties``): from the whole budget less the fixed removed costs
 for the exact scan, and from the least need of the free items' least
@@ -52,8 +53,8 @@ class StateLimitError(ValueError):
     """A DP would exceed its state budget."""
 
 
-# The budget of frontier pairs one suffix_frontiers call may store, about
-# 470 MB of stored rows.
+# The budget of frontier pairs one budget_frontier run may build, stored
+# rows or a value-only run's: about 470 MB when every row is stored.
 FRONTIER_PAIR_LIMIT = 10_000_000
 
 
@@ -79,13 +80,13 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None, bound=None):
     from the first pair is feasible, so no pair above that target or above
     kmax can lead to the least one, and none is kept: each list is a
     prefix of the uncapped frontier.  An empty frontier means no target is
-    feasible; a negative budget or kmax starts with one.  With ``rows`` a
-    list, the frontier after each item is appended to it, starting with the
-    empty selection, and StateLimitError is raised before a row is built
-    whose merge could take the pairs stored past FRONTIER_PAIR_LIMIT: a
-    merge yields at most the pairs it reads from both branches.  A
-    zero-unit item's row is the one before it, lists shared, and stores
-    nothing.  Without ``rows``, the loop stops at the first empty frontier.
+    feasible; a negative budget or kmax starts with one.  StateLimitError
+    is raised before a row is built whose merge could take the pairs built
+    past FRONTIER_PAIR_LIMIT: a merge yields at most the pairs it reads
+    from both branches.  With ``rows`` a list, the frontier after each item
+    is appended to it, starting with the empty selection; a zero-unit
+    item's row is the one before it, lists shared, and builds nothing.
+    Without ``rows``, the loop stops at the first empty frontier.
 
     ``bound`` = (pcs, sus), which only ``least_units_within`` passes, keeps
     only the pairs that can still reach a target at most kmax.  The items
@@ -104,9 +105,9 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None, bound=None):
     along a merge, one pointer per row finds the LP's split item.
     """
     ks, needs = ([0], [0]) if budget >= 0 and kmax >= 0 else ([], [])
+    made = len(ks)
     if rows is not None:
         rows.append((ks, needs))
-        stored = len(ks)
     bounded = bound is not None
     if bounded:
         pcs, sus = bound
@@ -120,9 +121,9 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None, bound=None):
             i = bisect_left(needs, c - budget, key=neg)  # first need + c <= budget
             iend = bisect_right(ks, cap)
             j, jend = 0, bisect_right(ks, cap - u)
-            if rows is not None and stored + iend - i + jend > FRONTIER_PAIR_LIMIT:
+            if made + iend - i + jend > FRONTIER_PAIR_LIMIT:
                 raise StateLimitError(
-                    f"stored knapsack frontiers exceed {FRONTIER_PAIR_LIMIT} pairs"
+                    f"knapsack frontiers exceed {FRONTIER_PAIR_LIMIT} pairs"
                 )
             if bounded:
                 # items s.. are still to come; pos is the prefix cost that
@@ -167,8 +168,7 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None, bound=None):
                     nk.append(k)
                     nn.append(v)
             ks, needs = nk, nn
-            if rows is not None:
-                stored += len(ks)
+            made += len(ks)
         if rows is not None:
             rows.append((ks, needs))
         elif not ks:
@@ -182,7 +182,7 @@ def suffix_frontiers(gains, costs, budget: int, kmax) -> list:
 
     Built in reverse index order by ``budget_frontier``, so each row is
     capped as there, at kmax and at the gain sum its first pair can still
-    reach, and the stored pairs are bounded by FRONTIER_PAIR_LIMIT.
+    reach, and the pairs are bounded by FRONTIER_PAIR_LIMIT.
     """
     rows: list = []
     budget_frontier(gains[::-1], costs[::-1], budget, kmax, rows)
@@ -476,10 +476,7 @@ def fractional_knapsack(inst: Instance, x: InterdictionVector) -> FractionalPack
     for i in _greedy_order(inst):
         if x.bits[i]:
             continue
-        if w[i] == 0:
-            y[i] = 1
-            value += inst.p[i]
-        elif rem >= w[i]:
+        if rem >= w[i]:
             y[i] = 1
             value += inst.p[i]
             rem -= w[i]

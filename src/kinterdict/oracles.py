@@ -7,7 +7,8 @@ surviving profit" among optimal interdictions), and an LP evaluator that
 enumerates basic feasible points instead of running a greedy.  These are the
 independent second route every fast path is checked against.
 
-The integer packing is its own dense DP over the product of the capacities,
+Both brute forces share one depth-first walk of the interdictions.  The
+integer packing is its own dense DP over the product of the capacities,
 value only and in ints, for every t: it shares no code with the frontier
 DPs of ``nominal`` that the solvers run.
 """
@@ -58,18 +59,6 @@ class OracleReport:
     optimal_x_list: tuple[tuple[int, ...], ...]
 
 
-def _feasible_interdictions(inst: Instance):
-    # cost per bitmask by the low-bit recurrence, then filter by budget
-    n = inst.n
-    cost = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        cost[mask] = cost[mask ^ low] + inst.c[low.bit_length() - 1]
-    for mask in range(1 << n):
-        if cost[mask] <= inst.B:
-            yield mask
-
-
 def _refuse_integer_work(inst: Instance, limit: int) -> None:
     if inst.n > limit:
         raise InstanceTooLargeError(f"n={inst.n} exceeds oracle limit {limit}")
@@ -95,10 +84,8 @@ def _refuse_relaxed_work(inst: Instance, limit: int) -> None:
             f"2^{n} interdictions x {points} LP points exceeds "
             f"limit {LP_POINT_BUDGET}"
         )
-
-
-def _mask_bits(mask: int, n: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(n))
+    if inst.t > 3:
+        raise InstanceTooLargeError(f"t={inst.t} exceeds oracle limit 3")
 
 
 def _packing(inst: Instance, items: int, state_limit: int):
@@ -139,6 +126,28 @@ def _packing(inst: Instance, items: int, state_limit: int):
     return [0] * states, add
 
 
+def _walk(inst: Instance, add, row, leaf) -> None:
+    """Call leaf(bits, row) at every budget-feasible interdiction, in
+    increasing mask order (item i is bit i): items n - 1 down to 0 are
+    decided depth-first, the keep branch first, and an item is interdicted
+    only while the budget allows.  Keeping item i passes add(row, i) to its
+    subtree, interdicting it row itself.  A leaf that keeps bits copies it.
+    """
+    bits = [0] * inst.n
+
+    def walk(i: int, row, spent: int) -> None:
+        if i < 0:
+            leaf(bits, row)
+            return
+        walk(i - 1, add(row, i), spent)
+        if spent + inst.c[i] <= inst.B:
+            bits[i] = 1
+            walk(i - 1, row, spent + inst.c[i])
+            bits[i] = 0
+
+    walk(inst.n - 1, row, 0)
+
+
 def best_integer_packing(
     inst: Instance, x: InterdictionVector, state_limit: int = PACKING_STATE_LIMIT
 ) -> int:
@@ -165,40 +174,29 @@ def brute_force_opt_i(
     n x prod(C_j + 1) exceeds ``PACKING_STATE_LIMIT``, which bounds the at
     most n + 1 rows live at once.
 
-    A depth-first walk decides items n - 1 down to 0, the keep branch
-    first, and interdicts an item only while the budget allows, so it meets
-    the budget-feasible interdictions in increasing mask order.  Keeping an
-    item adds it to the packing row of the survivors decided so far; the
-    row is shared by the whole subtree below, and an interdicted item
-    leaves it as it is.  So the walk adds an item fewer than 2^n times.
+    The walk of ``_walk`` carries the packing row of the survivors decided
+    so far: keeping an item adds it, and the row is shared by the whole
+    subtree below.  So it adds an item fewer than 2^n times.
     """
     _refuse_integer_work(inst, limit)
     empty, add = _packing(inst, inst.n, PACKING_STATE_LIMIT)
     best: int | None = None
     argmins: list[tuple[int, ...]] = []
-    bits = [0] * inst.n
 
-    def walk(i: int, row: list[int], spent: int) -> None:
+    def leaf(bits: list[int], row: list[int]) -> None:
         nonlocal best, argmins
-        if i < 0:
-            k = row[-1]
-            if best is None or k < best:
-                best = k
-                argmins = [tuple(bits)]
-            elif k == best:
-                if len(argmins) >= max_optima:
-                    raise TooManyOptimaError(
-                        f"more than {max_optima} optimal interdictions"
-                    )
-                argmins.append(tuple(bits))
-            return
-        walk(i - 1, add(row, i), spent)
-        if spent + inst.c[i] <= inst.B:
-            bits[i] = 1
-            walk(i - 1, row, spent + inst.c[i])
-            bits[i] = 0
+        k = row[-1]
+        if best is None or k < best:
+            best = k
+            argmins = [tuple(bits)]
+        elif k == best:
+            if len(argmins) >= max_optima:
+                raise TooManyOptimaError(
+                    f"more than {max_optima} optimal interdictions"
+                )
+            argmins.append(tuple(bits))
 
-    walk(inst.n - 1, empty, 0)
+    _walk(inst, add, empty, leaf)
     assert best is not None  # the empty interdiction is always feasible
     return best, tuple(argmins)
 
@@ -213,21 +211,24 @@ def brute_force_opt_f(
     Refuses, before enumerating anything, an instance with more than
     ``limit`` items or, for t >= 2, whose predicted basic points, 2^n times
     the sum over s of C(n, s) C(t, s) 2^(n - s) that vertex_lp_optimum
-    enumerates per call, exceed ``LP_POINT_BUDGET``.
+    enumerates per call, exceed ``LP_POINT_BUDGET``, or with t > 3.  The
+    first least value in the order of ``_walk`` is kept.
     """
     _refuse_relaxed_work(inst, limit)
     best: Fraction | None = None
     best_bits: tuple[int, ...] | None = None
-    for mask in _feasible_interdictions(inst):
-        bits = _mask_bits(mask, inst.n)
+
+    def leaf(bits: list[int], _) -> None:
+        nonlocal best, best_bits
         x = InterdictionVector.from_bits(bits, inst.c)
         if inst.t == 1:
             value = fractional_knapsack(inst, x).value
         else:
             value = vertex_lp_optimum(inst, x, limit=limit).value
         if best is None or value < best:
-            best = value
-            best_bits = bits
+            best, best_bits = value, x.bits
+
+    _walk(inst, lambda row, i: row, None, leaf)
     assert best is not None and best_bits is not None
     return best, best_bits
 

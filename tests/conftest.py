@@ -355,6 +355,24 @@ def enumerated_opt_i(inst: Instance):
     return best, tuple(optima)
 
 
+def enumerated_opt_f(inst: Instance):
+    """(opt_f, bits) by plain enumeration: every budget-feasible
+    interdiction in increasing bitmask order, each valued by the dual
+    objective minimised over every reference vertex, and the first least
+    one kept.  The reference for oracles.brute_force_opt_f."""
+    points = reference_vertex_candidates(inst)
+    best = None
+    for mask in range(1 << inst.n):
+        bits = tuple((mask >> i) & 1 for i in range(inst.n))
+        x = InterdictionVector.from_bits(bits, inst.c)
+        if not x.feasible(inst.B):
+            continue
+        value = unpruned_fractional_value(inst, x, points)
+        if best is None or value < best[0]:
+            best = (value, bits)
+    return best
+
+
 def round_down_packing(fp: FractionalPacking, profits) -> KnapsackAnswer:
     """Zero out the fractional coordinates of an LP vertex.
 

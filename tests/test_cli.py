@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 import sys
 import time
 from collections import Counter
@@ -109,6 +110,29 @@ def test_solve_schema_violation(tmp_path, capsys):
     path = write(tmp_path, "bad.json", '{"n":1,"t":1,"p":[-1],"c":[1],"w":[[1]],"B":1,"C":[1]}')
     code, _, err = run(capsys, "solve", "--input", path, "--eps", "1")
     assert code == 2 and "p[0]" in err
+
+
+def _one_item(p_json):
+    return f'{{"n":1,"t":1,"p":[{p_json}],"c":[1],"w":[[1]],"B":1,"C":[1]}}'.encode()
+
+
+def test_solve_bad_digits_long_numbers_and_bad_utf8_exit_2(tmp_path, capsys):
+    # a superscript two, Arabic-Indic twelve, 5000 digits as a string and
+    # as a JSON number, and bytes that are not UTF-8: none is an instance
+    long = "9" * 5000
+    cases = [
+        (_one_item('"\u00b2"'), "p[0]"),
+        (_one_item('"\u0661\u0662"'), "p[0]"),
+        (_one_item(f'"{long}"'), "p[0]"),
+        (_one_item(long), "invalid JSON"),
+        (b"\xff\xfe{", "invalid JSON"),
+    ]
+    for k, (data, where) in enumerate(cases):
+        path = tmp_path / f"bad{k}.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "solve", "--input", str(path), "--eps", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and where in err
 
 
 # exact-optf
@@ -355,8 +379,8 @@ def test_bench_parses_once_and_reuses_candidates(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "bench", "--dir", str(d), "--eps", "1,0.5", "--csv", out)
     assert code == 0
     assert len(parsed) == 2
-    # one enumeration per t = 2 row, shared by the solve and the opt_f column
-    assert len(vertices) == 2
+    # one enumeration per row, shared by the solve and the opt_f column
+    assert len(vertices) == 4
     with open(out, newline="") as f:
         rows = list(csv.DictReader(f))
     assert all(r["opt_f"] for r in rows)
@@ -409,7 +433,7 @@ def test_exact_optf_builds_fewer_knapsacks_than_candidates(
         budget_frac=Fraction(1, 2), cap_frac=Fraction(1, 2),
     )
     path = write(tmp_path, "n40.json", serialize_instance(inst))
-    points = len(dual.candidate_set(instance.preprocess(inst)[0]))
+    points = len(dual.dual_vertex_candidates(instance.preprocess(inst)[0]))
     knapsacks = count_calls(monkeypatch, nominal, "knapsack_max_budget")
     code, out, _ = run(capsys, "exact-optf", "--input", path)
     assert code == 0 and "opt_f" in json.loads(out)
@@ -478,7 +502,30 @@ def test_exact_optf_over_the_frontier_pair_budget_exits_4(tmp_path, capsys):
     assert time.perf_counter() - start < 15
     assert code == 4 and out == ""
     assert err == (
-        f"error: stored knapsack frontiers exceed {nominal.FRONTIER_PAIR_LIMIT} pairs\n"
+        f"error: knapsack frontiers exceed {nominal.FRONTIER_PAIR_LIMIT} pairs\n"
+    )
+
+
+def test_exact_optf_on_equal_ratios_exits_4_within_the_pair_budget(tmp_path, capsys):
+    # w_i uniform on [1, R] and p_i = c_i = w_i + R/10: at alpha = 0 every
+    # reduced profit equals its cost, so all ratios tie, the LP bound fixes
+    # nothing and the greedy removal does not fill B.  The value-only run
+    # counts its pairs against the budget, so it stops in seconds
+    n, R = 80, 10**6
+    rng = random.Random(1)
+    w = [rng.randint(1, R) for _ in range(n)]
+    p = [wi + R // 10 for wi in w]
+    inst = Instance(
+        n=n, t=1, p=tuple(p), c=tuple(p), W=(tuple(w),), B=sum(p) // 3,
+        C=(sum(w) // 3,),
+    )
+    path = write(tmp_path, "equal_ratio.json", serialize_instance(inst))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "exact-optf", "--input", path)
+    assert time.perf_counter() - start < 15
+    assert code == 4 and out == ""
+    assert err == (
+        f"error: knapsack frontiers exceed {nominal.FRONTIER_PAIR_LIMIT} pairs\n"
     )
 
 
@@ -583,7 +630,7 @@ def test_solve_jobs_2_matches_jobs_1_where_both_screens_fire(
 ):
     inst = generate_instance(n=12, t=1, seed=3)
     reduced = instance.preprocess(inst)[0]
-    cands = dual.candidate_set(reduced)
+    cands = dual.dual_vertex_candidates(reduced)
     # solve --eps 1/2 runs the relaxed FPTAS at eps 1/4 on t = 1
     grid = fptas.GeometricGrid.build(reduced, fptas.split_accuracy(Fraction(1, 4)))
     levels, runs = [], Counter()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kinterdict import dual
 from kinterdict.dual import (
     DualPoint,
-    candidate_set,
     dual_bound_exact,
     dual_breakpoints,
     dual_vertex_candidates,
@@ -302,7 +301,7 @@ def test_fractional_value_with_shared_candidates_t2_t3():
     big = [_beyond_64_bits(inst, 2**64 + 7) for inst in small]
     largest = 0
     for inst in small + big:
-        shared = candidate_set(inst)
+        shared = dual_vertex_candidates(inst)
         for x in all_interdictions(inst):
             value = fractional_value(inst, x, shared)
             assert value == fractional_value(inst, x)
@@ -387,7 +386,7 @@ def test_exact_optimum_matches_brute_force_small():
 def unpruned_scan(inst):
     """Every candidate through a Fraction budget knapsack; first strict min wins."""
     best = None
-    for a in candidate_set(inst):
+    for a in dual_vertex_candidates(inst):
         reduced = [reduced_profit(inst, i, a) for i in range(inst.n)]
         answer = dense_knapsack_max_budget(reduced, inst.c, inst.B)
         value = dot_capacity(inst, a) + sum(reduced) - answer.value

@@ -302,6 +302,20 @@ def test_integer_packing_state_limit():
         best_integer_packing(inst, xvec(inst, (0, 0, 0)), state_limit=100)
 
 
+def test_value_only_run_counts_its_pairs_against_the_budget(monkeypatch):
+    # units = costs = 2^(n-i) and an odd budget: the greedy removal misses
+    # the best one, so the bracket does not close at the root and the
+    # frontier DP runs; it stores no row, but its pairs count all the same
+    n = 12
+    units = [2 ** (n - i) for i in range(n)]
+    budget = 2 ** (n - 1) + 2 ** (n - 3) + 1
+    total = sum(units)
+    assert least_units_within(units, units, budget, total) == total - budget + 1
+    monkeypatch.setattr(nominal, "FRONTIER_PAIR_LIMIT", 8)
+    with pytest.raises(StateLimitError, match="knapsack frontiers exceed 8 pairs"):
+        least_units_within(units, units, budget, total)
+
+
 def test_stored_frontiers_never_exceed_the_pair_budget(monkeypatch):
     # units = costs = 2^i: every subset has its own cost, so the frontier
     # of the first k items holds up to 2^k pairs and the rows double;

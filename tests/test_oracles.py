@@ -19,7 +19,14 @@ from kinterdict.oracles import (
     vertex_lp_optimum,
 )
 
-from conftest import T1, T2, enumerated_opt_i, family, instance_strategy
+from conftest import (
+    T1,
+    T2,
+    enumerated_opt_f,
+    enumerated_opt_i,
+    family,
+    instance_strategy,
+)
 
 
 def xvec(inst, bits):
@@ -68,6 +75,18 @@ def test_opt_i_walk_matches_enumeration(inst):
     # zero profits, weights and costs and weights above a capacity are all
     # drawn; the optima must come in increasing bitmask order
     assert brute_force_opt_i(inst) == enumerated_opt_i(inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, 2)).flatmap(
+        lambda t: instance_strategy(max_n=6, t=t, max_value=6)
+    )
+)
+def test_opt_f_walk_matches_enumeration(inst):
+    # the value and the first minimiser in increasing bitmask order, with
+    # zero profits, weights and costs drawn
+    assert brute_force_opt_f(inst) == enumerated_opt_f(inst)
 
 
 def test_opt_f_t1_and_zero_profit():
@@ -171,6 +190,21 @@ def test_relaxed_oracle_refuses_before_either_brute_force(monkeypatch):
 
     monkeypatch.setattr(oracles, "brute_force_opt_i", refuse)
     with pytest.raises(InstanceTooLargeError, match="LP points"):
+        oracle_report(inst)
+
+
+def test_relaxed_oracle_refuses_t_above_3_before_either_brute_force(monkeypatch):
+    # gen --n 4 --t 4 --seed 1 --wmax 3: within every work budget, but the
+    # LP oracle enumerates basic points for t <= 3 only
+    inst = generate_instance(n=4, t=4, seed=1, wmax=3)
+    with pytest.raises(InstanceTooLargeError, match="t=4 exceeds oracle limit 3"):
+        brute_force_opt_f(inst)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a brute force started")
+
+    monkeypatch.setattr(oracles, "brute_force_opt_i", refuse)
+    with pytest.raises(InstanceTooLargeError, match="t=4 exceeds oracle limit 3"):
         oracle_report(inst)
 
 
