@@ -1,13 +1,16 @@
 """Command-line surface: solve, exact-optf, oracle, gen, bench.
 
 All numeric output is bit-exact: rationals are rendered as "num/den"
-strings, never floats.  Exit codes: 0 success, 2 instance parse/validation
-error (bad JSON or UTF-8, a schema violation, or a value past Python's
-limit on the digits of one int), 3 bad parameters, 4 instance too large:
-for an oracle (more items than --max-n, t > 3, 2^n integer packings or,
-for t >= 2, 2^n LP evaluations beyond the oracle's work budgets, or one
-integer packing DP beyond its state limit), or a knapsack frontier run,
-value-only or stored, beyond its pair budget.
+strings, never floats.  Exit codes: 0 success; 1 when bench finds no
+readable instance in its directory (it still writes the CSV header); 2
+instance parse/validation error (bad JSON or UTF-8, JSON nested past the
+recursion limit, a schema violation, or a value past Python's limit on
+the digits of one int); 3 bad parameters; 4 instance too large: for an
+oracle (more items than --max-n, t > 3, 2^n integer packings or, for
+t >= 2, 2^n LP evaluations beyond the oracle's work budgets, one integer
+packing DP beyond its state limit, or more than 10^6 optimal
+interdictions to list), or a knapsack frontier run, value-only or
+stored, beyond its pair budget.
 
 A solve runs in one process: its --jobs flag is accepted and has no
 effect.  bench --jobs spreads the instances over a process pool, one

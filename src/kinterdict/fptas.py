@@ -24,11 +24,11 @@ frontiers: each candidate runs it value-only for its least feasible target
 (nominal.least_units_within).  That run is bounded in turn: the greedy
 interdiction in units/cost order gives an achievable target and the LP
 relaxation a lower bound.  The DP runs only when they leave a gap, only on
-the items the LP bound leaves free, and merges only the pairs whose LP
-bound is within the greedy's.  Only the winner of the accepted level
-stores a frontier per item, capped at its target and only for the items
-the LP bound leaves free given that target, to trace its interdiction
-back (nominal.trace_unfixed, suffix_frontiers and select_on_ties).
+the items the LP bound leaves free, and only up to the greedy's target.
+Only the winner of the accepted level stores a frontier per item, capped
+at its target and only for the items the LP bound leaves free given that
+target, to trace its interdiction back (nominal.trace_unfixed,
+suffix_frontiers and select_on_ties).
 The reported dp_tables and dp_states are the paper's nominal counts: one
 table of n (kmax + 1) states for every candidate whose alpha . C is within
 the level's limit, whether its DP ran or not.

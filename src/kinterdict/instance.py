@@ -125,14 +125,16 @@ def parse_instance(text) -> Instance:
     """Parse and validate an instance from JSON text or bytes.
 
     Field order is irrelevant; unknown keys, missing fields, negative values,
-    floats, digits other than ASCII ones, values past the digit limit, and
-    length mismatches are all rejected.
+    floats, digits other than ASCII ones, values past the digit limit,
+    length mismatches and JSON nested past the recursion limit are all
+    rejected.
     """
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         raw = json.loads(text)
-    except ValueError as exc:  # bad UTF-8, bad JSON, or too many digits
+    # bad UTF-8, bad JSON, too many digits, or too deeply nested
+    except (ValueError, RecursionError) as exc:
         raise MalformedSyntaxError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaViolationError("<root>", "top-level value must be an object")

@@ -11,10 +11,8 @@ units/cost order and first brackets its answer: the greedy removal keeps
 an achievable number of units, and the LP relaxation (Dantzig 1957) bounds
 the least from below.  It ends there when the two meet.  Otherwise it
 fixes each item that the LP bound shows every selection within the greedy
-removes, or keeps, and the DP runs on the items left free.  It merges only
-the frontier pairs whose own LP bound, with the budget they have left, is
-within the greedy's (Pisinger 1997), which keeps every pair on the way to
-the least target and so the answer.
+removes, or keeps, and the DP runs on the items left free, its rows capped
+at the greedy's units (or kmax, when lower) less the units fixed kept.
 The same sorted items give the LP bound alone (``lp_least_units``), which
 the dual scan's and the FPTAS's Dantzig screens read.  Every frontier run,
 value-only or stored, has one budget of pairs built (FRONTIER_PAIR_LIMIT).
@@ -22,14 +20,14 @@ value-only or stored, has one budget of pairs built (FRONTIER_PAIR_LIMIT).
 A traceback first fixes items by the same LP test, with the least target
 already known as ub, which fixes more of them (``trace_unfixed``).  It
 stores the frontier of every suffix of the items left free only, under a
-budget of pairs (``suffix_frontiers``), and walks them forward from
-a budget, selecting each item that does at least as well selected as kept
-(``select_on_ties``): from the whole budget less the fixed removed costs
-for the exact scan, and from the least need of the free items' least
-target for the FPTAS.  Both cap the rows at that target, which the
-value-only run finds first for the exact scan: a capped row is a prefix of
-the full one, and the walk reads no pair beyond it.  The bits are those of
-the walk over all the items and their uncapped rows.
+budget of pairs and capped at their least target (``suffix_frontiers``),
+and walks them forward from a budget, selecting each item that does at
+least as well selected as kept (``select_on_ties``): from the whole budget
+less the fixed removed costs for the exact scan, and from the least need
+of the free items' least target for the FPTAS.  The value-only run finds
+that target first for the exact scan.  A row capped at it holds every pair
+the walk reads, so the bits are those of the walk over all the items and
+their uncapped rows.
 """
 
 from __future__ import annotations
@@ -64,71 +62,42 @@ class KnapsackAnswer:
     chosen: tuple[int, ...]
 
 
-def budget_frontier(units, costs, budget: int, kmax, rows=None, bound=None):
+def budget_frontier(units, costs, budget: int, kmax, rows=None):
     """The Pareto frontier of the 0-1 knapsack over the items in the given
     order: lists ks and needs, where needs[i] is the least total cost of
     the removed items that keeps at most ks[i] units.
 
-    A frontier holds pairs (k, need) with k rising and need strictly
-    falling and at most the budget, so it has at most min(budget, kmax) + 1
-    entries; its value at k is the need of the last pair at or before k,
-    and above the budget before the first (Nemhauser and Ullmann 1969).
-    An item with u units and cost c maps it to the lower envelope of the
-    remove branch (k, need + c) and the keep branch (k + u, need), merged
-    in one pass; a zero-unit item leaves it unchanged.  Units may be ints or
-    Fractions, costs and budget are ints.  Keeping every item still to come
-    from the first pair is feasible, so no pair above that target or above
-    kmax can lead to the least one, and none is kept: each list is a
-    prefix of the uncapped frontier.  An empty frontier means no target is
-    feasible; a negative budget or kmax starts with one.  StateLimitError
-    is raised before a row is built whose merge could take the pairs built
-    past FRONTIER_PAIR_LIMIT: a merge yields at most the pairs it reads
-    from both branches.  With ``rows`` a list, the frontier after each item
-    is appended to it, starting with the empty selection; a zero-unit
-    item's row is the one before it, lists shared, and builds nothing.
-    Without ``rows``, the loop stops at the first empty frontier.
-
-    ``bound`` = (pcs, sus), which only ``least_units_within`` passes, keeps
-    only the pairs that can still reach a target at most kmax.  The items
-    are then ints in decreasing units/cost order, ending with a zero-unit
-    item of cost 1; pcs[r] is the cost of the items before r, except that
-    the last entry lies above pcs[-2] + budget, and sus[r] is the units of
-    the items from r on.  A pair (k, need) is dropped when k plus the LP
-    bound on the units that the items still to come keep within
-    budget - need exceeds kmax (Dantzig 1957): the LP removes them whole in
-    order while they fit, then a fraction of the next one.  A pair at the
-    bound is kept.  The least target, when it is at most kmax, is reached
-    through pairs whose bounds are at most it, so the first pair is still
-    the least target; the other pairs need not be the frontier's.  A
-    dropped pair still caps the needs after it, since every pair it
-    dominates has a bound at least its own.  As the budget left rises
-    along a merge, one pointer per row finds the LP's split item.
+    A frontier holds the pairs (k, need) with k rising, need strictly
+    falling, k at most kmax and need at most the budget, so it has at most
+    min(budget, kmax) + 1 entries; its value at k is the need of the last
+    pair at or before k, and above the budget before the first (Nemhauser
+    and Ullmann 1969).  An item with u units and cost c maps it to the
+    lower envelope of the remove branch (k, need + c) and the keep branch
+    (k + u, need), merged in one pass; a zero-unit item leaves it
+    unchanged.  Units and kmax may be ints or Fractions, costs and budget
+    are ints.  An empty frontier means no target is feasible; a negative
+    budget or kmax starts with one.  StateLimitError is raised before a row
+    is built whose merge could take the pairs built past
+    FRONTIER_PAIR_LIMIT: a merge yields at most the pairs it reads from
+    both branches.  With ``rows`` a list, the frontier after each item is
+    appended to it, starting with the empty selection; a zero-unit item's
+    row is the one before it, lists shared, and builds nothing.  Without
+    ``rows``, the loop stops at the first empty frontier.
     """
     ks, needs = ([0], [0]) if budget >= 0 and kmax >= 0 else ([], [])
     made = len(ks)
     if rows is not None:
         rows.append((ks, needs))
-    bounded = bound is not None
-    if bounded:
-        pcs, sus = bound
-    rest = sum(units)
-    for s, (u, c) in enumerate(zip(units, costs), 1):
+    for u, c in zip(units, costs):
         if u and ks:
-            rest -= u
-            cap = ks[0] + u + rest
-            if cap > kmax:
-                cap = kmax
-            i = bisect_left(needs, c - budget, key=neg)  # first need + c <= budget
-            iend = bisect_right(ks, cap)
-            j, jend = 0, bisect_right(ks, cap - u)
+            # removed: the pairs from the first with need + c <= budget;
+            # kept: those with k + u <= kmax
+            i, iend = bisect_left(needs, c - budget, key=neg), len(ks)
+            j, jend = 0, bisect_right(ks, kmax - u)
             if made + iend - i + jend > FRONTIER_PAIR_LIMIT:
                 raise StateLimitError(
                     f"knapsack frontiers exceed {FRONTIER_PAIR_LIMIT} pairs"
                 )
-            if bounded:
-                # items s.. are still to come; pos is the prefix cost that
-                # a pair's budget left reaches, and t the LP's split item
-                top, t = pcs[s] + budget, s
             nk, nn = [], []
             last = budget + 1
             while i < iend and j < jend:
@@ -145,27 +114,15 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None, bound=None):
                     j += 1
                 if v < last:
                     last = v
-                    if bounded:
-                        pos = top - v
-                        while pcs[t + 1] <= pos:
-                            t += 1
-                        if (k + sus[t] - kmax) * costs[t] > (pos - pcs[t]) * units[t]:
-                            continue
                     nk.append(k)
                     nn.append(v)
             # the rest of the one branch left: removed, or kept
             x, xend, du, dc = (i, iend, 0, c) if i < iend else (j, jend, u, 0)
             for x in range(x, xend):
-                k, v = ks[x] + du, needs[x] + dc
+                v = needs[x] + dc
                 if v < last:
                     last = v
-                    if bounded:
-                        pos = top - v
-                        while pcs[t + 1] <= pos:
-                            t += 1
-                        if (k + sus[t] - kmax) * costs[t] > (pos - pcs[t]) * units[t]:
-                            continue
-                    nk.append(k)
+                    nk.append(ks[x] + du)
                     nn.append(v)
             ks, needs = nk, nn
             made += len(ks)
@@ -180,9 +137,11 @@ def suffix_frontiers(gains, costs, budget: int, kmax) -> list:
     """The budget frontier of every suffix of the items: rows[r] covers
     items r..n-1 and rows[n] is the empty selection.
 
-    Built in reverse index order by ``budget_frontier``, so each row is
-    capped as there, at kmax and at the gain sum its first pair can still
-    reach, and the pairs are bounded by FRONTIER_PAIR_LIMIT.
+    Built in reverse index order by ``budget_frontier``, so rows[r] holds
+    exactly the Pareto pairs of items r..n-1 with k at most kmax and need
+    at most the budget: the breakpoints of row r of the dense min-budget
+    table whose need is within the budget.  The pairs built are bounded by
+    FRONTIER_PAIR_LIMIT.
     """
     rows: list = []
     budget_frontier(gains[::-1], costs[::-1], budget, kmax, rows)
@@ -197,10 +156,11 @@ def select_on_ties(rows, gains, costs, cap: int) -> tuple[int, ...]:
     that is, when selecting it is at least as good as keeping it.
 
     The least kept gain within a budget b is the k of the first pair whose
-    need is at most b.  Along the walk from cap each row holds that pair
-    for the branch taken, since a row is a prefix of the uncapped frontier
-    and a pair the cap dropped lies on a branch that strictly loses; such
-    a pair reads as absent.
+    need is at most b.  The rows hold the frontier's pairs up to their
+    kmax (``suffix_frontiers``).  When the least kept gain within cap is at
+    most kmax, so is the branch taken at each item along the walk, and
+    its pair is in the row; a pair beyond kmax lies on a branch that
+    strictly loses, and reads as absent.
     """
     chosen = [0] * len(gains)
     for r, (g, c) in enumerate(zip(gains, costs)):
@@ -211,21 +171,6 @@ def select_on_ties(rows, gains, costs, cap: int) -> tuple[int, ...]:
             chosen[r] = 1
             cap -= c
     return tuple(chosen)
-
-
-def _lp_lists(units, costs, budget: int):
-    """The lists the LP bound reads for items in decreasing units/cost
-    order: units and costs, each with a zero-unit item of cost 1 appended;
-    the prefix costs pcs, whose last entry is raised above every prefix
-    cost a budget left can reach; and the suffix units sus."""
-    units = [*units, 0]
-    costs = [*costs, 1]
-    pcs = [0, *accumulate(costs)]
-    pcs[-1] += budget
-    total = sum(units)
-    sus = [total - x for x in accumulate(units, initial=0)]
-    sus.pop()
-    return units, costs, pcs, sus
 
 
 def _sorted_items(units, costs, budget: int):
@@ -248,22 +193,28 @@ def _sorted_items(units, costs, budget: int):
 
 
 def _relaxation(units, costs, budget: int):
-    """(kept, items, us, cs, pcs, sus, split): ``_sorted_items``, the
-    ``_lp_lists`` of the sorted items and the LP's split item.  The LP
-    removes the items before split whole and a fraction of it (Dantzig
-    1957); when every item fits, split is the zero-unit item of cost 1 that
-    ``_lp_lists`` appends."""
+    """(kept, items, us, cs, pcs, sus, split): ``_sorted_items``; the
+    sorted items' units us and costs cs, each with a zero-unit item of cost
+    1 appended; their prefix costs pcs, whose last entry is raised above
+    every prefix cost a budget left can reach; their suffix units sus; and
+    the LP's split item.  The LP removes the items before split whole and a
+    fraction of it (Dantzig 1957); when every item fits, split is the
+    appended item."""
     kept, items = _sorted_items(units, costs, budget)
-    us, cs, pcs, sus = _lp_lists(
-        [u for _, u, _, _ in items], [c for _, _, c, _ in items], budget
-    )
+    us = [*(u for _, u, _, _ in items), 0]
+    cs = [*(c for _, _, c, _ in items), 1]
+    pcs = [0, *accumulate(cs)]
+    pcs[-1] += budget
+    total = sum(us)
+    sus = [total - x for x in accumulate(us, initial=0)]
+    sus.pop()
     return kept, items, us, cs, pcs, sus, bisect_right(pcs, budget) - 1
 
 
 def _fixed(us, cs, pcs, sus, split, budget: int, ub):
     """(fix, left, fixed, free_units, free_costs) for items in decreasing
-    units/cost order with their ``_lp_lists`` and the LP's split item, and
-    a bound ub on the units they keep within the budget.
+    units/cost order with the lists of their ``_relaxation``, and a bound
+    ub on the units they keep within the budget.
 
     fix[j] is 1 when the LP bound shows that every selection within the
     budget that keeps at most ub units removes item j, 0 when every one
@@ -319,8 +270,7 @@ def _least(relaxation, budget: int, kmax: int) -> int | None:
     if -(-lower // cs[split]) == greedy:
         return kept + greedy
     _, left, fixed, free_us, free_cs = _fixed(us, cs, pcs, sus, split, budget, ub)
-    us, cs, pcs, sus = _lp_lists(free_us, free_cs, left)
-    ks, _ = budget_frontier(us, cs, left, ub - fixed, bound=(pcs, sus))
+    ks, _ = budget_frontier(free_us, free_cs, left, ub - fixed)
     return kept + fixed + ks[0] if ks else None
 
 
@@ -340,10 +290,9 @@ def least_units_within(units, costs, budget: int, kmax: int) -> int | None:
 
     Otherwise each item that the LP bound shows every selection within ub
     removes, or keeps, is fixed (``_fixed``).  ``budget_frontier`` then
-    runs on the items left free, with their own LP lists as its ``bound``,
-    the budget less the fixed removed costs and kmax = ub less the fixed
-    kept units.  It stores no row, and its first pair plus the fixed units
-    is the answer.
+    runs on the items left free, with the budget less the fixed removed
+    costs and kmax = ub less the fixed kept units.  It stores no row, and
+    its first pair plus the fixed units is the answer.
     """
     if kmax < 0 or budget < 0:
         return None

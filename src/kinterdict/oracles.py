@@ -47,7 +47,7 @@ class InstanceTooLargeError(ValueError):
     pass
 
 
-class TooManyOptimaError(ValueError):
+class TooManyOptimaError(InstanceTooLargeError):
     """More optimal interdictions than the materialisation cap allows."""
 
 

@@ -7,7 +7,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from kinterdict import cli, dual, fptas, instance, nominal
+from kinterdict import cli, dual, fptas, instance, nominal, oracles
 from kinterdict.cli import build_parser, main
 from kinterdict.generator import generate_instance
 from kinterdict.instance import Instance, parse_instance, serialize_instance
@@ -118,7 +118,8 @@ def _one_item(p_json):
 
 def test_solve_bad_digits_long_numbers_and_bad_utf8_exit_2(tmp_path, capsys):
     # a superscript two, Arabic-Indic twelve, 5000 digits as a string and
-    # as a JSON number, and bytes that are not UTF-8: none is an instance
+    # as a JSON number, bytes that are not UTF-8, and JSON nested past the
+    # recursion limit (json raises RecursionError): none is an instance
     long = "9" * 5000
     cases = [
         (_one_item('"\u00b2"'), "p[0]"),
@@ -126,6 +127,7 @@ def test_solve_bad_digits_long_numbers_and_bad_utf8_exit_2(tmp_path, capsys):
         (_one_item(f'"{long}"'), "p[0]"),
         (_one_item(long), "invalid JSON"),
         (b"\xff\xfe{", "invalid JSON"),
+        (b"[" * 100_000, "invalid JSON"),
     ]
     for k, (data, where) in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
@@ -186,6 +188,20 @@ def test_oracle_too_large_exits_4(tmp_path, capsys):
     path = write(tmp_path, "t1.json", T1_JSON)
     code, _, err = run(capsys, "oracle", "--input", path, "--max-n", "1")
     assert code == 4 and "exceeds" in err
+
+
+def test_oracle_with_too_many_optima_exits_4(tmp_path, capsys, monkeypatch):
+    # zero profits make each of the 2^10 interdictions optimal, past a cap
+    # of 100 optima to list
+    monkeypatch.setattr(oracles.brute_force_opt_i, "__defaults__", (20, 100))
+    zeros = [0] * 10
+    text = json.dumps(
+        {"n": 10, "t": 1, "p": zeros, "c": zeros, "w": [zeros], "B": 0, "C": [0]}
+    )
+    path = write(tmp_path, "zeros.json", text)
+    code, out, err = run(capsys, "oracle", "--input", path)
+    assert code == 4 and out == ""
+    assert err == "error: more than 100 optimal interdictions\n"
 
 
 def test_oracle_packing_over_state_limit_exits_4(tmp_path, capsys):
@@ -350,10 +366,11 @@ def test_bench_skips_unreadable_with_note(tmp_path, capsys):
     d.mkdir()
     (d / "good.json").write_text(T1_JSON)
     (d / "bad.json").write_text("{nope")
+    (d / "nested.json").write_text("[" * 100_000)
     out = tmp_path / "o.csv"
     code, _, err = run(capsys, "bench", "--dir", str(d), "--eps", "1", "--csv", str(out))
     assert code == 0
-    assert "bad.json" in err
+    assert "skipping bad.json" in err and "skipping nested.json" in err
     with open(out, newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 1 and rows[0]["instance"] == "good.json"

@@ -227,6 +227,30 @@ def test_traces_over_the_free_items_match_the_full_tracebacks(items, budget, kma
         assert (ans.value, ans.chosen) == (ref.value, ref.chosen)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_units, _cost), max_size=10), _budget, st.integers(0, 120))
+# item 0 costs more than the budget, so row 0 starts at its least target
+# 3, and it still holds the pairs above it up to kmax
+@example(items=[(3, 5), (2, 1), (4, 1)], budget=2, kmax=9)
+def test_suffix_frontier_rows_are_the_dense_breakpoints_within_the_budget(
+    items, budget, kmax
+):
+    # select_on_ties reads each row as the whole frontier up to kmax: the
+    # dense row's breakpoints, k = 0 and every k whose need falls, whose
+    # need is within the budget
+    units = [u for u, _ in items]
+    costs = [c for _, c in items]
+    rows = suffix_frontiers(units, costs, budget, kmax)
+    dense = dense_min_budget_table(units, costs, kmax).rows
+    assert len(rows) == len(dense)
+    for (ks, needs), row in zip(rows, dense):
+        assert list(zip(ks, needs)) == [
+            (k, need)
+            for k, need in enumerate(row)
+            if need <= budget and (k == 0 or need < row[k - 1])
+        ]
+
+
 # fractional_knapsack
 
 def test_fractional_t1_cases():
