@@ -21,13 +21,13 @@ on the rest.  Its item subsets are walked depth-first in ints
 (``linalg.subset_minors``), so the minors of rows shared by many subsets
 are computed once.  Signs, duplicates and the sorted order are all decided
 on int tuples, and a point (``DualPoint``) keeps that scaled int form as
-its state: it builds its Fractions only if they are read.  A
-candidate set is bound to its instance's capacity vector C and also keeps
-each candidate's alpha . C and the candidates' order by it
-(``CandidateSet``): the FPTAS levels take the candidates within their
-limit from it by bisection, F(x) scans in that order and stops once
-alpha . C reaches the best value, since a candidate's value is at least
-its alpha . C, and the exact scan prunes by the int alpha . C.
+its state: it builds its Fractions only if they are read.  A candidate
+set is bound to its instance's capacity vector C and also keeps each
+candidate's alpha . C, in ints, and the candidates' order by it
+(``CandidateSet``), compared by int cross-products: the FPTAS levels take
+a prefix of that order, F(x) scans in it and stops once alpha . C reaches
+the best value, since a candidate's value is at least its alpha . C, and
+the exact scan prunes by it.
 
 That solver scans the candidates in sorted order and keeps the first strict
 minimum.  A candidate's value is alpha . C + sum r_i - K(r), with r_i the
@@ -121,10 +121,9 @@ class CandidateSet:
     """Sorted, deduplicated dual candidates of an instance with capacities
     C; always contains the origin.
 
-    Each form of alpha . C is computed on first use and kept: dots[i] is
-    (alpha L) . C in ints with (L, alpha L) = points[i].scaled, bases[i]
-    the Fraction alpha . C, and order the indices sorted by alpha . C, ties
-    by index, with sorted_bases the bases in that order.
+    Computed on first use and kept: dots[i] is (alpha L) . C in ints with
+    (L, alpha L) = points[i].scaled, so alpha . C = dots[i] / L, and order
+    the indices sorted by alpha . C, ties by index.
     """
 
     points: tuple[DualPoint, ...]
@@ -141,10 +140,6 @@ class CandidateSet:
         return tuple(sum(map(mul, a.scaled[1], self.C)) for a in self.points)
 
     @cached_property
-    def bases(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(d, a.scaled[0]) for d, a in zip(self.dots, self.points))
-
-    @cached_property
     def order(self) -> tuple[int, ...]:
         # distinct values dot / L differ by at least 1 / max(L)^2, so the
         # floors of K times them, K > max(L)^2, order them exactly in ints
@@ -152,10 +147,6 @@ class CandidateSet:
         k = max(scales, default=0) ** 2 + 1
         keys = [dot * k // scale for dot, scale in zip(self.dots, scales)]
         return tuple(sorted(range(len(keys)), key=keys.__getitem__))
-
-    @cached_property
-    def sorted_bases(self) -> tuple[Fraction, ...]:
-        return tuple(self.bases[i] for i in self.order)
 
 
 def dual_breakpoints(inst: Instance) -> CandidateSet:

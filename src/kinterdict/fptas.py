@@ -12,14 +12,14 @@ tries is one scan of the candidates, and each candidate scanned runs at
 most one DP.
 
 That acceptance limit also bounds the work.  A level keeps the candidates
-whose alpha . C is within it, found by one bisection of the candidates'
-alpha . C order (built once per solve, see dual.CandidateSet).
-It scans them in sorted order, and once one passes, its value caps the
-rest, since only a strictly smaller value can replace it.  A candidate runs
-no DP when its alpha . C, or its Dantzig lower bound
-(dual.dantzig_lower_bound, computed once per solve), exceeds the cap; every
-other DP stops at the largest unit target the cap leaves, which keeps every
-bound that can win.  The DP is nominal's budget knapsack, kept as Pareto
+whose alpha . C is within it, a prefix of their alpha . C order (built once
+per solve, see dual.CandidateSet).  It scans them in sorted order, and once
+one passes, its value caps the rest, since only a strictly smaller value
+can replace it.  A candidate runs no DP when its alpha . C, or its Dantzig
+lower bound (dual.dantzig_lower_bound, computed once per solve), exceeds
+the cap; every other DP stops at the largest unit target the cap leaves,
+which keeps every bound that can win.  All three tests are int
+cross-products.  The DP is nominal's budget knapsack, kept as Pareto
 frontiers: each candidate runs it value-only for its least feasible target
 (nominal.least_units_within).  That run is bounded in turn: the greedy
 interdiction in units/cost order gives an achievable target and the LP
@@ -45,9 +45,9 @@ for the rounding error.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import takewhile
 
 from .dual import (
     CandidateSet,
@@ -305,11 +305,15 @@ def candidate_bits(inst: Instance, ev: CandidateEval) -> tuple[int, ...]:
 class LevelResult:
     """A level's outcome: winner is the best candidate's evaluation (its
     value is the level's best bound, and candidate_bits traces its
-    interdiction back), and dp_tables the paper's nominal table count."""
+    interdiction back), None when the level fails, and dp_tables the
+    paper's nominal table count."""
 
-    passed: bool
     winner: CandidateEval | None
     dp_tables: int
+
+    @property
+    def passed(self) -> bool:
+        return self.winner is not None
 
 
 def accept_level(
@@ -317,48 +321,51 @@ def accept_level(
     grid: GeometricGrid,
     j: int,
     candidates: CandidateSet,
-    lowers: dict[int, Fraction] | None = None,
+    lowers: dict[int, int] | None = None,
 ) -> LevelResult:
     """Evaluate the candidates at grid level j and test acceptance.
 
     The level passes when the best rounded bound is at most the limit
     (1 + eps') * z_j = z_j + n delta_j.  The candidates with alpha . C
     within the limit are a prefix of the candidates' alpha . C order
-    (``CandidateSet.order``), found by one bisection; the others are never
-    looked at.  The kept candidates are scanned in index (sorted) order
-    with a cap: the limit until one passes, then the incumbent's
-    value, since a later candidate replaces it only with a strictly smaller
-    value.  A candidate whose alpha . C or Dantzig lower bound exceeds the
-    cap runs no DP, as both bound every rounded value of the candidate from
-    below; the others run it only up to the unit target the cap leaves, so
-    every value found is within the cap.  A passing level's winner is
-    therefore that of the unlimited evaluation, ties going to the earliest
-    candidate, and a failing level fails.
+    (``CandidateSet.order``), walked up to the first one above the limit;
+    the others are never looked at.  The kept candidates are scanned in
+    index (sorted) order with a cap: the limit until one passes, then the
+    incumbent's value, since a later candidate replaces it only with a
+    strictly smaller value.  A candidate whose alpha . C or Dantzig lower
+    bound exceeds the cap runs no DP, as both bound every rounded value of
+    the candidate from below; the others run it only up to the unit target
+    the cap leaves, so every value found is within the cap.  A passing
+    level's winner is therefore that of the unlimited evaluation, ties
+    going to the earliest candidate, and a failing level fails.
 
-    ``lowers`` caches each candidate's Fraction Dantzig bound by index,
-    computed on first use; a search shares it across its levels.  dp_tables
-    counts the kept candidates, screened or not: the paper's count, not the
-    DPs that ran.
+    ``lowers`` caches each candidate's Dantzig bound by index, as the int
+    lower over its L; lower and dots[i] are within a cap u / v when times v
+    they are at most u L.  A search shares it.  dp_tables counts the kept
+    candidates, screened or not: the paper's count, not the DPs that ran.
     """
     point = grid.point(j)
-    limit = (1 + grid.eps_internal) * point.z
-    points, bases = candidates.points, candidates.bases
+    cap = (1 + grid.eps_internal) * point.z
+    u, v = cap.numerator, cap.denominator
+    points, dots, order = candidates.points, candidates.dots, candidates.order
     if lowers is None:
         lowers = {}
-    kept = sorted(candidates.order[: bisect_right(candidates.sorted_bases, limit)])
+    kept = sorted(takewhile(lambda i: dots[i] * v <= u * points[i].scaled[0], order))
     best: CandidateEval | None = None
     for i in kept:
-        cap = limit if best is None else best.value
-        if bases[i] > cap:
+        scale = points[i].scaled[0]
+        if dots[i] * v > u * scale:
             continue
         if i not in lowers:
-            lowers[i] = Fraction(*dantzig_lower_bound(inst, points[i]))
-        if lowers[i] > cap:
+            lowers[i] = dantzig_lower_bound(inst, points[i])[0]
+        if lowers[i] * v > u * scale:
             continue
-        ev = rounded_dual_bound(inst, points[i], point, limit=cap, base=bases[i])
+        base = Fraction(dots[i], scale)
+        ev = rounded_dual_bound(inst, points[i], point, limit=cap, base=base)
         if ev.value is not None and (best is None or ev.value < best.value):
-            best = ev
-    return LevelResult(passed=best is not None, winner=best, dp_tables=len(kept))
+            best, cap = ev, ev.value
+            u, v = cap.numerator, cap.denominator
+    return LevelResult(winner=best, dp_tables=len(kept))
 
 
 def search_optimum_guess(
@@ -376,7 +383,7 @@ def search_optimum_guess(
     Returns (j, winner, dp_tables): the accepted level, its winner's
     evaluation, and the nominal tables summed over every level evaluated.
     """
-    lowers: dict[int, Fraction] = {}
+    lowers: dict[int, int] = {}
     dp_tables = 0
 
     def evaluate(j: int) -> LevelResult:

@@ -127,25 +127,26 @@ def _packing(inst: Instance, items: int, state_limit: int):
 
 
 def _walk(inst: Instance, add, row, leaf) -> None:
-    """Call leaf(bits, row) at every budget-feasible interdiction, in
-    increasing mask order (item i is bit i): items n - 1 down to 0 are
+    """Call leaf(mask, row) at every budget-feasible interdiction mask
+    (item i is bit i), in increasing order: items n - 1 down to 0 are
     decided depth-first, the keep branch first, and an item is interdicted
     only while the budget allows.  Keeping item i passes add(row, i) to its
-    subtree, interdicting it row itself.  A leaf that keeps bits copies it.
+    subtree, interdicting it row itself.
     """
-    bits = [0] * inst.n
 
-    def walk(i: int, row, spent: int) -> None:
+    def walk(i: int, row, spent: int, mask: int) -> None:
         if i < 0:
-            leaf(bits, row)
+            leaf(mask, row)
             return
-        walk(i - 1, add(row, i), spent)
+        walk(i - 1, add(row, i), spent, mask)
         if spent + inst.c[i] <= inst.B:
-            bits[i] = 1
-            walk(i - 1, row, spent + inst.c[i])
-            bits[i] = 0
+            walk(i - 1, row, spent + inst.c[i], mask | 1 << i)
 
-    walk(inst.n - 1, row, 0)
+    walk(inst.n - 1, row, 0, 0)
+
+
+def _bits(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(mask >> i & 1 for i in range(n))
 
 
 def best_integer_packing(
@@ -174,31 +175,31 @@ def brute_force_opt_i(
     n x prod(C_j + 1) exceeds ``PACKING_STATE_LIMIT``, which bounds the at
     most n + 1 rows live at once.
 
-    The walk of ``_walk`` carries the packing row of the survivors decided
-    so far: keeping an item adds it, and the row is shared by the whole
-    subtree below.  So it adds an item fewer than 2^n times.
+    ``_walk`` carries the packing row of the survivors decided so far,
+    shared by the subtree below, so it adds an item fewer than 2^n times;
+    the optima stay masks until the walk ends.
     """
     _refuse_integer_work(inst, limit)
     empty, add = _packing(inst, inst.n, PACKING_STATE_LIMIT)
     best: int | None = None
-    argmins: list[tuple[int, ...]] = []
+    argmins: list[int] = []
 
-    def leaf(bits: list[int], row: list[int]) -> None:
+    def leaf(mask: int, row: list[int]) -> None:
         nonlocal best, argmins
         k = row[-1]
         if best is None or k < best:
             best = k
-            argmins = [tuple(bits)]
+            argmins = [mask]
         elif k == best:
             if len(argmins) >= max_optima:
                 raise TooManyOptimaError(
                     f"more than {max_optima} optimal interdictions"
                 )
-            argmins.append(tuple(bits))
+            argmins.append(mask)
 
     _walk(inst, add, empty, leaf)
     assert best is not None  # the empty interdiction is always feasible
-    return best, tuple(argmins)
+    return best, tuple(_bits(mask, inst.n) for mask in argmins)
 
 
 def brute_force_opt_f(
@@ -218,9 +219,9 @@ def brute_force_opt_f(
     best: Fraction | None = None
     best_bits: tuple[int, ...] | None = None
 
-    def leaf(bits: list[int], _) -> None:
+    def leaf(mask: int, _) -> None:
         nonlocal best, best_bits
-        x = InterdictionVector.from_bits(bits, inst.c)
+        x = InterdictionVector.from_bits(_bits(mask, inst.n), inst.c)
         if inst.t == 1:
             value = fractional_knapsack(inst, x).value
         else:

@@ -705,6 +705,20 @@ def test_traceback_interdicts_zero_unit_items_iff_free():
                     assert b == (1 if c == 0 else 0)
 
 
+@st.composite
+def screened_instances(draw):
+    """Small t = 1 and t = 2 instances with zero costs, costs above the
+    budget, and values scaled beyond 2**64."""
+    t = draw(st.sampled_from([1, 2]))
+    inst = draw(instance_strategy(max_n=5, t=t, max_value=9))
+    scale = draw(st.sampled_from([1, 2**64 + 13]))
+    return Instance(
+        n=inst.n, t=t, p=tuple(v * scale for v in inst.p), c=inst.c,
+        W=tuple(tuple(v * scale for v in row) for row in inst.W), B=inst.B,
+        C=tuple(v * scale for v in inst.C),
+    )
+
+
 def unlimited_level(inst, grid, j, cands):
     """Reference acceptance test: every candidate's full dense table traced
     back, no limit, screen or value-only DP.  Also returns how many
@@ -726,19 +740,24 @@ def unlimited_level(inst, grid, j, cands):
     return passed, best, within
 
 
+# eps' = 4987/10^6: a 2**64-scaled instance's grid has about 10^4 levels,
+# so its middle and top limits carry denominators of tens of thousands of
+# digits
+FINE_EPS = Fraction(1, 100)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from([1, 2]).flatmap(
-        lambda t: instance_strategy(max_n=5, t=t, max_value=9)
-    ),
-    st.sampled_from([Fraction(1), Fraction(1, 2)]),
+    screened_instances(),
+    st.sampled_from([Fraction(1), Fraction(1, 2), FINE_EPS]),
 )
 def test_limited_accept_level_matches_unlimited_reference(inst, eps):
     if inst.n == 0 or sum(inst.p) == 0:
         return
     grid = GeometricGrid.build(inst, split_accuracy(eps))
     cands = candidates_for(inst)
-    for j in range(grid.J + 1):
+    levels = (0, grid.J // 2, grid.J) if eps == FINE_EPS else range(grid.J + 1)
+    for j in levels:
         passed, best, within = unlimited_level(inst, grid, j, cands)
         res = accept_level(inst, grid, j, cands)
         assert res.passed == passed
@@ -770,20 +789,6 @@ def test_accept_level_tie_goes_to_the_earlier_candidate():
         assert res.passed and res.winner.value == 4
         assert res.winner.alpha == order[0]
         assert res.dp_tables == 2
-
-
-@st.composite
-def screened_instances(draw):
-    """Small t = 1 and t = 2 instances with zero costs, costs above the
-    budget, and values scaled beyond 2**64."""
-    t = draw(st.sampled_from([1, 2]))
-    inst = draw(instance_strategy(max_n=5, t=t, max_value=9))
-    scale = draw(st.sampled_from([1, 2**64 + 13]))
-    return Instance(
-        n=inst.n, t=t, p=tuple(v * scale for v in inst.p), c=inst.c,
-        W=tuple(tuple(v * scale for v in row) for row in inst.W), B=inst.B,
-        C=tuple(v * scale for v in inst.C),
-    )
 
 
 @settings(max_examples=60, deadline=None)

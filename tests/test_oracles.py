@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -63,6 +64,23 @@ def test_opt_i_optima_cap_overflows_honestly():
     )
     with pytest.raises(TooManyOptimaError):
         brute_force_opt_i(inst, max_optima=100)
+
+
+def test_opt_i_optima_are_held_compactly_until_the_walk_ends():
+    # every one of the 2^16 interdictions is optimal, so the walk holds
+    # 2^15 optima when it refuses: as int masks, not tuples of n bits
+    n = 16
+    inst = Instance(
+        n=n, t=1, p=(0,) * n, c=(0,) * n, W=((0,) * n,), B=0, C=(0,)
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyOptimaError):
+            brute_force_opt_i(inst, max_optima=2**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 @settings(max_examples=200, deadline=None)
