@@ -14,12 +14,14 @@ profits, which gives the exact pseudopolynomial solver for the relaxed
 optimum.
 
 One enumeration, ``dual_vertex_candidates``, finds them for every t
-(``dual_breakpoints`` is the same set, checked to be for t = 1).  The
-vertices are found per zero-set: the coordinates a subset's coordinate
-planes fix at 0 drop out, and the item planes leave a smaller square system
-on the rest.  Its item subsets are walked depth-first in ints
-(``linalg.subset_minors``), so the minors of rows shared by many subsets
-are computed once.  Signs, duplicates and the sorted order are all decided
+(``dual_breakpoints`` is the same set, checked to be for t = 1).  One
+depth-first walk over the item subsets, in ints, serves every zero-set (the
+coordinates a subset's coordinate planes fix at 0): a subset of k items
+carries all its k x k minors, one Laplace step (``linalg.cofactor_rows``)
+per added item, and the vertex of each zero-set of size t - k is a ratio
+of those minors, read off by Cramer's rule.  So the minors of items shared
+by many subsets are computed once, and the walk stops at depth min(n, t).
+Signs, duplicates and the sorted order are all decided
 on int tuples, and a point (``DualPoint``) keeps that scaled int form as
 its state: it builds its Fractions only if they are read.  A candidate
 set is bound to its instance's capacity vector C and also keeps each
@@ -45,13 +47,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
 from .instance import Instance, InterdictionVector, preprocess
-from .linalg import subset_minors
+from .linalg import _laplace_plan, cofactor_rows
 from .nominal import (
     DimensionMismatchError,
     fractional_knapsack,
@@ -92,6 +94,12 @@ class DualPoint:
         g = gcd(scale, *alpha)
         if g != 1:
             scale, alpha = scale // g, tuple(a // g for a in alpha)
+        return cls._of_scaled(scale, alpha)
+
+    @classmethod
+    def _of_scaled(cls, scale: int, alpha: tuple[int, ...]) -> "DualPoint":
+        """The point alpha / scale for ints already in ``scaled`` form:
+        scale > 0, alpha >= 0 and gcd(scale, *alpha) = 1."""
         point = object.__new__(cls)
         point.scaled = scale, alpha
         point._alpha = None
@@ -161,6 +169,33 @@ def dual_breakpoints(inst: Instance) -> CandidateSet:
     return dual_vertex_candidates(inst)
 
 
+@lru_cache(maxsize=None)
+def _vertex_reads(t: int, k: int) -> tuple:
+    """Where a node of k item rows of width t + 1, carrying its k x k minors
+    in the order of ``linalg._laplace_plan(t + 1, k)``, keeps the vertices
+    it fixes with the zero-sets of t - k coordinates.
+
+    One entry per free set F, a k-subset of the t coordinates (the column
+    subsets without the profit column t): F, the index of its minor det(A),
+    and per position a of F the index of the minor over F - f_a + t and
+    whether the Cramer sign (-1)^(k - 1 - a) is negative.
+    """
+    subsets = list(reversed(list(combinations(range(t + 1), k))))
+    index = {cols: i for i, cols in enumerate(subsets)}
+    return tuple(
+        (
+            free,
+            at,
+            tuple(
+                (index[free[:a] + free[a + 1:] + (t,)], (k - 1 - a) % 2 == 1)
+                for a in range(k)
+            ),
+        )
+        for at, free in enumerate(subsets)
+        if free[-1] != t
+    )
+
+
 def dual_vertex_candidates(inst: Instance) -> CandidateSet:
     """Candidate multipliers for any t: vertices of the dual arrangement.
 
@@ -168,41 +203,84 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
     {alpha_j = 0} contributes its unique solution when the system is
     nonsingular and the solution is componentwise non-negative.
 
-    A subset of the planes fixes the coordinates of its coordinate planes,
-    a zero-set S, at 0 and leaves the (t - |S|)-square system of its item
-    planes on the free coordinates, nonsingular exactly when the whole
-    system is.  So each zero-set's item subsets are walked in that smaller
-    system by ``linalg.subset_minors`` over the rows (w_i[free]..., p_i):
-    a subset's minors are det(A) and, up to sign, its Cramer numerators.  A
-    solution is kept when its numerators have the determinant's sign or are
-    0, and is recorded as the gcd-reduced int tuple (numerators..., det)
+    A subset of k item planes and t - k coordinate planes fixes the
+    coordinates of the zero-set at 0 and leaves the k-square system of the
+    item planes on the free set F of the other k coordinates, nonsingular
+    exactly when the whole system is.  By Cramer's rule its determinant is
+    the k x k minor of the item rows (w_i..., p_i) over the columns F, and
+    its numerators are the minors over F - f_a + p, up to the sign
+    (-1)^(k - 1 - a).  So one depth-first walk over the item subsets, to
+    depth min(n, t), serves every zero-set: a node of k rows carries all
+    its k x k minors, one Laplace step per added row, and reads the vertex
+    of each free set of size k from them (``_vertex_reads``).  A node whose
+    minors all vanish has dependent rows, as has every extension, and is
+    skipped.  At depth t the one free set is every coordinate and nothing
+    is extended, so only its determinant and then its numerators, one at
+    a time, are computed, stopping at the first of the wrong sign.
+
+    A solution is kept when its numerators have the determinant's sign or
+    are 0, and is recorded as the gcd-reduced int tuple (numerators..., det)
     with det > 0, which is unique per point.  The points are sorted in ints
     too, in the lexicographic order of their coordinates; no Fraction is
     built, and each tuple is its point's ``scaled`` form.
     """
-    t = inst.t
-    weights = [inst.weight_of(i) for i in range(inst.n)]
+    t, n = inst.t, inst.n
+    rows = [(*w, p) for w, p in zip(zip(*inst.W), inst.p)]
+    depth = min(n, t)
+    plans = [_laplace_plan(t + 1, k) for k in range(1, depth + 1)]
+    reads = [_vertex_reads(t, k) for k in range(1, depth + 1)]
+    numerators = [0] * t
     found = {(0,) * t + (1,)}  # the origin, zero-set [t]
-    for size in range(1, t + 1):
-        # x_j = (-1)^(size - 1 - j) minors[j] / minors[size]
-        signs = [(-1) ** (size - 1 - j) for j in range(size)]
-        for free in combinations(range(t), size):
-            rows = [[w[j] for j in free] + [p] for w, p in zip(weights, inst.p)]
-            for _, minors in subset_minors(rows, size):
-                det = minors[size]
-                if det < 0:
-                    det, minors = -det, [-v for v in minors]
-                elif det == 0:
+    # (first row to add, depth, minors) of the nodes left to extend; a
+    # stack, not a recursive closure, so no reference cycle keeps the
+    # walk's rows and points alive after it returns
+    stack = [(0, 0, [1])] if depth else []
+    while stack:
+        start, k, minors = stack.pop()
+        cofactors = cofactor_rows(plans[k], minors, t + 1)
+        if k + 1 == t:
+            # the one free set is every coordinate: its determinant, then
+            # its numerators until one has the wrong sign
+            ((_, at, signs),) = reads[k]
+            det_row = cofactors[at]
+            for row in rows[start:]:
+                det = sum(map(mul, row, det_row))
+                if not det:
                     continue
-                numerators = [s * v for s, v in zip(signs, minors)]
-                if min(numerators) < 0:
+                negative = det < 0
+                for a, (j, flip) in enumerate(signs):
+                    v = sum(map(mul, row, cofactors[j]))
+                    if v and (v < 0) != (flip != negative):
+                        break
+                    numerators[a] = abs(v)
+                else:
+                    g = gcd(det, *numerators)
+                    found.add((*[v // g for v in numerators], abs(det) // g))
+            continue
+        for i in range(start, n):
+            row = rows[i]
+            child = [sum(map(mul, row, c)) for c in cofactors]
+            if not any(child):
+                continue
+            for free, at, signs in reads[k]:
+                det = child[at]
+                if not det:
                     continue
-                g = gcd(det, *numerators)
-                point = [0] * t
-                for j, v in zip(free, numerators):
-                    point[j] = v // g
-                point.append(det // g)
-                found.add(tuple(point))
+                negative = det < 0
+                for j, flip in signs:
+                    v = child[j]
+                    if v and (v < 0) != (flip != negative):
+                        break
+                else:
+                    values = [abs(child[j]) for j, _ in signs]
+                    g = gcd(det, *values)
+                    point = [0] * t
+                    for f, v in zip(free, values):
+                        point[f] = v // g
+                    point.append(abs(det) // g)
+                    found.add(tuple(point))
+            if k + 1 < depth and i + 1 < n:
+                stack.append((i + 1, k + 1, child))
     # distinct coordinates v / d differ by at least 1 / max(d)^2, so the
     # floors of K times them, K > max(d)^2, order them exactly in ints
     k = max(point[t] for point in found) ** 2 + 1
@@ -210,7 +288,7 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
         found, key=lambda point: [v * k // point[t] for v in point[:t]]
     )
     return CandidateSet(
-        points=tuple(DualPoint.from_scaled(point[t], point[:t]) for point in ordered),
+        points=tuple(DualPoint._of_scaled(point[t], point[:t]) for point in ordered),
         C=inst.C,
     )
 

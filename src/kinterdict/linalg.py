@@ -1,13 +1,13 @@
 """Tiny exact linear algebra over the integers.
 
-``subset_minors`` walks the m-subsets of a list of integer rows of width
-m + 1 depth-first and gives each subset's maximal minors: for rows
-(a_i..., b_i) they are det(A) and, up to sign, the Cramer numerators of
-the m x m system A x = b.  A child's minors are one Laplace step along its
-new row from its prefix's, so rows shared by many subsets are expanded
-once.  The vertex enumeration of ``dual`` runs on it, in ints alone, and
-``solve_square_system`` solves one square system as the one subset of all
-its rows, in Fractions.
+The k x k minors of the first k rows of an integer matrix (its Pluecker
+coordinates) follow from those of its first k - 1 rows by one Laplace
+expansion along row k; ``_laplace_plan`` lists how.  The vertex walk of
+``dual`` carries these minors from each subset of item rows to its
+extensions, in ints alone.  ``solve_square_system`` takes the same steps
+along the rows (A_i..., b_i) of one square system: its last minors are
+det(A) and, up to sign, the Cramer numerators, and the solution is built in
+Fractions.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 
 @lru_cache(maxsize=None)
@@ -40,59 +41,43 @@ def _laplace_plan(width: int, k: int) -> tuple:
     )
 
 
-def subset_minors(rows, m: int):
-    """Yield (subset, minors) for every m-subset of the integer rows, each
-    of width m + 1, whose rows are linearly independent; subsets are index
-    tuples in lexicographic order, and minors[l] is the determinant of the
-    subset's rows with column l deleted.
-
-    For rows (a_i..., b_i), minors[m] = det(A), and by Cramer's rule
-    A x = b is solved by x_j = (-1)^(m - 1 - j) minors[j] / det(A), moving
-    column b from the end to position j.  The subsets are walked depth-first:
-    a prefix of k rows carries all its k x k minors (its Pluecker
-    coordinates), and each row added costs one Laplace step along it.  A
-    prefix whose minors are all 0 has dependent rows, and so has every
-    subset that extends it; that branch is skipped.  The subsets left out
-    are exactly those whose maximal minors all vanish.
-    """
-    n = len(rows)
-    plans = [_laplace_plan(m + 1, k) for k in range(1, m + 1)]
-
-    def extend(start, depth, prefix, minors):
-        plan = plans[depth]
-        leaf = depth + 1 == m
-        for i in range(start, n - m + depth + 1):
-            row = rows[i]
-            child = []
-            for terms in plan:
-                v = 0
-                for c, j, negative in terms:
-                    if negative:
-                        v -= row[c] * minors[j]
-                    else:
-                        v += row[c] * minors[j]
-                child.append(v)
-            if not any(child):
-                continue
-            if leaf:
-                yield prefix + (i,), child
-            else:
-                yield from extend(i + 1, depth + 1, prefix + (i,), child)
-
-    return extend(0, 0, (), [1]) if m else iter([((), [1])])
+def cofactor_rows(plan, minors, width: int) -> list[list[int]]:
+    """The signed cofactors of one Laplace step, as one row per entry of
+    ``plan`` (a ``_laplace_plan(width, k)``, or entries like its) over the
+    (k - 1) x (k - 1) ``minors``: after a row r is added, entry i's k x k
+    minor is sum(map(mul, r, rows[i])).  A prefix builds them once and
+    each of its extensions takes one dot product per minor."""
+    rows = []
+    for terms in plan:
+        row = [0] * width
+        for c, j, negative in terms:
+            row[c] = -minors[j] if negative else minors[j]
+        rows.append(row)
+    return rows
 
 
 def solve_square_system(A, b) -> list[Fraction] | None:
     """Solve A x = b exactly for square integer A and b; None when A is singular.
 
-    A is a list of rows of ints.  ``subset_minors`` on the rows (A_i..., b_i)
-    walks the one subset of all of them, unless [A | b] has dependent rows
-    (then A is singular), and gives det(A) = minors[m]; by Cramer's rule
-    x_j = (-1)^(m - 1 - j) minors[j] / det(A).
+    A is a list of rows of ints.  The minors of the rows (A_i..., b_i) are
+    built one Laplace step (``cofactor_rows``) per row; once a prefix's
+    minors all vanish its rows are dependent, and so are those of [A | b]
+    and of A.  After the m rows, minors[l] is the determinant with column l
+    deleted: det(A) = minors[m], and by Cramer's rule
+    x_j = (-1)^(m - 1 - j) minors[j] / det(A), moving column b from the end
+    to position j.
     """
     m = len(A)
-    for _, minors in subset_minors([[*row, b_i] for row, b_i in zip(A, b)], m):
-        det = minors[m]
-        if det:
-            return [Fraction((-1) ** (m - 1 - j) * minors[j], det) for j in range(m)]
-    return None
+    minors = [1]
+    for k, (row, b_k) in enumerate(zip(A, b), 1):
+        row = [*row, b_k]
+        minors = [
+            sum(map(mul, row, cofactors))
+            for cofactors in cofactor_rows(_laplace_plan(m + 1, k), minors, m + 1)
+        ]
+        if not any(minors):
+            return None
+    det = minors[m]
+    if not det:
+        return None
+    return [Fraction((-1) ** (m - 1 - j) * minors[j], det) for j in range(m)]

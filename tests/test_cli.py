@@ -546,6 +546,26 @@ def test_exact_optf_on_equal_ratios_exits_4_within_the_pair_budget(tmp_path, cap
     )
 
 
+def test_solve_and_exact_optf_on_wide_t_finish(tmp_path, capsys):
+    # t = 40 capacities and n = 3 items: the vertex walk stops at depth
+    # n = 3 and reads its zero-sets there, with no loop over the 2^40 - 1
+    # free sets of coordinates.  cap_frac 1 keeps every item, so the
+    # candidates are enumerated
+    inst = generate_instance(n=3, t=40, seed=1, cap_frac=1)
+    path = write(tmp_path, "wide.json", serialize_instance(inst))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "solve", "--input", path, "--eps", "1")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    solved = json.loads(out)
+    assert solved["stats"]["candidates"] == len(dual.dual_vertex_candidates(inst)) > 40
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "exact-optf", "--input", path)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert Fraction(json.loads(out)["opt_f"]) <= Fraction(solved["f_value"])
+
+
 class _FakePool:
     """Records max_workers and maps in the calling process."""
 

@@ -158,13 +158,16 @@ def test_candidate_sets_contain_origin_and_are_sorted():
 
 @st.composite
 def arrangement_instances(draw):
-    """t = 2, 3, 4 instances with zero profits and weights (values from 0),
-    optionally a row that is a multiple of another (parallel planes), a
-    duplicated item, and every value but the costs scaled beyond 2**64."""
-    t = draw(st.sampled_from((2, 3, 4)))
-    inst = draw(instance_strategy(max_n=(6, 5, 4)[t - 2], t=t, max_value=6))
+    """t = 1, 2, 3, 4 and 8 instances with zero profits and weights (values
+    from 0), optionally a row that is a multiple of another (parallel
+    planes), a duplicated item, and every value but the costs scaled beyond
+    2**64.  At t = 1 the vertex walk's only depth is its last; at t = 8 it
+    has n <= 3 < t items and never reaches its last depth."""
+    t = draw(st.sampled_from((1, 2, 3, 4, 8)))
+    max_n = {1: 8, 2: 6, 3: 5, 4: 4, 8: 3}[t]
+    inst = draw(instance_strategy(max_n=max_n, t=t, max_value=6))
     p, W = list(inst.p), [list(row) for row in inst.W]
-    if draw(st.booleans()):
+    if t >= 2 and draw(st.booleans()):
         src, dst = draw(st.permutations(range(t)))[:2]
         k = draw(st.integers(0, 3))
         W[dst] = [k * v for v in W[src]]
@@ -183,11 +186,26 @@ def arrangement_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(arrangement_instances(), st.data())
 # items 0 and 1 have proportional rows and item 2 all-zero ones, so the
-# vertex walk skips a dependent prefix at every zero-set size
+# vertex walk skips the all-zero node {2} at depth 1 and the dependent node
+# {0, 1} at depth 2, and with them every subset that holds either
 @example(
     Instance(
         n=4, t=3, p=(3, 6, 0, 4), c=(1, 2, 1, 1),
         W=((1, 2, 0, 2), (2, 4, 0, 1), (1, 2, 0, 3)), B=2, C=(4, 5, 6),
+    ),
+    None,
+)
+# t = 1: every node is at the last depth, a zero weight gives no point
+@example(
+    Instance(n=4, t=1, p=(3, 0, 4, 2), c=(1, 1, 2, 1), W=((2, 5, 0, 1),), B=2, C=(3,)),
+    None,
+)
+# t = 8 with 3 items: the walk stops at depth 3 and reads zero-sets of 5 to 7
+@example(
+    Instance(
+        n=3, t=8, p=(4, 3, 5), c=(1, 1, 1),
+        W=((1, 2, 0), (0, 1, 3), (2, 0, 1), (1, 1, 1), (3, 0, 2), (0, 2, 2), (2, 4, 0), (1, 0, 0)),
+        B=1, C=(2, 3, 1, 2, 4, 2, 3, 1),
     ),
     None,
 )

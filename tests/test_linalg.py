@@ -1,22 +1,39 @@
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinterdict.linalg import solve_square_system, subset_minors
+from kinterdict.linalg import _laplace_plan, cofactor_rows, solve_square_system
 
 from conftest import cramer_solve
 
 
+def prefix_minors(rows, width):
+    """The k x k minors of each k-row prefix of the rows, one Laplace step
+    (``cofactor_rows``) per row, as solve_square_system and the vertex walk
+    of dual take them; minors over column subsets in the order of
+    ``_laplace_plan(width, k)``."""
+    minors = [1]
+    out = []
+    for k, row in enumerate(rows, 1):
+        minors = [
+            sum(map(mul, row, cofactors))
+            for cofactors in cofactor_rows(_laplace_plan(width, k), minors, width)
+        ]
+        out.append(minors)
+    return out
+
+
 def minors_solve(A, b):
-    """(det(A), Cramer numerators) of A x = b read from subset_minors on the
+    """(det(A), Cramer numerators) of A x = b read from the minors of the
     rows (A_i..., b_i), as solve_square_system reads them; None when A is
     singular."""
     m = len(A)
-    for _, minors in subset_minors([[*row, b_i] for row, b_i in zip(A, b)], m):
-        if minors[m]:
-            return minors[m], [(-1) ** (m - 1 - j) * minors[j] for j in range(m)]
+    minors = ([1], *prefix_minors([[*row, b_i] for row, b_i in zip(A, b)], m + 1))[-1]
+    if minors[m]:
+        return minors[m], [(-1) ** (m - 1 - j) * minors[j] for j in range(m)]
     return None
 
 
@@ -154,30 +171,49 @@ def row_lists(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(row_lists())
-def test_subset_minors_match_leibniz_determinants(case):
+def test_laplace_minors_match_leibniz_determinants(case):
     rows, m = case
-    expected = []
-    for subset in combinations(range(len(rows)), m):
-        chosen = [rows[i] for i in subset]
-        minors = [leibniz_det([row[:l] + row[l + 1:] for row in chosen]) for l in range(m + 1)]
-        if any(minors):
-            expected.append((subset, minors))
-    walked = list(subset_minors(rows, m))
-    assert walked == expected
-    # the minors are det(A) and the signed Cramer numerators of A x = b
-    for subset, minors in walked:
-        A = [rows[i][:m] for i in subset]
-        b = [rows[i][m] for i in subset]
+    width = m + 1
+    walked = prefix_minors(rows[:width], width)
+    for k, minors in enumerate(walked, 1):
+        chosen = rows[:k]
+        # every k x k minor, column subsets in reverse lexicographic order
+        assert minors == [
+            leibniz_det([[row[c] for c in cols] for row in chosen])
+            for cols in reversed(list(combinations(range(width), k)))
+        ]
+        # a prefix whose minors all vanish has dependent rows, and so has
+        # every prefix that extends it
+        if not any(minors):
+            assert not any(walked[-1])
+    # the minors of m rows are det(A) and the signed Cramer numerators of
+    # A x = b, and solve_square_system solves that system from them
+    if len(rows) >= m:
+        A = [row[:m] for row in rows[:m]]
+        b = [row[m] for row in rows[:m]]
+        minors = walked[m - 1]
         numerators = [(-1) ** (m - 1 - j) * minors[j] for j in range(m)]
-        assert cramer_solve(A, b) == (
-            None if minors[m] == 0 else (minors[m], numerators)
+        expected = None if minors[m] == 0 else (minors[m], numerators)
+        assert cramer_solve(A, b) == expected
+        assert solve_square_system(A, b) == (
+            None if expected is None else [Fraction(v, minors[m]) for v in numerators]
         )
 
 
-def test_subset_minors_small_cases():
-    # the prefix of rows 0 and 1 is dependent, so no subset with both is walked
+def test_laplace_minors_small_cases():
+    # rows 0 and 1 are dependent: their 2 x 2 minors vanish, those of
+    # every third row added to them too, and the system is singular
     rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 0, 0, 2]]
-    assert [s for s, _ in subset_minors(rows, 3)] == [(0, 2, 3), (1, 2, 3)]
-    assert list(subset_minors([[0, 0], [3, 5]], 1)) == [((1,), [5, 3])]
-    assert list(subset_minors([[1], [2]], 0)) == [((), [1])]
-    assert list(subset_minors([[1, 2, 3]], 2)) == []
+    walked = prefix_minors(rows[:3], 4)
+    assert not any(walked[1]) and not any(walked[2])
+    assert solve_square_system([r[:3] for r in rows[:3]], [r[3] for r in rows[:3]]) is None
+    # without row 1 the system is regular
+    A = [r[:3] for r in (rows[0], rows[2], rows[3])]
+    b = [r[3] for r in (rows[0], rows[2], rows[3])]
+    assert solve_square_system(A, b) == fraction_gauss_jordan(A, b)
+    # one row: its 1 x 1 minors, columns (2,), (1,), (0,)
+    assert prefix_minors([[1, 2, 3]], 3) == [[3, 2, 1]]
+    assert prefix_minors([[0, 0]], 2) == [[0, 0]]
+    assert prefix_minors([[3, 5]], 2) == [[5, 3]]
+    assert solve_square_system([[3]], [5]) == [Fraction(5, 3)]
+    assert prefix_minors([], 1) == []
