@@ -11,7 +11,6 @@ exact rational; no float touches a solver path.
 
 from .dual import (
     CandidateSet,
-    DualPoint,
     PreparedInstance,
     dual_breakpoints,
     dual_bound_exact,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CandidateSet",
-    "DualPoint",
     "FractionalPacking",
     "GeometricGrid",
     "Instance",

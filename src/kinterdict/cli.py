@@ -9,8 +9,9 @@ the digits of one int); 3 bad parameters; 4 instance too large: for an
 oracle (more items than --max-n, t > 3, 2^n integer packings or, for
 t >= 2, 2^n LP evaluations beyond the oracle's work budgets, one integer
 packing DP beyond its state limit, or more than 10^6 optimal
-interdictions to list), or a knapsack frontier run, value-only or
-stored, beyond its pair budget.
+interdictions to list), a knapsack frontier run, value-only or stored,
+beyond its pair budget, or a dual vertex walk (solve, exact-optf, bench)
+reading more than 10^7 zero-sets, C(n + t, t) - 1 after preprocessing.
 
 A solve runs in one process: its --jobs flag is accepted and has no
 effect.  bench --jobs spreads the instances over a process pool, one
@@ -147,11 +148,11 @@ def cmd_solve(args) -> int:
 def cmd_exact_optf(args) -> int:
     inst = _load_instance(args.input)
     reduced, index_map = preprocess(inst)
-    value, x, alpha = exact_fractional_optimum(reduced)
+    value, x, (scale, alpha) = exact_fractional_optimum(reduced)
     obj = {
         "opt_f": rat_to_str(value),
         "x": list(lift_interdiction(x.bits, index_map)),
-        "alpha": [rat_to_str(a) for a in alpha.alpha],
+        "alpha": [rat_to_str(Fraction(v, scale)) for v in alpha],
     }
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     return EXIT_OK

@@ -22,10 +22,11 @@ per added item, and the vertex of each zero-set of size t - k is a ratio
 of those minors, read off by Cramer's rule.  So the minors of items shared
 by many subsets are computed once, and the walk stops at depth min(n, t).
 Signs, duplicates and the sorted order are all decided
-on int tuples, and a point (``DualPoint``) keeps that scaled int form as
-its state: it builds its Fractions only if they are read.  A candidate
-set is bound to its instance's capacity vector C and also keeps each
-candidate's alpha . C, in ints, and the candidates' order by it
+on int tuples, and a point is the int pair (L, alpha L): L > 0 the lcm of
+alpha's denominators and alpha L >= 0, with gcd 1, unique per point.  The
+solvers read it in ints; only a reported multiplier is built in Fractions.
+A candidate set is bound to its instance's capacity vector C and also keeps
+each candidate's alpha . C, in ints, and the candidates' order by it
 (``CandidateSet``), compared by int cross-products: the FPTAS levels take
 a prefix of that order, F(x) scans in it and stops once alpha . C reaches
 the best value, since a candidate's value is at least its alpha . C, and
@@ -49,79 +50,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd
 from operator import mul
 
 from .instance import Instance, InterdictionVector, preprocess
 from .linalg import _laplace_plan, cofactor_rows
 from .nominal import (
     DimensionMismatchError,
+    StateLimitError,
     fractional_knapsack,
     knapsack_max_budget,
     lp_least_units,
 )
 
-
-class DualPoint:
-    """A componentwise non-negative capacity multiplier vector alpha.
-
-    Stored in ints as ``scaled`` = (L, alpha L), with L the lcm of alpha's
-    denominators.  That form is canonical, so points compare and hash by
-    it, and the Fraction tuple ``alpha`` is built only when it is read.
-    Points are not changed after they are made.
-    """
-
-    __slots__ = ("scaled", "_alpha")
-
-    def __init__(self, alpha):
-        alpha = tuple(Fraction(a) for a in alpha)
-        if any(a < 0 for a in alpha):
-            raise ValueError("dual multipliers must be non-negative")
-        scale = lcm(*(q.denominator for q in alpha))
-        self.scaled = scale, tuple(q.numerator * (scale // q.denominator) for q in alpha)
-        self._alpha = alpha
-
-    @classmethod
-    def of(cls, *values) -> "DualPoint":
-        return cls(values)
-
-    @classmethod
-    def from_scaled(cls, scale: int, alpha: tuple[int, ...]) -> "DualPoint":
-        """The point alpha / scale, for ints alpha >= 0 and scale > 0; its
-        ``scaled`` is (scale, alpha) divided by their gcd."""
-        if scale <= 0 or min(alpha, default=0) < 0:
-            raise ValueError("dual multipliers must be non-negative")
-        g = gcd(scale, *alpha)
-        if g != 1:
-            scale, alpha = scale // g, tuple(a // g for a in alpha)
-        return cls._of_scaled(scale, alpha)
-
-    @classmethod
-    def _of_scaled(cls, scale: int, alpha: tuple[int, ...]) -> "DualPoint":
-        """The point alpha / scale for ints already in ``scaled`` form:
-        scale > 0, alpha >= 0 and gcd(scale, *alpha) = 1."""
-        point = object.__new__(cls)
-        point.scaled = scale, alpha
-        point._alpha = None
-        return point
-
-    @property
-    def alpha(self) -> tuple[Fraction, ...]:
-        if self._alpha is None:
-            scale, alpha = self.scaled
-            self._alpha = tuple(Fraction(a, scale) for a in alpha)
-        return self._alpha
-
-    def __eq__(self, other):
-        if not isinstance(other, DualPoint):
-            return NotImplemented
-        return self.scaled == other.scaled
-
-    def __hash__(self):
-        return hash(self.scaled)
-
-    def __repr__(self):
-        return f"DualPoint(alpha={self.alpha!r})"
+# The zero-sets one vertex walk may read, C(n + t, t) - 1 in all: 9.4M at
+# t = 6, n = 40, against 601M at t = n = 16.
+VERTEX_READ_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -129,12 +73,13 @@ class CandidateSet:
     """Sorted, deduplicated dual candidates of an instance with capacities
     C; always contains the origin.
 
+    Each point is the int pair (L, alpha L) of the module docstring.
     Computed on first use and kept: dots[i] is (alpha L) . C in ints with
-    (L, alpha L) = points[i].scaled, so alpha . C = dots[i] / L, and order
-    the indices sorted by alpha . C, ties by index.
+    (L, alpha L) = points[i], so alpha . C = dots[i] / L, and order the
+    indices sorted by alpha . C, ties by index.
     """
 
-    points: tuple[DualPoint, ...]
+    points: tuple[tuple[int, tuple[int, ...]], ...]
     C: tuple[int, ...]
 
     def __iter__(self):
@@ -145,13 +90,13 @@ class CandidateSet:
 
     @cached_property
     def dots(self) -> tuple[int, ...]:
-        return tuple(sum(map(mul, a.scaled[1], self.C)) for a in self.points)
+        return tuple(sum(map(mul, alpha, self.C)) for _, alpha in self.points)
 
     @cached_property
     def order(self) -> tuple[int, ...]:
         # distinct values dot / L differ by at least 1 / max(L)^2, so the
         # floors of K times them, K > max(L)^2, order them exactly in ints
-        scales = [a.scaled[0] for a in self.points]
+        scales = [scale for scale, _ in self.points]
         k = max(scales, default=0) ** 2 + 1
         keys = [dot * k // scale for dot, scale in zip(self.dots, scales)]
         return tuple(sorted(range(len(keys)), key=keys.__getitem__))
@@ -169,7 +114,9 @@ def dual_breakpoints(inst: Instance) -> CandidateSet:
     return dual_vertex_candidates(inst)
 
 
-@lru_cache(maxsize=None)
+# bounded like linalg._laplace_plan; 16 holds every depth a walk within
+# VERTEX_READ_LIMIT reaches (at most 12)
+@lru_cache(maxsize=16)
 def _vertex_reads(t: int, k: int) -> tuple:
     """Where a node of k item rows of width t + 1, carrying its k x k minors
     in the order of ``linalg._laplace_plan(t + 1, k)``, keeps the vertices
@@ -219,18 +166,26 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
     a time, are computed, stopping at the first of the wrong sign.
 
     A solution is kept when its numerators have the determinant's sign or
-    are 0, and is recorded as the gcd-reduced int tuple (numerators..., det)
+    are 0, and is recorded as the point (det, numerators), gcd-reduced and
     with det > 0, which is unique per point.  The points are sorted in ints
     too, in the lexicographic order of their coordinates; no Fraction is
-    built, and each tuple is its point's ``scaled`` form.
+    built.
+
+    The walk reads sum_k C(n, k) C(t, k) = C(n + t, t) - 1 zero-sets, known
+    before it starts: beyond VERTEX_READ_LIMIT it raises StateLimitError.
     """
     t, n = inst.t, inst.n
+    zero_sets = comb(n + t, t) - 1
+    if zero_sets > VERTEX_READ_LIMIT:
+        raise StateLimitError(
+            f"vertex walk reads {zero_sets} zero-sets, beyond {VERTEX_READ_LIMIT}"
+        )
     rows = [(*w, p) for w, p in zip(zip(*inst.W), inst.p)]
     depth = min(n, t)
     plans = [_laplace_plan(t + 1, k) for k in range(1, depth + 1)]
     reads = [_vertex_reads(t, k) for k in range(1, depth + 1)]
     numerators = [0] * t
-    found = {(0,) * t + (1,)}  # the origin, zero-set [t]
+    found = {(1, (0,) * t)}  # the origin, zero-set [t]
     # (first row to add, depth, minors) of the nodes left to extend; a
     # stack, not a recursive closure, so no reference cycle keeps the
     # walk's rows and points alive after it returns
@@ -255,7 +210,7 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
                     numerators[a] = abs(v)
                 else:
                     g = gcd(det, *numerators)
-                    found.add((*[v // g for v in numerators], abs(det) // g))
+                    found.add((abs(det) // g, tuple(v // g for v in numerators)))
             continue
         for i in range(start, n):
             row = rows[i]
@@ -274,23 +229,17 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
                 else:
                     values = [abs(child[j]) for j, _ in signs]
                     g = gcd(det, *values)
-                    point = [0] * t
+                    alpha = [0] * t
                     for f, v in zip(free, values):
-                        point[f] = v // g
-                    point.append(abs(det) // g)
-                    found.add(tuple(point))
+                        alpha[f] = v // g
+                    found.add((abs(det) // g, tuple(alpha)))
             if k + 1 < depth and i + 1 < n:
                 stack.append((i + 1, k + 1, child))
     # distinct coordinates v / d differ by at least 1 / max(d)^2, so the
     # floors of K times them, K > max(d)^2, order them exactly in ints
-    k = max(point[t] for point in found) ** 2 + 1
-    ordered = sorted(
-        found, key=lambda point: [v * k // point[t] for v in point[:t]]
-    )
-    return CandidateSet(
-        points=tuple(DualPoint._of_scaled(point[t], point[:t]) for point in ordered),
-        C=inst.C,
-    )
+    k = max(scale for scale, _ in found) ** 2 + 1
+    points = sorted(found, key=lambda a: [v * k // a[0] for v in a[1]])
+    return CandidateSet(points=tuple(points), C=inst.C)
 
 
 @dataclass(frozen=True)
@@ -315,7 +264,7 @@ def prepare(inst: Instance) -> PreparedInstance:
 
 def scaled_reduced_profits(p, W, scale: int, alpha) -> list[int]:
     """max(0, p_i L - w_i . (alpha L)) per item, for profits p, weight rows
-    W and (L, alpha L) = a.scaled.
+    W and a point (L, alpha L).
 
     Built one capacity row at a time, skipping zero multipliers.
     """
@@ -326,33 +275,34 @@ def scaled_reduced_profits(p, W, scale: int, alpha) -> list[int]:
     return [r if r > 0 else 0 for r in rs]
 
 
-def dantzig_lower_bound(inst: Instance, a: DualPoint) -> tuple[int, int]:
-    """(lower L, L), with L the lcm of alpha's denominators and lower a
-    lower bound on the candidate's dual value: alpha . C plus the least
-    reduced profit the knapsack's LP relaxation keeps within the budget
-    (nominal.lp_least_units), rounded up, all in ints scaled by L.
+def dantzig_lower_bound(inst: Instance, a: tuple[int, tuple[int, ...]]) -> int:
+    """L times a lower bound on the dual value of the point a = (L, alpha L):
+    alpha . C plus the least reduced profit the knapsack's LP relaxation
+    keeps within the budget (nominal.lp_least_units), rounded up, all in
+    ints scaled by L.
 
-    The FPTAS rounds each reduced profit up, so lower also bounds every
-    rounded value of the candidate from below, at every grid level.
+    The FPTAS rounds each reduced profit up, so the bound is also below
+    every rounded value of the candidate, at every grid level.
     """
-    scale, alpha = a.scaled
+    scale, alpha = a
     reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
     base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
-    return base + lp_least_units(reduced, inst.c, inst.B), scale
+    return base + lp_least_units(reduced, inst.c, inst.B)
 
 
 def dual_bound_exact(
-    inst: Instance, a: DualPoint
+    inst: Instance, a: tuple[int, tuple[int, ...]]
 ) -> tuple[Fraction, InterdictionVector]:
     """Best interdiction under the dual objective at a fixed multiplier.
 
     Minimising the surviving reduced profit over budget-feasible x is a 0-1
     knapsack: select items to interdict, maximising the reduced profit
     removed.  Returns the exact bound value and the attaining interdiction.
-    The knapsack runs on the reduced profits scaled by L to ints; its choices
-    compare sums of them only, so they are those of the unscaled profits.
+    The knapsack runs on the reduced profits scaled by L to ints, with
+    a = (L, alpha L); its choices compare sums of them only, so they are
+    those of the unscaled profits.
     """
-    scale, alpha = a.scaled
+    scale, alpha = a
     reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
     answer = knapsack_max_budget(reduced, inst.c, inst.B)
     x = InterdictionVector.from_bits(answer.chosen, inst.c)
@@ -362,9 +312,10 @@ def dual_bound_exact(
 
 def exact_fractional_optimum(
     inst: Instance, candidates: CandidateSet | None = None
-) -> tuple[Fraction, InterdictionVector, DualPoint]:
+) -> tuple[Fraction, InterdictionVector, tuple[int, tuple[int, ...]]]:
     """Exact relaxed interdiction optimum by scanning the dual candidates.
 
+    Returns the value, the interdiction and the point (L, alpha L).
     Pseudopolynomial: at most one budget knapsack per candidate.  Ties
     between candidates are broken by the first point in sorted order.  A
     shared ``candidates`` must be ``dual_vertex_candidates(inst)``; it is
@@ -382,10 +333,9 @@ def exact_fractional_optimum(
     for a, dot in zip(candidates.points, candidates.dots):
         if best is not None:
             num, den = best[0].numerator, best[0].denominator
-            if dot * den >= num * a.scaled[0]:
+            if dot * den >= num * a[0]:
                 continue
-            lower, scale = dantzig_lower_bound(inst, a)
-            if lower * den >= num * scale:
+            if dantzig_lower_bound(inst, a) * den >= num * a[0]:
                 continue
         value, x = dual_bound_exact(inst, a)
         if best is None or value < best[0]:
@@ -423,7 +373,7 @@ def fractional_value(
     W = [[row[i] for i in kept] for row in inst.W]
     best, best_scale = None, 1
     for i in candidates.order:
-        scale, alpha = candidates.points[i].scaled
+        scale, alpha = candidates.points[i]
         dot = candidates.dots[i]
         if best is not None and dot * best_scale >= best * scale:
             break

@@ -51,7 +51,6 @@ from itertools import takewhile
 
 from .dual import (
     CandidateSet,
-    DualPoint,
     PreparedInstance,
     dantzig_lower_bound,
     fractional_value,
@@ -174,19 +173,21 @@ class GeometricGrid:
         return GridPoint(z=z, delta=self.eps_internal * z / self.n)
 
 
-def rounded_profit_units(inst: Instance, a: DualPoint, delta: Fraction) -> list[int]:
+def rounded_profit_units(
+    inst: Instance, a: tuple[int, tuple[int, ...]], delta: Fraction
+) -> list[int]:
     """Each item's reduced profit in units of delta, rounded up.
 
     Summing these units over surviving items and multiplying by delta equals
     the running-total rounding of the reduced profit sum, because the total
     is a multiple of delta before every addition.  Computed in integers:
-    with L the lcm of alpha's denominators, r = p_i L - w_i . (alpha L) is
-    the reduced profit times L (dual.scaled_reduced_profits, 0 when
-    negative), and the units are ceil(r / (L delta)).
+    with a = (L, alpha L), r = p_i L - w_i . (alpha L) is the reduced
+    profit times L (dual.scaled_reduced_profits, 0 when negative), and the
+    units are ceil(r / (L delta)).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    scale, alpha = a.scaled
+    scale, alpha = a
     num = delta.denominator
     den = delta.numerator * scale
     reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
@@ -251,18 +252,23 @@ class CandidateEval:
     k is the least feasible unit target within the cap, so value =
     alpha . C + k delta; both are None when the cap prunes every
     budget-feasible interdiction.  units are the candidate's rounded
-    profits and alpha the candidate itself, kept for the traceback and the
-    reported multiplier.
+    profits and alpha the candidate (L, alpha L) itself, kept for the
+    traceback and the reported multiplier.
     """
 
     value: Fraction | None
     k: int | None
     units: list[int]
-    alpha: DualPoint
+    alpha: tuple[int, tuple[int, ...]]
 
 
 def rounded_dual_bound(
-    inst: Instance, a: DualPoint, point: GridPoint, *, limit: Fraction, base: Fraction
+    inst: Instance,
+    a: tuple[int, tuple[int, ...]],
+    point: GridPoint,
+    *,
+    limit: Fraction,
+    base: Fraction,
 ) -> CandidateEval:
     """Rounded dual objective minimised over budget-feasible interdictions,
     sought only up to ``limit``.
@@ -350,14 +356,14 @@ def accept_level(
     points, dots, order = candidates.points, candidates.dots, candidates.order
     if lowers is None:
         lowers = {}
-    kept = sorted(takewhile(lambda i: dots[i] * v <= u * points[i].scaled[0], order))
+    kept = sorted(takewhile(lambda i: dots[i] * v <= u * points[i][0], order))
     best: CandidateEval | None = None
     for i in kept:
-        scale = points[i].scaled[0]
+        scale = points[i][0]
         if dots[i] * v > u * scale:
             continue
         if i not in lowers:
-            lowers[i] = dantzig_lower_bound(inst, points[i])[0]
+            lowers[i] = dantzig_lower_bound(inst, points[i])
         if lowers[i] * v > u * scale:
             continue
         base = Fraction(dots[i], scale)
@@ -479,12 +485,13 @@ def approx_fractional_optimum(
     x_reduced = InterdictionVector.from_bits(bits, reduced.c)
     f_value = fractional_value(reduced, x_reduced, candidates)
     survivors = [reduced.p[i] for i in range(reduced.n) if not bits[i]]
+    scale, alpha = winner.alpha
     return Solution(
         x=lift_interdiction(bits, index_map),
         f_value=f_value,
         guarantee=GUARANTEE_OPT_F,
         z_star=grid.point(j).z,
-        alpha_star=winner.alpha.alpha,
+        alpha_star=tuple(Fraction(v, scale) for v in alpha),
         additive_cert=f_value - max(survivors, default=0),
         stats=SolveStats(
             candidates=len(candidates),

@@ -18,7 +18,8 @@ from itertools import combinations
 from operator import mul
 
 
-@lru_cache(maxsize=None)
+# bounded, so a long-lived process does not keep every width it has seen
+@lru_cache(maxsize=32)
 def _laplace_plan(width: int, k: int) -> tuple:
     """How the k x k minors of a k x width matrix follow from the
     (k - 1) x (k - 1) minors of its first k - 1 rows, by Laplace expansion

@@ -32,7 +32,6 @@ their uncapped rows.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +57,7 @@ FRONTIER_PAIR_LIMIT = 10_000_000
 
 @dataclass(frozen=True)
 class KnapsackAnswer:
-    value: Fraction | int
+    value: int
     chosen: tuple[int, ...]
 
 
@@ -74,12 +73,11 @@ def budget_frontier(units, costs, budget: int, kmax, rows=None):
     and Ullmann 1969).  An item with u units and cost c maps it to the
     lower envelope of the remove branch (k, need + c) and the keep branch
     (k + u, need), merged in one pass; a zero-unit item leaves it
-    unchanged.  Units and kmax may be ints or Fractions, costs and budget
-    are ints.  An empty frontier means no target is feasible; a negative
-    budget or kmax starts with one.  StateLimitError is raised before a row
-    is built whose merge could take the pairs built past
-    FRONTIER_PAIR_LIMIT: a merge yields at most the pairs it reads from
-    both branches.  With ``rows`` a list, the frontier after each item is
+    unchanged.  Units, costs, budget and kmax are ints.  An empty frontier
+    means no target is feasible; a negative budget or kmax starts with one.
+    StateLimitError is raised before a row is built whose merge could take
+    the pairs built past FRONTIER_PAIR_LIMIT: a merge yields at most the
+    pairs it reads from both branches.  With ``rows`` a list, the frontier after each item is
     appended to it, starting with the empty selection; a zero-unit item's
     row is the one before it, lists shared, and builds nothing.  Without
     ``rows``, the loop stops at the first empty frontier.
@@ -356,10 +354,9 @@ def trace_unfixed(units, costs, budget: int, target: int, trace, relaxation=None
 def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
     """Maximise sum of profits over selections with sum of costs <= budget.
 
-    Profits are non-negative ints or Fractions, scaled by the lcm d of
-    their denominators to ints; costs and budget are non-negative ints.
-    The selected profit is the total minus the least kept profit, which the
-    bounded DP of ``least_units_within`` finds.  The items are sorted for
+    Profits, costs and budget are non-negative ints.  The selected profit
+    is the total minus the least kept profit, which the bounded DP of
+    ``least_units_within`` finds.  The items are sorted for
     it once, and with that least kept profit as ub the LP bound fixes more
     of them (``trace_unfixed``).  The rows for the traceback
     (``suffix_frontiers``) are stored over the items left free only,
@@ -378,19 +375,16 @@ def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
         raise DimensionMismatchError("profits and costs must have equal length")
     if any(p < 0 for p in profits):
         raise ValueError("profits must be non-negative")
-    d = math.lcm(*(p.denominator for p in profits))
-    gains = [p.numerator * (d // p.denominator) for p in profits]
-    total = sum(gains)
-    relaxation = _relaxation(gains, costs, budget)
+    total = sum(profits)
+    relaxation = _relaxation(profits, costs, budget)
     least = _least(relaxation, budget, total)
 
     def trace(gains, costs, left, rest):
         rows = suffix_frontiers(gains, costs, left, rest)
         return select_on_ties(rows, gains, costs, left)
 
-    chosen = trace_unfixed(gains, costs, budget, least, trace, relaxation)
-    value = total - least
-    return KnapsackAnswer(value=value if d == 1 else Fraction(value, d), chosen=chosen)
+    chosen = trace_unfixed(profits, costs, budget, least, trace, relaxation)
+    return KnapsackAnswer(value=total - least, chosen=chosen)
 
 
 @lru_cache(maxsize=8)

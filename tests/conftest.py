@@ -6,7 +6,6 @@ from itertools import combinations, product
 import pytest
 from hypothesis import strategies as st
 
-from kinterdict.dual import DualPoint
 from kinterdict.fptas import rounded_dual_bound
 from kinterdict.generator import SplitMix64, generate_instance
 from kinterdict.instance import (
@@ -93,22 +92,37 @@ def ceil_div(a, d) -> int:
     return -((-q.numerator) // q.denominator)
 
 
+def dual_point(*values) -> tuple[int, tuple[int, ...]]:
+    """The dual point (L, alpha L) of the non-negative rationals alpha, L the
+    lcm of their denominators: the reduced int form the vertex walk emits."""
+    alpha = [Fraction(v) for v in values]
+    scale = math.lcm(*(q.denominator for q in alpha))
+    return scale, tuple(q.numerator * (scale // q.denominator) for q in alpha)
+
+
+def alpha_of(a) -> tuple[Fraction, ...]:
+    """The multipliers alpha of a dual point a = (L, alpha L), in Fractions."""
+    scale, alpha = a
+    return tuple(Fraction(v, scale) for v in alpha)
+
+
 def reduced_profit(inst: Instance, item: int, a) -> Fraction:
     """max(0, p_i - w_i . alpha): the tests' reduced-profit reference."""
-    r = inst.p[item] - sum(inst.W[j][item] * a.alpha[j] for j in range(inst.t))
+    alpha = alpha_of(a)
+    r = inst.p[item] - sum(inst.W[j][item] * alpha[j] for j in range(inst.t))
     return r if r > 0 else Fraction(0)
 
 
 def dot_capacity(inst: Instance, a) -> Fraction:
     """alpha . C in Fractions: the tests' reference for a candidate's base."""
-    return sum((q * c for q, c in zip(a.alpha, inst.C)), start=Fraction(0))
+    return sum((q * c for q, c in zip(alpha_of(a), inst.C)), start=Fraction(0))
 
 
 def surviving_reduced_profit(inst: Instance, x: InterdictionVector, a) -> Fraction:
     """Total reduced profit an interdiction leaves behind, in Fractions."""
-    if len(a.alpha) != inst.t:
+    if len(a[1]) != inst.t:
         raise DimensionMismatchError(
-            f"dual point has {len(a.alpha)} components, instance has t={inst.t}"
+            f"dual point has {len(a[1])} components, instance has t={inst.t}"
         )
     if len(x.bits) != inst.n:
         raise DimensionMismatchError("interdiction length does not match instance")
@@ -163,10 +177,11 @@ def cramer_solve(A, b) -> tuple[int, list[int]] | None:
 # References for kinterdict.dual's vertex enumeration and F(x) scan: every
 # t-subset of the planes solved in Fractions, and every candidate scanned.
 
-def reference_vertex_candidates(inst: Instance) -> list[DualPoint]:
+def reference_vertex_candidates(inst: Instance) -> list[tuple]:
     """Every t-subset of the n + t hyperplanes {p_i = w_i . alpha} and
     {alpha_j = 0} solved as a t x t system in Fractions; the non-negative
-    solutions, deduplicated and sorted as Fraction tuples."""
+    solutions, deduplicated and sorted as Fraction tuples, as dual_point
+    pairs."""
     t = inst.t
     planes = [(inst.weight_of(i), inst.p[i]) for i in range(inst.n)]
     planes += [(tuple(1 if k == j else 0 for k in range(t)), 0) for j in range(t)]
@@ -175,7 +190,7 @@ def reference_vertex_candidates(inst: Instance) -> list[DualPoint]:
         sol = solve_square_system([a for a, _ in subset], [b for _, b in subset])
         if sol is not None and all(v >= 0 for v in sol):
             seen.add(tuple(sol))
-    return [DualPoint(alpha=pt) for pt in sorted(seen)]
+    return [dual_point(*pt) for pt in sorted(seen)]
 
 
 def unpruned_fractional_value(
@@ -187,8 +202,7 @@ def unpruned_fractional_value(
         (inst.p[i], inst.weight_of(i)) for i in range(inst.n) if not x.bits[i]
     ]
     best = None
-    for a in points:
-        scale, alpha = a.scaled
+    for scale, alpha in points:
         total = sum(aj * cj for aj, cj in zip(alpha, inst.C))
         for p, w in survivors:
             r = p * scale - sum(wj * aj for wj, aj in zip(w, alpha))

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from kinterdict.dual import (
-    DualPoint,
     dual_breakpoints,
     dual_vertex_candidates,
     exact_fractional_optimum,
@@ -41,8 +40,10 @@ from conftest import (
     T1,
     T2,
     all_interdictions,
+    alpha_of,
     ceil_div,
     dot_capacity,
+    dual_point,
     edge_family,
     family,
     random_rat,
@@ -158,8 +159,8 @@ def test_criterion_5_candidate_completeness():
     checked = 0
     for inst in insts:
         points = list(dual_breakpoints(inst))
-        values = [pt.alpha[0] for pt in points]
-        mids = [DualPoint.of((a + b) / 2) for a, b in zip(values, values[1:])]
+        values = [alpha_of(pt)[0] for pt in points]
+        mids = [dual_point((a + b) / 2) for a, b in zip(values, values[1:])]
         for x in all_interdictions(inst):
             f = fractional_knapsack(inst, x).value
             best = min(
@@ -220,7 +221,7 @@ def test_criterion_6_monotone_acceptance_and_rounding_sandwich():
         e = split_accuracy(Fraction(1))
         grid = GeometricGrid.build(inst, e)
         pt = grid.point(rng.uniform(0, grid.J))
-        a = DualPoint.of(*(random_rat(rng, max_num=15) for _ in range(inst.t)))
+        a = dual_point(*(random_rat(rng, max_num=15) for _ in range(inst.t)))
         bits = [rng.uniform(0, 1) for _ in range(inst.n)]
         units = rounded_profit_units(inst, a, pt.delta)
         rounded = sum(u for u, b in zip(units, bits) if not b) * pt.delta

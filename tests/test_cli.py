@@ -546,6 +546,20 @@ def test_exact_optf_on_equal_ratios_exits_4_within_the_pair_budget(tmp_path, cap
     )
 
 
+def test_solve_and_exact_optf_over_the_vertex_read_budget_exit_4(tmp_path, capsys):
+    # t = n = 16 with every item kept: the vertex walk would read
+    # C(32, 16) - 1 = 601,080,389 zero-sets, so it is refused before it starts
+    inst = generate_instance(n=16, t=16, seed=1, cap_frac=1)
+    path = write(tmp_path, "t16.json", serialize_instance(inst))
+    limit = dual.VERTEX_READ_LIMIT
+    expected = f"error: vertex walk reads 601080389 zero-sets, beyond {limit}\n"
+    for argv in (("solve", "--eps", "1"), ("exact-optf",)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--input", path, *argv[1:])
+        assert time.perf_counter() - start < 5
+        assert (code, out, err) == (4, "", expected)
+
+
 def test_solve_and_exact_optf_on_wide_t_finish(tmp_path, capsys):
     # t = 40 capacities and n = 3 items: the vertex walk stops at depth
     # n = 3 and reads its zero-sets there, with no loop over the 2^40 - 1
@@ -681,7 +695,7 @@ def test_solve_jobs_2_matches_jobs_1_where_both_screens_fire(
         # a DP runs only for a candidate whose alpha . C and Dantzig lower
         # bound are both within the cap it is given
         assert base == dot_capacity(inst, a) <= limit
-        assert Fraction(*dual.dantzig_lower_bound(inst, a)) <= limit
+        assert Fraction(dual.dantzig_lower_bound(inst, a), a[0]) <= limit
         runs[point.z] += 1
         return rounded_dual_bound(inst, a, point, limit=limit, base=base)
 
@@ -695,7 +709,7 @@ def test_solve_jobs_2_matches_jobs_1_where_both_screens_fire(
         within = [a for a in cands if dot_capacity(reduced, a) <= limit]
         screened = [
             a for a in within
-            if Fraction(*dual.dantzig_lower_bound(reduced, a)) <= limit
+            if Fraction(dual.dantzig_lower_bound(reduced, a), a[0]) <= limit
         ]
         assert runs[point.z] <= len(screened)
         # some candidates fail the alpha . C screen, some the Dantzig one

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 
 from kinterdict import dual
 from kinterdict.dual import (
-    DualPoint,
     dual_bound_exact,
     dual_breakpoints,
     dual_vertex_candidates,
     exact_fractional_optimum,
     fractional_value,
 )
-from kinterdict.generator import SplitMix64
+from kinterdict.generator import SplitMix64, generate_instance
 from kinterdict.instance import Instance, InterdictionVector
+from kinterdict.linalg import _laplace_plan
 from kinterdict.nominal import (
     DimensionMismatchError,
+    StateLimitError,
     fractional_knapsack,
     knapsack_max_budget,
     lp_least_units,
@@ -28,8 +29,10 @@ from conftest import (
     T1,
     T2,
     all_interdictions,
+    alpha_of,
     dense_knapsack_max_budget,
     dot_capacity,
+    dual_point,
     edge_family,
     family,
     instance_strategy,
@@ -46,59 +49,31 @@ def xvec(inst, bits):
 
 
 def alphas(cs):
-    return [pt.alpha for pt in cs]
+    return [alpha_of(pt) for pt in cs]
 
 
 # surviving_reduced_profit
 
 def test_reduced_profit_sum_t1_unit_alpha():
-    val = surviving_reduced_profit(T1, xvec(T1, (0, 0)), DualPoint.of(1))
+    val = surviving_reduced_profit(T1, xvec(T1, (0, 0)), dual_point(1))
     assert val == 1  # max(0, 3-2) + max(0, 2-2)
 
 
 def test_reduced_profit_sum_alpha_zero_is_plain_profit():
     for bits in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        val = surviving_reduced_profit(T1, xvec(T1, bits), DualPoint.of(0))
+        val = surviving_reduced_profit(T1, xvec(T1, bits), dual_point(0))
         assert val == sum(p for p, b in zip(T1.p, bits) if not b)
 
 
 def test_reduced_profit_sum_huge_alpha_leaves_zero_weight_items():
     inst = Instance(n=2, t=1, p=(5, 9), c=(1, 1), W=((0, 3),), B=1, C=(4,))
-    val = surviving_reduced_profit(inst, xvec(inst, (0, 0)), DualPoint.of(1000))
+    val = surviving_reduced_profit(inst, xvec(inst, (0, 0)), dual_point(1000))
     assert val == 5
 
 
 def test_reduced_profit_sum_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        surviving_reduced_profit(T1, xvec(T1, (0, 0)), DualPoint.of(1, 1))
-
-
-def test_dual_point_rejects_negative():
-    with pytest.raises(ValueError):
-        DualPoint.of(-1)
-    for scale, alpha in ((3, (1, -1)), (0, (1,)), (-2, (1,)), (-1, (0,))):
-        with pytest.raises(ValueError):
-            DualPoint.from_scaled(scale, alpha)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from((1, 2**64 + 13)),
-    st.integers(1, 60),
-    st.lists(st.integers(0, 90), max_size=4),
-)
-def test_dual_point_from_scaled_matches_its_fractions(k, scale, values):
-    # a common factor k, above 64 bits when k > 1, is divided out
-    point = DualPoint.from_scaled(k * scale, tuple(k * v for v in values))
-    same = DualPoint.of(*(Fraction(v, scale) for v in values))
-    assert point == same and hash(point) == hash(same)
-    assert point.scaled == same.scaled
-    assert point.alpha == same.alpha
-    assert all(
-        type(q) is Fraction and (q.numerator, q.denominator) == (v // g, scale // g)
-        for q, v, g in zip(point.alpha, values, (gcd(v, scale) for v in values))
-    )
-    assert point != DualPoint.of(*(Fraction(v, scale) for v in values), 1)
+        surviving_reduced_profit(T1, xvec(T1, (0, 0)), dual_point(1, 1))
 
 
 # candidate sets
@@ -211,9 +186,8 @@ def arrangement_instances(draw):
 )
 def test_vertex_candidates_and_fractional_value_match_references(inst, data):
     cs = dual_vertex_candidates(inst)
-    assert alphas(cs) == alphas(reference_vertex_candidates(inst))
-    # the scaled form the enumeration records is the one computed afresh
-    assert [a.scaled for a in cs] == [DualPoint(a.alpha).scaled for a in cs]
+    # the reference's points, in the reduced form computed afresh
+    assert list(cs) == reference_vertex_candidates(inst)
     # the alpha . C order: by value, ties by index
     bases = [dot_capacity(inst, a) for a in cs]
     assert list(cs.order) == sorted(range(len(cs)), key=bases.__getitem__)
@@ -232,6 +206,40 @@ def test_vertex_candidates_and_fractional_value_match_references(inst, data):
             assert value == vertex_lp_optimum(inst, x).value
 
 
+@settings(max_examples=200, deadline=None)
+@given(arrangement_instances())
+def test_candidates_are_reduced_int_points_in_lexicographic_order(inst):
+    # each point is (L, alpha L) with L > 0, alpha L >= 0 and gcd 1, a form
+    # unique per point, and the points are distinct and sorted by alpha
+    cs = dual_vertex_candidates(inst)
+    for scale, alpha in cs:
+        assert scale > 0 and len(alpha) == inst.t and min(alpha, default=0) >= 0
+        assert gcd(scale, *alpha) == 1
+    assert alphas(cs) == sorted(set(alphas(cs)))
+
+
+def test_vertex_walk_budget_admits_exactly_its_read_count(monkeypatch):
+    # t = 3 and n = 5: the walk reads C(8, 3) - 1 = 55 zero-sets
+    inst = generate_instance(n=5, t=3, seed=1, cap_frac=1)
+    reads = comb(inst.n + inst.t, inst.t) - 1
+    expected = dual_vertex_candidates(inst)
+    monkeypatch.setattr(dual, "VERTEX_READ_LIMIT", reads)
+    assert dual_vertex_candidates(inst) == expected
+    monkeypatch.setattr(dual, "VERTEX_READ_LIMIT", reads - 1)
+    message = f"reads {reads} zero-sets, beyond {reads - 1}"
+    with pytest.raises(StateLimitError, match=message):
+        dual_vertex_candidates(inst)
+
+
+def test_plan_caches_stay_within_their_bounds():
+    # 13 widths at depth 3 ask for 39 plans of each kind
+    for t in range(2, 41, 3):
+        dual_vertex_candidates(generate_instance(n=3, t=t, seed=1, cap_frac=1))
+    for cache in (_laplace_plan, dual._vertex_reads):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 def test_vertex_candidates_beyond_64_bits_t4():
     k = 2**64 + 7
     inst = _beyond_64_bits(
@@ -244,7 +252,7 @@ def test_vertex_candidates_beyond_64_bits_t4():
     )
     cs = dual_vertex_candidates(inst)
     assert alphas(cs) == alphas(reference_vertex_candidates(inst))
-    assert any(q.denominator > 2**64 for a in cs for q in a.alpha)
+    assert any(q.denominator > 2**64 for a in cs for q in alpha_of(a))
     for x in all_interdictions(inst):
         assert fractional_value(inst, x, cs) == unpruned_fractional_value(inst, x, cs)
 
@@ -252,11 +260,11 @@ def test_vertex_candidates_beyond_64_bits_t4():
 # dual bound and the exact solver
 
 def test_dual_bound_t1_values():
-    value, x = dual_bound_exact(T1, DualPoint.of(1))
+    value, x = dual_bound_exact(T1, dual_point(1))
     assert value == 2 and x.bits == (1, 0)
-    value, x = dual_bound_exact(T1, DualPoint.of(0))
+    value, x = dual_bound_exact(T1, dual_point(0))
     assert value == 2 and x.bits == (1, 0)
-    value, x = dual_bound_exact(T1, DualPoint.of(Fraction(3, 2)))
+    value, x = dual_bound_exact(T1, dual_point(Fraction(3, 2)))
     assert value == 3
     assert x.feasible(T1.B)
 
@@ -264,7 +272,7 @@ def test_dual_bound_t1_values():
 def test_exact_optimum_t1():
     value, x, alpha = exact_fractional_optimum(T1)
     assert value == 2 and x.bits == (1, 0)
-    assert alpha == DualPoint.of(0)  # tied with alpha=1, first sorted wins
+    assert alpha == dual_point(0)  # tied with alpha=1, first sorted wins
 
 
 def test_exact_optimum_zero_profits():
@@ -335,7 +343,7 @@ def test_weak_duality_200_samples():
         for _ in range(200):
             bits = [rng.uniform(0, 1) for _ in range(inst.n)]
             x = xvec(inst, bits)
-            a = DualPoint.of(random_rat(rng))
+            a = dual_point(random_rat(rng))
             bound = dot_capacity(inst, a) + surviving_reduced_profit(inst, x, a)
             assert fractional_knapsack(inst, x).value <= bound
 
@@ -343,10 +351,8 @@ def test_weak_duality_200_samples():
 def test_breakpoint_completeness_with_midpoint_scan():
     for inst in edge_family(seed=46, count=12, n_hi=6):
         points = [pt for pt in dual_breakpoints(inst)]
-        values = [pt.alpha[0] for pt in points]
-        mids = [
-            DualPoint.of((a + b) / 2) for a, b in zip(values, values[1:])
-        ]
+        values = [alpha_of(pt)[0] for pt in points]
+        mids = [dual_point((a + b) / 2) for a, b in zip(values, values[1:])]
         for x in all_interdictions(inst):
             f = fractional_knapsack(inst, x).value
             best = min(
@@ -365,10 +371,10 @@ def test_breakpoint_completeness_with_midpoint_scan():
 def test_piecewise_linearity_between_breakpoints():
     insts = [T1] + edge_family(seed=47, count=8, n_hi=5)
     for inst in insts:
-        values = [pt.alpha[0] for pt in dual_breakpoints(inst)]
+        values = [alpha_of(pt)[0] for pt in dual_breakpoints(inst)]
         for x in all_interdictions(inst):
             def h(a):
-                pt = DualPoint.of(a)
+                pt = dual_point(a)
                 return dot_capacity(inst, pt) + surviving_reduced_profit(
                     inst, x, pt
                 )
@@ -430,15 +436,15 @@ def test_exact_scan_skips_candidates_whose_bound_ties_the_incumbent(monkeypatch)
     # gives 6 + 0.  At alpha = 1 the Dantzig lower bound is exactly 6 (item 1
     # costs more than B), at alpha = 3 alpha.C alone is 6; the origin stays.
     inst = Instance(n=2, t=1, p=(3, 6), c=(1, 3), W=((3, 2),), B=2, C=(2,))
-    assert [dual_bound_exact(inst, DualPoint.of(v))[0] for v in (0, 1, 3)] == [6] * 3
+    assert [dual_bound_exact(inst, dual_point(v))[0] for v in (0, 1, 3)] == [6] * 3
     built = []
     original = dual.dual_bound_exact
     monkeypatch.setattr(
         dual, "dual_bound_exact", lambda inst, a: built.append(a) or original(inst, a)
     )
     value, x, alpha = exact_fractional_optimum(inst)
-    assert (value, x.bits, alpha) == (6, (1, 0), DualPoint.of(0))
-    assert built == [DualPoint.of(0)]
+    assert (value, x.bits, alpha) == (6, (1, 0), dual_point(0))
+    assert built == [dual_point(0)]
 
 
 @settings(max_examples=300, deadline=None)

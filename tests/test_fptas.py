@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from kinterdict.dual import (
     CandidateSet,
-    DualPoint,
     dantzig_lower_bound,
     dual_bound_exact,
     dual_breakpoints,
@@ -45,6 +44,7 @@ from conftest import (
     ceil_div,
     dense_min_budget_table,
     dot_capacity,
+    dual_point,
     edge_family,
     family,
     instance_strategy,
@@ -181,23 +181,23 @@ def test_grid_J_at_fine_accuracy_takes_well_under_a_second():
 # rounded profit units
 
 def test_units_t1_example():
-    assert rounded_profit_units(T1, DualPoint.of(1), Fraction(1, 2)) == [2, 0]
+    assert rounded_profit_units(T1, dual_point(1), Fraction(1, 2)) == [2, 0]
 
 
 def test_units_exact_multiple_not_overcounted():
     inst = Instance(n=1, t=1, p=(6,), c=(1,), W=((0,),), B=1, C=(1,))
-    assert rounded_profit_units(inst, DualPoint.of(0), Fraction(3, 2)) == [4]
+    assert rounded_profit_units(inst, dual_point(0), Fraction(3, 2)) == [4]
 
 
 def test_units_alpha_zero_unit_delta_gives_profits():
-    assert rounded_profit_units(T1, DualPoint.of(0), Fraction(1)) == [3, 2]
+    assert rounded_profit_units(T1, dual_point(0), Fraction(1)) == [3, 2]
 
 
 # the min-budget table
 
 def test_table_t1_frozen_example():
     # T1 at unit alpha, z = 1, eps' = 2/5: delta 1/5, units (5, 0), kmax 7
-    units = rounded_profit_units(T1, DualPoint.of(1), Fraction(1, 5))
+    units = rounded_profit_units(T1, dual_point(1), Fraction(1, 5))
     assert units == [5, 0]
     table = dense_min_budget_table(units, T1.c, 7)
     assert table.rows[0] == tuple(1 if k < 5 else 0 for k in range(8))
@@ -345,7 +345,7 @@ def test_rounded_bound_t1_example():
     grid = GeometricGrid.build(T1, e)
     # z = 2 is not on this grid; build the point directly
     pt = GridPoint(z=Fraction(2), delta=e * 2 / T1.n)
-    ev = unlimited_rounded_dual_bound(T1, DualPoint.of(1), pt, grid.kmax)
+    ev = unlimited_rounded_dual_bound(T1, dual_point(1), pt, grid.kmax)
     assert ev.value == 2
     assert candidate_bits(T1, ev) == (1, 0)
 
@@ -354,7 +354,7 @@ def test_rounded_bound_zero_mass_costs_alpha_dot_c():
     inst = Instance(n=2, t=1, p=(2, 2), c=(1, 1), W=((2, 2),), B=0, C=(2,))
     e = Fraction(2, 5)
     grid = GeometricGrid.build(inst, e)
-    big = DualPoint.of(1)  # reduced profits are max(0, 2-2)=0
+    big = dual_point(1)  # reduced profits are max(0, 2-2)=0
     ev = unlimited_rounded_dual_bound(inst, big, grid.point(0), grid.kmax)
     assert ev.value == dot_capacity(inst, big) == 2
     # keeping everything is free here
@@ -366,7 +366,7 @@ def test_rounded_bound_rejects_when_pruned():
     inst = Instance(n=2, t=1, p=(50, 50), c=(1, 1), W=((1, 1),), B=0, C=(2,))
     e = Fraction(2, 5)
     grid = GeometricGrid.build(inst, e)
-    ev = unlimited_rounded_dual_bound(inst, DualPoint.of(0), grid.point(0), grid.kmax)
+    ev = unlimited_rounded_dual_bound(inst, dual_point(0), grid.point(0), grid.kmax)
     assert ev.value is None and ev.k is None
     assert ev.units is not None  # the DP ran and found no target
 
@@ -452,7 +452,7 @@ def test_unit_form_equals_sequential_rounding_500_samples():
         if inst.n == 0:
             continue
         bits = [rng.uniform(0, 1) for _ in range(inst.n)]
-        a = DualPoint.of(*(random_rat(rng, max_num=12) for _ in range(inst.t)))
+        a = dual_point(*(random_rat(rng, max_num=12) for _ in range(inst.t)))
         delta = Fraction(rng.uniform(1, 30), rng.uniform(1, 12))
         assert rounded_mass(inst, bits, a, delta) == sequential_rounded_mass(
             inst, bits, a, delta
@@ -589,7 +589,7 @@ def test_state_bound_per_table():
             cands = candidates_for(inst)
             for j in (0, grid.J // 2, grid.J):
                 pt = grid.point(j)
-                units = rounded_profit_units(inst, DualPoint.of(0), pt.delta)
+                units = rounded_profit_units(inst, dual_point(0), pt.delta)
                 table = min_budget_table(units, inst.c, inst.B, grid.kmax)
                 assert table.states <= bound
 
@@ -649,7 +649,7 @@ def test_unit_form_equals_sequential_rounding_property(inst, seed):
         return
     rng = SplitMix64(seed)
     bits = [rng.uniform(0, 1) for _ in range(inst.n)]
-    a = DualPoint.of(random_rat(rng, max_num=12))
+    a = dual_point(random_rat(rng, max_num=12))
     delta = Fraction(rng.uniform(1, 30), rng.uniform(1, 12))
     assert rounded_mass(inst, bits, a, delta) == sequential_rounded_mass(
         inst, bits, a, delta
@@ -667,12 +667,12 @@ def test_units_integer_rounding_matches_fraction_reference_beyond_64_bits():
     )
     inst = Instance(n=n, t=3, p=p, c=(1,) * n, W=W, B=1, C=(big,) * 3)
     alphas = [
-        DualPoint.of(0, 0, 0),
-        DualPoint.of(Fraction(1, 3), Fraction(2, 7), Fraction(5, 12)),
-        DualPoint.of(Fraction(7, 3), Fraction(5, 2), Fraction(1, 6)),
-        DualPoint.of(0, Fraction(3, 2), Fraction(1, 10**30 + 1)),
+        dual_point(0, 0, 0),
+        dual_point(Fraction(1, 3), Fraction(2, 7), Fraction(5, 12)),
+        dual_point(Fraction(7, 3), Fraction(5, 2), Fraction(1, 6)),
+        dual_point(0, Fraction(3, 2), Fraction(1, 10**30 + 1)),
     ] + [
-        DualPoint.of(*(random_rat(rng, max_num=40, max_den=97) for _ in range(3)))
+        dual_point(*(random_rat(rng, max_num=40, max_den=97) for _ in range(3)))
         for _ in range(6)
     ]
     deltas = [Fraction(big, 7), Fraction(1, 3), Fraction(10**25 + 3, 2**66)]
@@ -772,7 +772,7 @@ def test_accept_level_keeps_candidate_whose_alpha_c_equals_the_limit():
     # reduced profit is 0, so the bound is exactly the limit and passes
     inst = Instance(n=1, t=1, p=(4,), c=(1,), W=((2,),), B=0, C=(2,))
     grid = GeometricGrid.build(inst, Fraction(1))
-    only = CandidateSet(points=(DualPoint.of(2),), C=inst.C)
+    only = CandidateSet(points=(dual_point(2),), C=inst.C)
     res = accept_level(inst, grid, 1, only)
     assert res.passed and res.winner.value == 4 and res.dp_tables == 1
 
@@ -783,7 +783,7 @@ def test_accept_level_tie_goes_to_the_earlier_candidate():
     # nothing.  Both bounds are 4, so whichever comes first wins.
     inst = Instance(n=1, t=1, p=(4,), c=(1,), W=((2,),), B=0, C=(2,))
     grid = GeometricGrid.build(inst, Fraction(1))
-    zero, two = DualPoint.of(0), DualPoint.of(2)
+    zero, two = dual_point(0), dual_point(2)
     for order in ((zero, two), (two, zero)):
         res = accept_level(inst, grid, 1, CandidateSet(points=order, C=inst.C))
         assert res.passed and res.winner.value == 4
@@ -798,7 +798,7 @@ def test_dantzig_lower_bound_is_below_exact_and_every_rounded_value(inst, eps):
         return
     grid = GeometricGrid.build(inst, split_accuracy(eps))
     for a in candidates_for(inst):
-        lower = Fraction(*dantzig_lower_bound(inst, a))
+        lower = Fraction(dantzig_lower_bound(inst, a), a[0])
         assert lower >= dot_capacity(inst, a)
         assert lower <= dual_bound_exact(inst, a)[0]
         for j in range(grid.J + 1):

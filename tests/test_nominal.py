@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinterdict import nominal
-from kinterdict.dual import DualPoint
 from kinterdict.fptas import CandidateEval, candidate_bits, min_budget_table
 from kinterdict.generator import SplitMix64
 from kinterdict.instance import Instance, InterdictionVector
@@ -41,25 +40,25 @@ def xvec(inst, bits):
 
 def test_budget_knapsack_t1_reduced_profits():
     # reduced profits of T1 at the unit dual multiplier
-    ans = knapsack_max_budget([Fraction(1), Fraction(0)], [1, 1], 1)
+    ans = knapsack_max_budget([1, 0], [1, 1], 1)
     assert ans.value == 1
     assert ans.chosen == (1, 0)
 
 
 def test_budget_knapsack_zero_budget_only_free_items():
-    ans = knapsack_max_budget([Fraction(5), Fraction(7)], [0, 3], 0)
+    ans = knapsack_max_budget([5, 7], [0, 3], 0)
     assert ans.value == 5
     assert ans.chosen == (1, 0)
 
 
 def test_budget_knapsack_all_zero_profits():
-    ans = knapsack_max_budget([Fraction(0)] * 3, [1, 1, 1], 2)
+    ans = knapsack_max_budget([0] * 3, [1, 1, 1], 2)
     assert ans.value == 0
 
 
 def test_budget_knapsack_prefers_selecting_on_ties():
     # both branches reach the optimum; the item must be selected
-    ans = knapsack_max_budget([Fraction(2), Fraction(2)], [1, 1], 1)
+    ans = knapsack_max_budget([2, 2], [1, 1], 1)
     assert ans.chosen == (1, 0)
 
 
@@ -69,28 +68,26 @@ def test_budget_knapsack_exact_by_enumeration():
 
     for _ in range(60):
         m = rng.uniform(0, 7)
-        profits = [Fraction(rng.uniform(0, 30), rng.uniform(1, 6)) for _ in range(m)]
+        profits = [rng.uniform(0, 30) for _ in range(m)]
         costs = [rng.uniform(0, 6) for _ in range(m)]
         budget = rng.uniform(0, 15)
         ans = knapsack_max_budget(profits, costs, budget)
         best = max(
-            (
-                sum((p for p, b in zip(profits, bits) if b), start=Fraction(0))
-                for bits in product((0, 1), repeat=m)
-                if sum(c for c, b in zip(costs, bits) if b) <= budget
-            ),
-            default=Fraction(0),
+            sum(p for p, b in zip(profits, bits) if b)
+            for bits in product((0, 1), repeat=m)
+            if sum(c for c, b in zip(costs, bits) if b) <= budget
         )
         assert ans.value == best
         assert sum(c for c, b in zip(costs, ans.chosen) if b) <= budget
-        assert sum((p for p, b in zip(profits, ans.chosen) if b), start=Fraction(0)) == ans.value
+        assert sum(p for p, b in zip(profits, ans.chosen) if b) == ans.value
 
 
-# profits: small ints with many ties, ints beyond 2**64, or Fractions
+# profits: small ints with many ties, ints beyond 2**64, or ints up to 9
+# times lcm(1..7) = 420, as the reduced profits of a dual point are
 _profit = st.one_of(
     st.integers(0, 6),
     st.integers(2**64, 2**64 + 6),
-    st.fractions(min_value=0, max_value=9, max_denominator=7),
+    st.integers(0, 9 * 420),
 )
 
 
@@ -101,12 +98,12 @@ _profit = st.one_of(
 )
 @example(items=[(2, 1), (2, 1), (0, 0)], budget=1)
 @example(items=[(0, 0), (0, 3), (5, 13)], budget=12)
-@example(items=[(Fraction(1, 3), 1), (Fraction(2, 3), 2), (1, 3)], budget=3)
+@example(items=[(1, 1), (2, 2), (3, 3)], budget=3)
 @example(items=[(2**64, 2), (2**64 + 1, 3), (1, 1)], budget=4)
 def test_budget_knapsack_matches_dense_reference(items, budget):
-    # ties, zero profits and zero costs, costs above the budget, values
-    # beyond 2**64 and Fraction profits: the frontier DP gives the dense
-    # table's value and its select-on-ties choices
+    # ties, zero profits and zero costs, costs above the budget and values
+    # beyond 2**64: the frontier DP gives the dense table's value and its
+    # select-on-ties choices
     profits = [p for p, _ in items]
     costs = [c for _, c in items]
     ans = knapsack_max_budget(profits, costs, budget)
@@ -166,13 +163,13 @@ def test_bounded_least_units_within_matches_dense_table(items, budget, kmax, rnd
 _profit14 = st.one_of(
     st.integers(0, 40),
     st.integers(2**64, 2**64 + 40),
-    st.fractions(min_value=0, max_value=9, max_denominator=7),
+    st.integers(0, 9 * 420),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_profit14, st.integers(0, 14)), max_size=14), st.integers(0, 60))
-@example(items=[(Fraction(3, 2), 2), (Fraction(4, 3), 3), (1, 2)], budget=4)
+@example(items=[(9, 2), (8, 3), (6, 2)], budget=4)
 @example(items=[(2, 2), (2, 2), (3, 3)], budget=4)
 def test_bounded_knapsack_max_budget_matches_dense_reference(items, budget):
     # the value from the bounded DP, and rows capped at the least kept
@@ -215,7 +212,7 @@ def test_traces_over_the_free_items_match_the_full_tracebacks(items, budget, kma
             n=len(units), t=1, p=tuple(units), c=tuple(costs),
             W=((1,) * len(units),), B=budget, C=(1,),
         )
-        ev = CandidateEval(value=None, k=k, units=units, alpha=DualPoint.of(0))
+        ev = CandidateEval(value=None, k=k, units=units, alpha=(1, (0,)))
         assert candidate_bits(inst, ev) == full
         assert dense_min_budget_table(units, costs, k).traceback(k) == full
     ans = knapsack_max_budget(units, costs, budget)
