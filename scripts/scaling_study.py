@@ -2,9 +2,12 @@
 """Empirical scaling of the grid-search solver.
 
 Doubles n at fixed accuracy and reports total DP states and wall time per
-solve, averaged over seeds.  DP states are the nominal table size n (kmax+1)
-summed over the tables actually built; candidates whose alpha . C exceeds a
-level's acceptance limit build none.  A full scan would grow by about 8 per
+solve, averaged over seeds.  DP states are the paper's nominal count, not
+the work done: the table size n (kmax+1) summed over the candidates whose
+alpha . C is within the acceptance limit of a level on the binary search's
+path, whether the level was scanned or decided by the search's bounds, and
+whether a candidate's DP ran or not; candidates above a level's limit are
+charged no table.  A full scan would grow by about 8 per
 doubling (states per table scale with n^2, the candidate count with n, and
 the binary search length is nearly flat); with the skip the ratio depends on
 how many candidates each level drops.  At --eps 1 the measured ratios for

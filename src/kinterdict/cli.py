@@ -11,7 +11,9 @@ t >= 2, 2^n LP evaluations beyond the oracle's work budgets, one integer
 packing DP beyond its state limit, or more than 10^6 optimal
 interdictions to list), a knapsack frontier run, value-only or stored,
 beyond its pair budget, or a dual vertex walk (solve, exact-optf, bench)
-reading more than 10^7 zero-sets, C(n + t, t) - 1 after preprocessing.
+reading more than 10^7 zero-sets, C(n + t, t) - 1 after preprocessing, or
+building a cofactor table of more than 10^7 cells, C(t + 1, k) (t + 1)
+at depth k <= min(n, t).
 
 A solve runs in one process: its --jobs flag is accepted and has no
 effect.  bench --jobs spreads the instances over a process pool, one

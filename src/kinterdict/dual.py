@@ -66,6 +66,10 @@ from .nominal import (
 # The zero-sets one vertex walk may read, C(n + t, t) - 1 in all: 9.4M at
 # t = 6, n = 40, against 601M at t = n = 16.
 VERTEX_READ_LIMIT = 10**7
+# The cells of the largest cofactor table one node of the walk builds,
+# C(t + 1, k) (t + 1) for its extensions to depth k: 437k at t = 40, n = 3,
+# against 13.6M at t = 300, n = 2.
+VERTEX_CELL_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,11 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
 
     The walk reads sum_k C(n, k) C(t, k) = C(n + t, t) - 1 zero-sets, known
     before it starts: beyond VERTEX_READ_LIMIT it raises StateLimitError.
+    Its memory is bounded apart: a node extended to depth k builds a
+    cofactor table of C(t + 1, k) rows of width t + 1, which grows about t
+    times faster than the reads when t is wide and n small.  Beyond
+    VERTEX_CELL_LIMIT cells in the largest table, also known before any
+    plan is built, it raises StateLimitError too.
     """
     t, n = inst.t, inst.n
     zero_sets = comb(n + t, t) - 1
@@ -180,8 +189,14 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
         raise StateLimitError(
             f"vertex walk reads {zero_sets} zero-sets, beyond {VERTEX_READ_LIMIT}"
         )
-    rows = [(*w, p) for w, p in zip(zip(*inst.W), inst.p)]
     depth = min(n, t)
+    cells = max((comb(t + 1, k) * (t + 1) for k in range(1, depth + 1)), default=0)
+    if cells > VERTEX_CELL_LIMIT:
+        raise StateLimitError(
+            f"vertex walk builds a cofactor table of {cells} cells, beyond "
+            f"{VERTEX_CELL_LIMIT}"
+        )
+    rows = [(*w, p) for w, p in zip(zip(*inst.W), inst.p)]
     plans = [_laplace_plan(t + 1, k) for k in range(1, depth + 1)]
     reads = [_vertex_reads(t, k) for k in range(1, depth + 1)]
     numerators = [0] * t

@@ -7,8 +7,14 @@ delta = eps * z / n, and replace the budget knapsack by a DP over rounded
 profit units that stores the minimum budget per unit target.  A guessed z is
 accepted when the best rounded dual bound is at most (1 + eps) * z; the
 accepted set is upward closed, so binary search over the grid finds the
-smallest accepted guess.  The search is one serial loop: each level it
-tries is one scan of the candidates, and each candidate scanned runs at
+smallest accepted guess.  The search is one serial loop.  Two bounds,
+computed once per solve, decide most of the levels it visits without a
+scan (search_bracket): a level whose limit is below the least Dantzig
+lower bound over all candidates rejects, and a level whose z reaches the
+dual value of a greedy interdiction, at the candidate attaining that
+least bound, accepts.  Both rules are exact, so the search visits the
+levels a plain binary search visits and ends where it ends.  Each other
+level is one scan of the candidates, and each candidate scanned runs at
 most one DP.
 
 That acceptance limit also bounds the work.  A level keeps the candidates
@@ -31,7 +37,8 @@ target, to trace its interdiction back (nominal.trace_unfixed,
 suffix_frontiers and select_on_ties).
 The reported dp_tables and dp_states are the paper's nominal counts: one
 table of n (kmax + 1) states for every candidate whose alpha . C is within
-the level's limit, whether its DP ran or not.
+the limit of a level on the search's path, whether the level was scanned
+and the candidate's DP ran or not.
 
 Composing with the integrality gap of the packing LP turns the (1+eps)
 guarantee on the relaxed optimum into 2+eps for a single capacity and
@@ -59,6 +66,7 @@ from .dual import (
 )
 from .instance import Instance, InterdictionVector, lift_interdiction
 from .nominal import (
+    greedy_kept_units,
     least_units_within,
     select_on_ties,
     suffix_frontiers,
@@ -104,19 +112,21 @@ class GridPoint:
     delta: Fraction
 
 
-def _least_power_reaching(base: Fraction, target: int) -> int:
-    """The least j >= 0 with base**j >= target, for a rational base > 1.
+def _least_power_reaching(base: Fraction, target: Fraction | int) -> int:
+    """The least j >= 0 with base**j >= target, for a rational base > 1 and
+    a rational target.
 
-    Every test is exact: num**j >= target * den**j in ints.  A
-    floating-point estimate of log(target) / log(base) is only the start:
+    Every test is exact: num**j b >= a den**j in ints, with target = a / b.
+    A floating-point estimate of log(target) / log(base) is only the start:
     the step doubles away from it until two tests bracket j, then the
     bracket is bisected.  The estimate is usually exact, so two tests
     suffice.
     """
     num, den = base.numerator, base.denominator
+    a, b = target.numerator, target.denominator
 
     def reaches(j: int) -> bool:
-        return num**j >= target * den**j
+        return num**j * b >= a * den**j
 
     if reaches(0):
         return 0
@@ -307,6 +317,16 @@ def candidate_bits(inst: Instance, ev: CandidateEval) -> tuple[int, ...]:
     return trace_unfixed(ev.units, inst.c, inst.B, ev.k, trace)
 
 
+def within_limit(candidates: CandidateSet, limit: Fraction) -> list[int]:
+    """The indices of the candidates whose alpha . C is at most the limit,
+    in alpha . C order: a prefix of ``CandidateSet.order``, walked up to the
+    first candidate above the limit and compared by int cross-products.
+    Its length is a level's nominal table count."""
+    u, v = limit.numerator, limit.denominator
+    points, dots = candidates.points, candidates.dots
+    return list(takewhile(lambda i: dots[i] * v <= u * points[i][0], candidates.order))
+
+
 @dataclass(frozen=True)
 class LevelResult:
     """A level's outcome: winner is the best candidate's evaluation (its
@@ -353,10 +373,10 @@ def accept_level(
     point = grid.point(j)
     cap = (1 + grid.eps_internal) * point.z
     u, v = cap.numerator, cap.denominator
-    points, dots, order = candidates.points, candidates.dots, candidates.order
+    points, dots = candidates.points, candidates.dots
     if lowers is None:
         lowers = {}
-    kept = sorted(takewhile(lambda i: dots[i] * v <= u * points[i][0], order))
+    kept = sorted(within_limit(candidates, cap))
     best: CandidateEval | None = None
     for i in kept:
         scale = points[i][0]
@@ -374,6 +394,39 @@ def accept_level(
     return LevelResult(winner=best, dp_tables=len(kept))
 
 
+def search_bracket(
+    inst: Instance, candidates: CandidateSet, lowers: dict[int, int]
+) -> tuple[Fraction, Fraction]:
+    """(lower, upper): bounds that decide most grid levels without a scan.
+
+    lower is the least Dantzig lower bound over all candidates, a lower
+    bound on every rounded value at every level.  The candidates are
+    scanned in alpha . C order (``CandidateSet.order``), and the scan stops
+    at the first one whose alpha . C reaches the least bound so far, since
+    a candidate's bound is at least its alpha . C; each bound computed is
+    stored in ``lowers``, by index, as ``accept_level`` reads it.  upper is
+    the dual value, at the first candidate a* attaining lower, of the
+    greedy removal in units/cost order (nominal.greedy_kept_units): a
+    budget-feasible interdiction, so upper is at least the candidate's least
+    dual value V, and lower <= V <= upper.
+    """
+    points, dots = candidates.points, candidates.dots
+    best = None
+    for i in candidates.order:
+        scale = points[i][0]
+        if best is not None and dots[i] * points[best][0] >= lowers[best] * scale:
+            break
+        if i not in lowers:
+            lowers[i] = dantzig_lower_bound(inst, points[i])
+        if best is None or lowers[i] * points[best][0] < lowers[best] * scale:
+            best = i
+    assert best is not None  # the candidate set always contains the origin
+    scale, alpha = points[best]
+    reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
+    kept = greedy_kept_units(reduced, inst.c, inst.B)
+    return Fraction(lowers[best], scale), Fraction(dots[best] + kept, scale)
+
+
 def search_optimum_guess(
     inst: Instance, grid: GeometricGrid, candidates: CandidateSet
 ) -> tuple[int, CandidateEval, int]:
@@ -386,29 +439,54 @@ def search_optimum_guess(
     (kept by the ``CandidateSet``), and each Dantzig lower bound once a
     level needs it, are computed once and shared by every level.
 
+    Most levels are decided before any scan, by the bounds of
+    ``search_bracket``.  A level whose limit (1 + eps') z_j is below lower
+    rejects, since every rounded value is at least its Dantzig bound.  A
+    level with z_j >= upper accepts: a*'s rounded value is at most
+    V + n delta_j <= upper + eps' z_j, within the limit.  Both tests are
+    exponent comparisons, since the limit is (1 + eps')^(j + 1).  Only the
+    other levels run ``accept_level``, so the search takes the same path
+    as one that scans every level it visits, and ends at the same level.
+    When that level was accepted without a scan, it is scanned once at the
+    end for its winner.
+
     Returns (j, winner, dp_tables): the accepted level, its winner's
-    evaluation, and the nominal tables summed over every level evaluated.
+    evaluation, and the nominal tables summed over every level on the
+    search's path, scanned or not (``within_limit``).
     """
     lowers: dict[int, int] = {}
+    lower, upper = search_bracket(inst, candidates, lowers)
+    base = 1 + grid.eps_internal
+    # level j is open when its limit base^(j + 1) reaches lower and z_j is
+    # below upper
+    first_open = _least_power_reaching(base, lower) - 1
+    first_accepted = _least_power_reaching(base, upper)
     dp_tables = 0
 
-    def evaluate(j: int) -> LevelResult:
+    def evaluate(j: int) -> tuple[bool, CandidateEval | None]:
         nonlocal dp_tables
-        res = accept_level(inst, grid, j, candidates, lowers)
-        dp_tables += res.dp_tables
-        return res
+        if first_open <= j < first_accepted:
+            res = accept_level(inst, grid, j, candidates, lowers)
+            dp_tables += res.dp_tables
+            return res.passed, res.winner
+        dp_tables += len(within_limit(candidates, base ** (j + 1)))
+        return j >= first_accepted, None
 
-    # winner is the accepted level hi's, None while hi is the unevaluated top
+    # winner is the accepted level hi's, None while hi is the top level,
+    # which is never a mid, or was accepted without a scan
     lo, hi, winner = 0, grid.J, None
     while lo < hi:
         mid = (lo + hi) // 2
-        res = evaluate(mid)
-        if res.passed:
-            hi, winner = mid, res.winner
+        passed, found = evaluate(mid)
+        if passed:
+            hi, winner = mid, found
         else:
             lo = mid + 1
     if winner is None:
-        winner = evaluate(hi).winner
+        res = accept_level(inst, grid, hi, candidates, lowers)
+        winner = res.winner
+        if hi == grid.J:  # the only level not yet counted
+            dp_tables += res.dp_tables
     if winner is None:
         raise InternalInvariantError(
             f"top grid level {hi} of {grid.J} rejected; the grid must cover "

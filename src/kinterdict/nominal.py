@@ -250,16 +250,24 @@ def _fixed(us, cs, pcs, sus, split, budget: int, ub):
     return fix, left, fixed, free_units, free_costs
 
 
-def _least(relaxation, budget: int, kmax: int) -> int | None:
-    """``least_units_within`` for the items of a ``_relaxation``."""
-    kept, _, us, cs, pcs, sus, split = relaxation
-    # the LP removes the items before split whole; the greedy removes them
-    # too, then every later item that still fits
+def _greedy(relaxation, budget: int) -> int:
+    """The units that the greedy removal keeps of the sorted items of a
+    ``_relaxation``, those costing more than the budget left out: the LP
+    removes the items before split whole, and the greedy removes them too,
+    then every later item that still fits."""
+    _, _, us, cs, pcs, sus, split = relaxation
     rem, greedy = budget - pcs[split], sus[split]
     for u, c in zip(us[split:], cs[split:]):
         if c <= rem:
             rem -= c
             greedy -= u
+    return greedy
+
+
+def _least(relaxation, budget: int, kmax: int) -> int | None:
+    """``least_units_within`` for the items of a ``_relaxation``."""
+    kept, _, us, cs, pcs, sus, split = relaxation
+    greedy = _greedy(relaxation, budget)
     ub = min(kmax - kept, greedy)
     # the LP bound on the kept units is lower / cs[split]
     lower = sus[split] * cs[split] - (budget - pcs[split]) * us[split]
@@ -312,6 +320,16 @@ def lp_least_units(units, costs, budget: int) -> int:
         rem -= c
         rest -= u
     return kept + rest
+
+
+def greedy_kept_units(units, costs, budget: int) -> int:
+    """The units kept by the greedy removal in decreasing units/cost order
+    (``least_units_within``'s): zero-cost items removed, items costing more
+    than the budget kept, and each other item removed when it still fits.
+    Its removal is within the budget, so it bounds the least units kept
+    from above.  Units, costs and budget are non-negative ints."""
+    relaxation = _relaxation(units, costs, budget)
+    return relaxation[0] + _greedy(relaxation, budget)
 
 
 def trace_unfixed(units, costs, budget: int, target: int, trace, relaxation=None):

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import strategies as st
 
-from kinterdict.fptas import rounded_dual_bound
+from kinterdict.fptas import InternalInvariantError, accept_level, rounded_dual_bound
 from kinterdict.generator import SplitMix64, generate_instance
 from kinterdict.instance import (
     FractionalPacking,
@@ -263,6 +263,31 @@ def unlimited_rounded_dual_bound(inst: Instance, a, point, kmax: int):
     return rounded_dual_bound(
         inst, a, point, limit=base + kmax * point.delta, base=base
     )
+
+
+def plain_search_optimum_guess(inst: Instance, grid, candidates):
+    """fptas.search_optimum_guess without its bracket: the binary search over
+    [0, J] that scans every level it visits with accept_level, and the top
+    level at the end when no level passed; dp_tables sums the scanned
+    levels' counts."""
+    lowers: dict[int, int] = {}
+    dp_tables = 0
+    lo, hi, winner = 0, grid.J, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        res = accept_level(inst, grid, mid, candidates, lowers)
+        dp_tables += res.dp_tables
+        if res.passed:
+            hi, winner = mid, res.winner
+        else:
+            lo = mid + 1
+    if winner is None:
+        res = accept_level(inst, grid, hi, candidates, lowers)
+        dp_tables += res.dp_tables
+        winner = res.winner
+    if winner is None:
+        raise InternalInvariantError(f"top grid level {hi} rejected")
+    return hi, winner, dp_tables
 
 
 # Dense references for the frontier DPs of kinterdict.nominal and

@@ -560,6 +560,24 @@ def test_solve_and_exact_optf_over_the_vertex_read_budget_exit_4(tmp_path, capsy
         assert (code, out, err) == (4, "", expected)
 
 
+def test_solve_and_exact_optf_over_the_vertex_cell_budget_exit_4(tmp_path, capsys):
+    # t = 300 capacities and n = 2 items: the walk would read only
+    # C(302, 2) - 1 = 45,450 zero-sets, but its nodes at depth 1 would build
+    # a cofactor table of C(301, 2) rows of width 301, 13,590,150 cells, so
+    # it is refused before any plan is built
+    inst = generate_instance(n=2, t=300, seed=1, cap_frac=1)
+    path = write(tmp_path, "t300.json", serialize_instance(inst))
+    limit = dual.VERTEX_CELL_LIMIT
+    expected = (
+        f"error: vertex walk builds a cofactor table of 13590150 cells, beyond {limit}\n"
+    )
+    for argv in (("solve", "--eps", "1"), ("exact-optf",)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--input", path, *argv[1:])
+        assert time.perf_counter() - start < 5
+        assert (code, out, err) == (4, "", expected)
+
+
 def test_solve_and_exact_optf_on_wide_t_finish(tmp_path, capsys):
     # t = 40 capacities and n = 3 items: the vertex walk stops at depth
     # n = 3 and reads its zero-sets there, with no loop over the 2^40 - 1
@@ -674,6 +692,18 @@ def test_solve_t3_eps_1_100_exits_0(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--input", path, "--eps", "1/100")
     assert code == 0
     assert json.loads(out)["guarantee"] == "1+t+eps-of-opt-i"
+
+
+def test_solve_scans_at_most_two_levels_on_n40(tmp_path, capsys, monkeypatch):
+    # the search bracket decides every other level on the binary search's
+    # path; a plain search scans 6 or 7 levels on these instances
+    levels = count_calls(monkeypatch, fptas, "accept_level")
+    for seed in range(1, 9):
+        path = _gen(tmp_path, capsys, "--n", "40", "--t", "1", "--seed", str(seed))
+        levels.clear()
+        code, _, _ = run(capsys, "solve", "--input", path, "--eps", "1/2")
+        assert code == 0
+        assert 1 <= len(levels) <= 2
 
 
 def test_solve_jobs_2_matches_jobs_1_where_both_screens_fire(

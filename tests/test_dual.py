@@ -231,6 +231,20 @@ def test_vertex_walk_budget_admits_exactly_its_read_count(monkeypatch):
         dual_vertex_candidates(inst)
 
 
+def test_vertex_walk_cell_budget_admits_exactly_its_largest_table(monkeypatch):
+    # t = 4 and n = 3: the walk builds tables of C(5, k) rows of width 5 for
+    # k = 1 to 3, the largest of C(5, 2) x 5 = 50 cells
+    inst = generate_instance(n=3, t=4, seed=1, cap_frac=1)
+    cells = comb(inst.t + 1, 2) * (inst.t + 1)
+    expected = dual_vertex_candidates(inst)
+    monkeypatch.setattr(dual, "VERTEX_CELL_LIMIT", cells)
+    assert dual_vertex_candidates(inst) == expected
+    monkeypatch.setattr(dual, "VERTEX_CELL_LIMIT", cells - 1)
+    message = f"builds a cofactor table of {cells} cells, beyond {cells - 1}"
+    with pytest.raises(StateLimitError, match=message):
+        dual_vertex_candidates(inst)
+
+
 def test_plan_caches_stay_within_their_bounds():
     # 13 widths at depth 3 ask for 39 plans of each kind
     for t in range(2, 41, 3):

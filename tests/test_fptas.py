@@ -28,6 +28,7 @@ from kinterdict.fptas import (
     candidate_bits,
     min_budget_table,
     rounded_profit_units,
+    search_bracket,
     search_optimum_guess,
     split_accuracy,
 )
@@ -50,6 +51,7 @@ from conftest import (
     instance_strategy,
     linear_grid_J,
     min_units_within,
+    plain_search_optimum_guess,
     random_rat,
     reduced_profit,
     surviving_reduced_profit,
@@ -412,6 +414,34 @@ def test_acceptance_upward_closed_and_binary_search_finds_smallest():
             assert grid.point(j).z == grid.point(first).z
 
 
+def test_search_bracket_fixes_the_levels_it_decides():
+    insts = [T1, T2] + family(seed=73, count=10, n_lo=1, n_hi=6) + family(
+        seed=74, count=6, n_lo=2, n_hi=5, t=2, wmax=6
+    )
+    decided = 0
+    for inst in insts:
+        if sum(inst.p) == 0:
+            continue
+        cands = candidates_for(inst)
+        lowers = {}
+        lower, upper = search_bracket(inst, cands, lowers)
+        assert lower <= exact_fractional_optimum(inst, cands)[0] <= upper
+        for i, scaled_lower in lowers.items():
+            assert scaled_lower == dantzig_lower_bound(inst, cands.points[i])
+        for eps in (Fraction(1), Fraction(1, 2)):
+            grid = GeometricGrid.build(inst, split_accuracy(eps))
+            for j in range(grid.J + 1):
+                point = grid.point(j)
+                limit = (1 + grid.eps_internal) * point.z
+                if limit < lower:
+                    assert not accept_level(inst, grid, j, cands).passed
+                    decided += 1
+                if point.z >= upper:
+                    assert accept_level(inst, grid, j, cands).passed
+                    decided += 1
+    assert decided > 0
+
+
 def test_search_t1_guarantee_bound():
     e = Fraction(2, 5)
     grid = GeometricGrid.build(T1, e)
@@ -706,10 +736,10 @@ def test_traceback_interdicts_zero_unit_items_iff_free():
 
 
 @st.composite
-def screened_instances(draw):
-    """Small t = 1 and t = 2 instances with zero costs, costs above the
+def screened_instances(draw, ts=(1, 2)):
+    """Small instances, t drawn from ts, with zero costs, costs above the
     budget, and values scaled beyond 2**64."""
-    t = draw(st.sampled_from([1, 2]))
+    t = draw(st.sampled_from(ts))
     inst = draw(instance_strategy(max_n=5, t=t, max_value=9))
     scale = draw(st.sampled_from([1, 2**64 + 13]))
     return Instance(
@@ -789,6 +819,21 @@ def test_accept_level_tie_goes_to_the_earlier_candidate():
         assert res.passed and res.winner.value == 4
         assert res.winner.alpha == order[0]
         assert res.dp_tables == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    screened_instances(ts=(1, 2, 3)),
+    st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 10)]),
+)
+def test_bracketed_search_matches_the_plain_binary_search(inst, eps):
+    if inst.n == 0 or sum(inst.p) == 0:
+        return
+    grid = GeometricGrid.build(inst, split_accuracy(eps))
+    cands = candidates_for(inst)
+    assert search_optimum_guess(inst, grid, cands) == plain_search_optimum_guess(
+        inst, grid, cands
+    )
 
 
 @settings(max_examples=60, deadline=None)
