@@ -6,7 +6,7 @@ pseudopolynomial solver for the LP-relaxed objective (dual decomposition
 over a finite candidate set), an FPTAS for that relaxation (profit rounding
 plus binary search over a guessed optimum), the composed 2+eps / 1+t+eps
 interdiction approximations, and brute-force oracles.  All arithmetic is
-exact rational; no float touches a solver path.
+exact rational; no float decides a value on a solver path.
 """
 
 from .dual import (

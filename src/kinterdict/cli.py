@@ -13,7 +13,8 @@ interdictions to list), a knapsack frontier run, value-only or stored,
 beyond its pair budget, or a dual vertex walk (solve, exact-optf, bench)
 reading more than 10^7 zero-sets, C(n + t, t) - 1 after preprocessing, or
 building a cofactor table of more than 10^7 cells, C(t + 1, k) (t + 1)
-at depth k <= min(n, t).
+at depth k <= min(n, t), or an FPTAS grid (solve, bench) whose top
+level's numerator would pass an estimated 10^7 bits.
 
 A solve runs in one process: its --jobs flag is accepted and has no
 effect.  bench --jobs spreads the instances over a process pool, one

@@ -58,7 +58,6 @@ from .linalg import _laplace_plan, cofactor_rows
 from .nominal import (
     DimensionMismatchError,
     StateLimitError,
-    fractional_knapsack,
     knapsack_max_budget,
     lp_least_units,
 )
@@ -362,12 +361,12 @@ def exact_fractional_optimum(
 def fractional_value(
     inst: Instance, x: InterdictionVector, candidates: CandidateSet | None = None
 ) -> Fraction:
-    """Exact packing LP value F(x): greedy for t = 1, dual scan otherwise.
+    """Exact packing LP value F(x) by the dual scan, for every t.
 
     The candidate set of ``dual_vertex_candidates`` does not depend on x, so
     minimising the dual objective over it is exact for every interdiction,
     and a caller that evaluates several interdictions of one instance can
-    pass the set it already built (t = 1 ignores it).  Each candidate is
+    pass the set it already built.  Each candidate is
     evaluated in integers: with L the lcm of alpha's denominators,
     (alpha L) . C plus the sum of max(0, p_i L - w_i . (alpha L)) over the
     surviving items is L times the dual objective, built one capacity row
@@ -379,8 +378,6 @@ def fractional_value(
     """
     if len(x.bits) != inst.n:
         raise DimensionMismatchError("interdiction length does not match instance")
-    if inst.t == 1:
-        return fractional_knapsack(inst, x).value
     if candidates is None:
         candidates = dual_vertex_candidates(inst)
     kept = [i for i in range(inst.n) if not x.bits[i]]

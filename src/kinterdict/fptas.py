@@ -66,6 +66,7 @@ from .dual import (
 )
 from .instance import Instance, InterdictionVector, lift_interdiction
 from .nominal import (
+    StateLimitError,
     greedy_kept_units,
     least_units_within,
     select_on_ties,
@@ -79,6 +80,9 @@ GUARANTEE_SINGLE = "2+eps-of-opt-i"
 GUARANTEE_MULTI = "1+t+eps-of-opt-i"
 
 _SPLIT_DENOMINATOR = 10**6
+# The top grid level's numerator bits, as GeometricGrid.build estimates them:
+# 5.3M at eps 1/10000 on gen --n 40 --t 1, against 12.3M at 1/30000 on n = 6.
+GRID_BIT_LIMIT = 10**7
 
 
 class NonpositiveEpsError(ValueError):
@@ -157,6 +161,9 @@ class GeometricGrid:
     integer power tests (no logarithm decides it).  The unit cap kmax is
     the same at every level: floor(n (1+eps') / eps') units of delta cover
     every value the acceptance test can use.
+    Level j's z has about j times the bits of (1 + eps')'s numerator, the
+    top one log(sum p) / log(1 + eps') times: beyond GRID_BIT_LIMIT,
+    ``build`` raises StateLimitError before any power is built.
     """
 
     eps_internal: Fraction
@@ -168,6 +175,15 @@ class GeometricGrid:
         sum_p = sum(inst.p)
         if sum_p <= 0 or inst.n == 0:
             raise ValueError("grid needs a positive total profit")
+        # multiplied out, not divided: an eps' whose float is 0.0 is refused
+        top_bits = math.log(sum_p) * (1 + eps_internal).numerator.bit_length()
+        step = math.log1p(eps_internal)
+        if top_bits > GRID_BIT_LIMIT * step:
+            estimate = top_bits / step if step else math.inf
+            raise StateLimitError(
+                f"grid top level has about {estimate:.3g} numerator bits, "
+                f"beyond {GRID_BIT_LIMIT}"
+            )
         J = _least_power_reaching(1 + eps_internal, sum_p)
         return cls(eps_internal=eps_internal, J=J, n=inst.n)
 
@@ -515,23 +531,6 @@ class Solution:
     stats: SolveStats
 
 
-def _zero_solution(
-    reduced: Instance, index_map, bits_reduced, candidates: int
-) -> Solution:
-    x = lift_interdiction(bits_reduced, index_map)
-    survivors = [reduced.p[i] for i in range(reduced.n) if not bits_reduced[i]]
-    cert = Fraction(0) - max(survivors, default=0)
-    return Solution(
-        x=x,
-        f_value=Fraction(0),
-        guarantee=GUARANTEE_EXACT,
-        z_star=None,
-        alpha_star=None,
-        additive_cert=cert,
-        stats=SolveStats(candidates=candidates, dp_tables=0, dp_states=0),
-    )
-
-
 def approx_fractional_optimum(
     inst: Instance, eps, *, prepared: PreparedInstance | None = None
 ) -> Solution:
@@ -539,23 +538,28 @@ def approx_fractional_optimum(
 
     Works on ``prepared``, which must be ``prepare(inst)`` and is built when
     omitted, and reports the interdiction in original item indices.
-    Zero-optimum instances (no profit, or enough budget to delete every
-    profitable item) are answered exactly without touching the grid.
+    An instance whose profitable items (none, when there is no profit) all
+    fit in the budget has optimum 0: it is answered exactly by interdicting
+    them, without touching the grid, and only zero profits survive.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise NonpositiveEpsError(f"accuracy must be positive, got {eps}")
+    eps_internal = split_accuracy(eps)  # raises for a non-positive eps
     if prepared is None:
         prepared = prepare(inst)
     reduced, index_map = prepared.reduced, prepared.index_map
 
-    if sum(reduced.p) == 0:
-        return _zero_solution(reduced, index_map, (0,) * reduced.n, 0)
-    cover = tuple(1 if reduced.p[i] > 0 else 0 for i in range(reduced.n))
+    cover = tuple(1 if p > 0 else 0 for p in reduced.p)
     if sum(c for b, c in zip(cover, reduced.c) if b) <= reduced.B:
-        return _zero_solution(reduced, index_map, cover, 0)
+        return Solution(
+            x=lift_interdiction(cover, index_map),
+            f_value=Fraction(0),
+            guarantee=GUARANTEE_EXACT,
+            z_star=None,
+            alpha_star=None,
+            additive_cert=Fraction(0),
+            stats=SolveStats(candidates=0, dp_tables=0, dp_states=0),
+        )
 
-    grid = GeometricGrid.build(reduced, split_accuracy(eps))
+    grid = GeometricGrid.build(reduced, eps_internal)
     candidates = prepared.candidates
     j, winner, dp_tables = search_optimum_guess(reduced, grid, candidates)
     bits = candidate_bits(reduced, winner)
@@ -585,20 +589,15 @@ def approx_interdiction(
 ) -> Solution:
     """Approximate the integer interdiction optimum via the relaxation.
 
-    Runs the relaxed approximation at accuracy eps/2 for a single capacity
-    (the packing LP loses at most a factor 2) or eps/(1+t) for t capacities
-    (factor 1+t), and tags the solution with the guarantee that applies.
-    ``prepared`` is passed on to ``approx_fractional_optimum``.
+    Runs the relaxed approximation at accuracy eps/(1+t), as the packing LP
+    of t capacities loses at most a factor 1+t (2 for a single capacity),
+    and tags the solution with the guarantee that applies.  ``prepared``
+    is passed on to ``approx_fractional_optimum``.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise NonpositiveEpsError(f"accuracy must be positive, got {eps}")
-    if inst.t == 1:
-        sol = approx_fractional_optimum(inst, eps / 2, prepared=prepared)
-        tag = GUARANTEE_SINGLE
-    else:
-        sol = approx_fractional_optimum(inst, eps / (1 + inst.t), prepared=prepared)
-        tag = GUARANTEE_MULTI
+    sol = approx_fractional_optimum(inst, eps / (1 + inst.t), prepared=prepared)
     if sol.guarantee == GUARANTEE_EXACT:
         return sol
-    return replace(sol, guarantee=tag)
+    return replace(sol, guarantee=GUARANTEE_SINGLE if inst.t == 1 else GUARANTEE_MULTI)

@@ -4,7 +4,8 @@ These are the inner building blocks everything else reduces to: one 0-1
 knapsack DP over an integer budget, kept as Pareto frontiers (the least
 budget per kept-profit level), which serves the FPTAS's value test and
 traceback and the exact dual scan; and the greedy fractional knapsack for
-single-capacity instances.
+single-capacity instances, the brute-force oracle's: the solver's F(x) is
+the dual scan for every t, so the greedy checks it independently.
 
 A value-only run (``least_units_within``) takes the items in decreasing
 units/cost order and first brackets its answer: the greedy removal keeps
@@ -407,7 +408,7 @@ def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
 
 @lru_cache(maxsize=8)
 def _greedy_order(inst: Instance) -> tuple[int, ...]:
-    # Cached for the oracles' loop over every interdiction of one instance;
+    # The oracle greedy's order, cached for its loop over every interdiction;
     # the bound keeps a long-lived process from holding every instance seen.
     # Profit-bearing items only: zero-weight ones first (they cost nothing),
     # then by profit/weight ratio descending, ties broken by lower index.

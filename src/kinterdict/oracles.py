@@ -207,8 +207,9 @@ def brute_force_opt_f(
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Exact relaxed optimum by enumerating every feasible interdiction.
 
-    Uses the greedy LP for a single capacity and basic-point enumeration
-    otherwise, so it shares no code path with the dual-candidate solver.
+    Uses the greedy LP for a single capacity, sharing no code path with the
+    dual-candidate solver, and basic-point enumeration otherwise, whose
+    square solves take the vertex walk's Laplace steps (linalg.cofactor_rows).
     Refuses, before enumerating anything, an instance with more than
     ``limit`` items or, for t >= 2, whose predicted basic points, 2^n times
     the sum over s of C(n, s) C(t, s) 2^(n - s) that vertex_lp_optimum

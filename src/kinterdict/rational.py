@@ -4,7 +4,7 @@ Every continuous quantity in this package (dual multipliers, relaxation
 values, accuracy parameters, grid points) is an exact rational.  We use
 ``fractions.Fraction``, which already guarantees canonical reduced form
 (positive denominator, gcd 1) and exact arithmetic over arbitrary-precision
-integers.  No float ever enters a solver path; strings like ``"0.35"`` or
+integers.  No float decides a value on a solver path; strings like ``"0.35"`` or
 ``"7/20"`` are converted exactly.
 """
 

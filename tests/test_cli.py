@@ -560,6 +560,21 @@ def test_solve_and_exact_optf_over_the_vertex_read_budget_exit_4(tmp_path, capsy
         assert (code, out, err) == (4, "", expected)
 
 
+def test_solve_over_the_grid_bit_budget_exits_4(tmp_path, capsys):
+    # eps 1/30000 on t = 1, n = 6 gives eps' = 1/125000, and a total profit
+    # of 324 a top grid level of about log(324) / log1p(eps') x 17 = 12.3M
+    # numerator bits; an eps' that underflows a float has no finite estimate
+    inst = generate_instance(n=6, t=1, seed=1)
+    path = write(tmp_path, "g6.json", serialize_instance(inst))
+    limit = fptas.GRID_BIT_LIMIT
+    for eps, bits in (("1/30000", "1.23e+07"), (f"1/{10**400}", "inf")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", "--input", path, "--eps", eps)
+        assert time.perf_counter() - start < 5
+        expected = f"error: grid top level has about {bits} numerator bits, beyond {limit}\n"
+        assert (code, out, err) == (4, "", expected)
+
+
 def test_solve_and_exact_optf_over_the_vertex_cell_budget_exit_4(tmp_path, capsys):
     # t = 300 capacities and n = 2 items: the walk would read only
     # C(302, 2) - 1 = 45,450 zero-sets, but its nodes at depth 1 would build

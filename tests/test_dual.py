@@ -202,6 +202,9 @@ def test_vertex_candidates_and_fractional_value_match_references(inst, data):
     for x in xs:
         value = fractional_value(inst, x, cs)
         assert value == unpruned_fractional_value(inst, x, cs)
+        if inst.t == 1:
+            # the oracle's greedy, an independent reference at any n
+            assert value == fractional_knapsack(inst, x).value
         if inst.t <= 3 and inst.n <= 4:
             assert value == vertex_lp_optimum(inst, x).value
 
@@ -332,9 +335,11 @@ def _beyond_64_bits(inst, k):
     )
 
 
-def test_fractional_value_with_shared_candidates_t2_t3():
-    small = family(seed=50, count=4, n_lo=2, n_hi=5, t=2) + family(
-        seed=51, count=3, n_lo=2, n_hi=4, t=3
+def test_fractional_value_with_shared_candidates_t1_t2_t3():
+    small = (
+        family(seed=49, count=4, n_lo=2, n_hi=6, t=1)
+        + family(seed=50, count=4, n_lo=2, n_hi=5, t=2)
+        + family(seed=51, count=3, n_lo=2, n_hi=4, t=3)
     )
     big = [_beyond_64_bits(inst, 2**64 + 7) for inst in small]
     largest = 0

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from itertools import product
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kinterdict import fptas
 from kinterdict.dual import (
     CandidateSet,
     dantzig_lower_bound,
@@ -34,7 +36,7 @@ from kinterdict.fptas import (
 )
 from kinterdict.generator import SplitMix64
 from kinterdict.instance import Instance, InterdictionVector
-from kinterdict.nominal import budget_frontier, least_units_within
+from kinterdict.nominal import StateLimitError, budget_frontier, least_units_within
 from kinterdict.oracles import best_integer_packing, brute_force_opt_f
 
 from conftest import (
@@ -178,6 +180,23 @@ def test_grid_J_at_fine_accuracy_takes_well_under_a_second():
     num, den = (1 + e).numerator, (1 + e).denominator
     assert num**grid.J >= 973 * den**grid.J
     assert num ** (grid.J - 1) < 973 * den ** (grid.J - 1)
+
+
+def test_grid_bit_budget_admits_exactly_its_estimate(monkeypatch):
+    # the instance above: 55491 levels of 18 numerator bits, an estimate of
+    # log(973) / log1p(eps') x 18 bits, just under a million
+    e = Fraction(31, 250000)
+    inst = Instance(n=1, t=1, p=(973,), c=(1,), W=((1,),), B=0, C=(1,))
+    bits = math.ceil(math.log(973) * 18 / math.log1p(e))
+    monkeypatch.setattr(fptas, "GRID_BIT_LIMIT", bits)
+    assert GeometricGrid.build(inst, e).J == 55491
+    monkeypatch.setattr(fptas, "GRID_BIT_LIMIT", bits - 1)
+    with pytest.raises(StateLimitError, match=f" bits, beyond {bits - 1}$"):
+        GeometricGrid.build(inst, e)
+    # an eps' whose float underflows to 0.0 is refused, not divided by
+    monkeypatch.undo()
+    with pytest.raises(StateLimitError, match="about inf numerator bits"):
+        GeometricGrid.build(inst, Fraction(1, 10**400))
 
 
 # rounded profit units

@@ -476,13 +476,13 @@ def test_integer_packing_guards_huge_capacity_t1():
 
 
 def test_greedy_order_cache_stays_bounded():
-    from kinterdict.fptas import approx_interdiction
     from kinterdict.generator import generate_instance
     from kinterdict.nominal import _greedy_order
 
     _greedy_order.cache_clear()
     for seed in range(30):
-        approx_interdiction(generate_instance(n=6, t=1, seed=seed), 1)
+        inst = generate_instance(n=6, t=1, seed=seed)
+        fractional_knapsack(inst, xvec(inst, (0,) * inst.n))
     info = _greedy_order.cache_info()
     assert info.misses > info.maxsize  # more distinct instances than the bound
     assert info.currsize <= info.maxsize < 30
