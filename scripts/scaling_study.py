@@ -10,8 +10,9 @@ whether a candidate's DP ran or not; candidates above a level's limit are
 charged no table.  A full scan would grow by about 8 per
 doubling (states per table scale with n^2, the candidate count with n, and
 the binary search length is nearly flat); with the skip the ratio depends on
-how many candidates each level drops.  At --eps 1 the measured ratios for
-n = 10, 20, 40, 80 are 8.40, 4.21 and 13.05.
+how many candidates each level drops.  Only the candidates within the
+solve's bound (dual.prepare) are counted.  At --eps 1 the measured ratios
+for n = 10, 20, 40, 80 are 8.40, 4.21 and 12.89.
 
 Usage: python scripts/scaling_study.py [--eps 1] [--sizes 10,20,40,80]
 """

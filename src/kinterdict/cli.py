@@ -96,6 +96,13 @@ def _certify(inst: Instance, sol: Solution, prepared: PreparedInstance) -> None:
         raise InternalInvariantError(
             f"emitted value {sol.f_value} != recomputed {check}"
         )
+    # the candidates are those within a bound, and a minimum over them is
+    # F(x) only when it is within that bound too (dual module docstring)
+    bound = prepared.candidates.bound
+    if bound is not None and check > bound:
+        raise InternalInvariantError(
+            f"recomputed value {check} is above the candidates' bound {bound}"
+        )
 
 
 def _solution_json(sol: Solution) -> str:
@@ -140,7 +147,7 @@ def _solution_text(sol: Solution) -> str:
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
     eps = _parse_eps(args.eps)
-    prepared = prepare(inst)
+    prepared = prepare(inst, eps / (1 + inst.t))
     sol = approx_interdiction(inst, eps, prepared=prepared)
     _certify(inst, sol, prepared)
     out = _solution_json(sol) if args.output == "json" else _solution_text(sol)
@@ -150,11 +157,13 @@ def cmd_solve(args) -> int:
 
 def cmd_exact_optf(args) -> int:
     inst = _load_instance(args.input)
-    reduced, index_map = preprocess(inst)
-    value, x, (scale, alpha) = exact_fractional_optimum(reduced)
+    prepared = prepare(inst, 0)
+    value, x, (scale, alpha) = exact_fractional_optimum(
+        prepared.reduced, prepared.candidates
+    )
     obj = {
         "opt_f": rat_to_str(value),
-        "x": list(lift_interdiction(x.bits, index_map)),
+        "x": list(lift_interdiction(x.bits, prepared.index_map)),
         "alpha": [rat_to_str(Fraction(v, scale)) for v in alpha],
     }
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
@@ -217,7 +226,7 @@ def _bench_task(task):
     name, inst, eps_str, exact_max_n = task
     eps = Fraction(eps_str)
     start = time.perf_counter()
-    prepared = prepare(inst)
+    prepared = prepare(inst, eps / (1 + inst.t))
     sol = approx_interdiction(inst, eps, prepared=prepared)
     wall_ms = int((time.perf_counter() - start) * 1000)
     opt_f = ""

@@ -42,6 +42,29 @@ U.  A candidate for which either lower bound already reaches the incumbent
 cannot replace it under the strict update, so its knapsack is never built;
 the result is exactly that of the unpruned scan, ties included.  The FPTAS
 screens its candidates by the same bound, ``dantzig_lower_bound``.
+
+A solve reads only the vertices within a bound T (``prepare``).  Let U be
+the profit the greedy removal by p / c keeps at alpha = 0, an upper bound
+on opt_f, s the relaxed accuracy (eps / (1 + t) for a solve, 0 for the
+exact scan), and T = (1 + s) U + s max p.  The set holds exactly the
+vertices with alpha . C <= T, and that loses no answer:
+
+- The FPTAS's ``search_bracket`` reads only vertices with alpha . C <
+  lower <= U, lower being at most the origin's Dantzig bound, and its
+  upper <= lower + max r <= U + max p.
+- Every level the search scans has z_j < upper, and the final level has
+  z_hi < (1 + eps') upper, or hi = 0 and z_0 = 1 <= max p.  At such a
+  level the origin's rounded value, the greedy's removal rounded up, is
+  at most U + n delta_j = U + eps' z_j <= T, since eps' (1 + eps') <= s
+  (``fptas.split_accuracy``).  A dropped vertex's rounded value is at
+  least its alpha . C > T, so it never wins a level or decides one, and
+  the kept vertices keep their relative order.
+- F(x) of the emitted x is at most the winner's rounded value, so at most
+  T.  Its minimising vertex has alpha . C <= F(x), so the minimum over the
+  set is F(x); a minimum over the set above T would not be, and the CLI's
+  certificate refuses it.
+- In the exact scan a dropped vertex's value is above U >= opt_f, so the
+  first minimum in sorted order is the full scan's.
 """
 
 from __future__ import annotations
@@ -58,6 +81,7 @@ from .linalg import _laplace_plan, cofactor_rows
 from .nominal import (
     DimensionMismatchError,
     StateLimitError,
+    greedy_kept_units,
     knapsack_max_budget,
     lp_least_units,
 )
@@ -76,7 +100,9 @@ class CandidateSet:
     """Sorted, deduplicated dual candidates of an instance with capacities
     C; always contains the origin.
 
-    Each point is the int pair (L, alpha L) of the module docstring.
+    Each point is the int pair (L, alpha L) of the module docstring.  bound
+    is None when the set holds every vertex, and otherwise the bound T the
+    set was cut at: it holds exactly the vertices with alpha . C <= T.
     Computed on first use and kept: dots[i] is (alpha L) . C in ints with
     (L, alpha L) = points[i], so alpha . C = dots[i] / L, and order the
     indices sorted by alpha . C, ties by index.
@@ -84,6 +110,7 @@ class CandidateSet:
 
     points: tuple[tuple[int, tuple[int, ...]], ...]
     C: tuple[int, ...]
+    bound: Fraction | None = None
 
     def __iter__(self):
         return iter(self.points)
@@ -105,6 +132,8 @@ class CandidateSet:
         return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
 
+# kept for the benchmark's tracer, which hooks it by name through getattr;
+# deleting it waits for a benchmark revision
 def dual_breakpoints(inst: Instance) -> CandidateSet:
     """Candidate multipliers for t = 1: zero plus every ratio p_i / w_i.
 
@@ -146,8 +175,9 @@ def _vertex_reads(t: int, k: int) -> tuple:
     )
 
 
-def dual_vertex_candidates(inst: Instance) -> CandidateSet:
-    """Candidate multipliers for any t: vertices of the dual arrangement.
+def dual_vertex_candidates(inst: Instance, bound=None) -> CandidateSet:
+    """Candidate multipliers for any t: vertices of the dual arrangement,
+    all of them when bound is None, else those with alpha . C <= bound.
 
     Every t-subset of the n + t hyperplanes {p_i = w_i . alpha} and
     {alpha_j = 0} contributes its unique solution when the system is
@@ -180,7 +210,16 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
     cofactor table of C(t + 1, k) rows of width t + 1, which grows about t
     times faster than the reads when t is wide and n small.  Beyond
     VERTEX_CELL_LIMIT cells in the largest table, also known before any
-    plan is built, it raises StateLimitError too.
+    plan is built, it raises StateLimitError too.  Both budgets count all n
+    items, before any is dropped for the bound.
+
+    With a bound T, the walk leaves out every item whose plane lies beyond
+    it: on item i's plane, p_i = w_i . alpha <= max_j (w_ij / C_j) alpha . C,
+    so every vertex there has alpha . C >= p_i min_j C_j / w_ij, over the j
+    with w_ij > 0, and the item goes when that exceeds T.  A vertex within
+    T lies on kept planes only, so the walk over the kept items still finds
+    it, and the vertices it finds beyond T are dropped after the walk.  All
+    of it is int cross-products.
     """
     t, n = inst.t, inst.n
     zero_sets = comb(n + t, t) - 1
@@ -196,6 +235,17 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
             f"{VERTEX_CELL_LIMIT}"
         )
     rows = [(*w, p) for w, p in zip(zip(*inst.W), inst.p)]
+    if bound is not None:
+        bound = Fraction(bound)
+        if bound < 0:
+            raise ValueError(f"bound must be non-negative, got {bound}")
+        top, bottom = bound.numerator, bound.denominator
+        rows = [
+            row for row in rows
+            if any(w and row[t] * cj * bottom <= top * w for w, cj in zip(row, inst.C))
+        ]
+        n = len(rows)
+        depth = min(n, t)
     plans = [_laplace_plan(t + 1, k) for k in range(1, depth + 1)]
     reads = [_vertex_reads(t, k) for k in range(1, depth + 1)]
     numerators = [0] * t
@@ -249,11 +299,16 @@ def dual_vertex_candidates(inst: Instance) -> CandidateSet:
                     found.add((abs(det) // g, tuple(alpha)))
             if k + 1 < depth and i + 1 < n:
                 stack.append((i + 1, k + 1, child))
+    if bound is not None:
+        found = [
+            (scale, alpha) for scale, alpha in found
+            if sum(map(mul, alpha, inst.C)) * bottom <= top * scale
+        ]
     # distinct coordinates v / d differ by at least 1 / max(d)^2, so the
     # floors of K times them, K > max(d)^2, order them exactly in ints
     k = max(scale for scale, _ in found) ** 2 + 1
     points = sorted(found, key=lambda a: [v * k // a[0] for v in a[1]])
-    return CandidateSet(points=tuple(points), C=inst.C)
+    return CandidateSet(points=tuple(points), C=inst.C, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -261,19 +316,37 @@ class PreparedInstance:
     """An instance after ``preprocess``, with its dual candidate set.
 
     Built once per solve and shared by the search, the F(x) computation and
-    the certificate check: all three depend on the instance alone.
+    the certificate check: all three depend on the instance alone.  slack
+    is the relaxed accuracy the set was bounded for (``prepare``).
     """
 
     reduced: Instance
     index_map: tuple[int | None, ...]
     candidates: CandidateSet
+    slack: Fraction
 
 
-def prepare(inst: Instance) -> PreparedInstance:
-    """Preprocess an instance and enumerate the candidates of the result."""
+def prepare(inst: Instance, slack) -> PreparedInstance:
+    """Preprocess an instance and enumerate the candidates of the result
+    within the bound T = (1 + s) U + s max p of the module docstring, for
+    the relaxed accuracy s = slack.
+
+    U is the profit that the greedy removal by p / c keeps at alpha = 0
+    (nominal.greedy_kept_units), on the reduced instance.  The set then
+    serves the FPTAS at any eps <= s and the exact scan at any s >= 0.
+    """
+    slack = Fraction(slack)
+    if slack < 0:
+        raise ValueError(f"slack must be non-negative, got {slack}")
     reduced, index_map = preprocess(inst)
-    candidates = dual_vertex_candidates(reduced)
-    return PreparedInstance(reduced=reduced, index_map=index_map, candidates=candidates)
+    kept = greedy_kept_units(reduced.p, reduced.c, reduced.B)
+    bound = (1 + slack) * kept + slack * max(reduced.p, default=0)
+    return PreparedInstance(
+        reduced=reduced,
+        index_map=index_map,
+        candidates=dual_vertex_candidates(reduced, bound),
+        slack=slack,
+    )
 
 
 def scaled_reduced_profits(p, W, scale: int, alpha) -> list[int]:
@@ -332,8 +405,9 @@ def exact_fractional_optimum(
     Returns the value, the interdiction and the point (L, alpha L).
     Pseudopolynomial: at most one budget knapsack per candidate.  Ties
     between candidates are broken by the first point in sorted order.  A
-    shared ``candidates`` must be ``dual_vertex_candidates(inst)``; it is
-    built when omitted.
+    shared ``candidates`` must be ``dual_vertex_candidates(inst)``, or that
+    set cut at a bound of at least opt_f, such as ``prepare``'s; the full
+    set is built when omitted.
 
     Once there is an incumbent value v, a later candidate is skipped when,
     in ints scaled by L, (alpha L) . C >= v L, or else when its
@@ -366,7 +440,9 @@ def fractional_value(
     The candidate set of ``dual_vertex_candidates`` does not depend on x, so
     minimising the dual objective over it is exact for every interdiction,
     and a caller that evaluates several interdictions of one instance can
-    pass the set it already built.  Each candidate is
+    pass the set it already built.  A set cut at a bound T gives F(x)
+    exactly when the minimum it finds is at most T, and a larger value
+    otherwise (module docstring).  Each candidate is
     evaluated in integers: with L the lcm of alpha's denominators,
     (alpha L) . C plus the sum of max(0, p_i L - w_i . (alpha L)) over the
     surviving items is L times the dual objective, built one capacity row

@@ -536,15 +536,23 @@ def approx_fractional_optimum(
 ) -> Solution:
     """Interdiction whose exact relaxed value is within (1+eps) of optimal.
 
-    Works on ``prepared``, which must be ``prepare(inst)`` and is built when
-    omitted, and reports the interdiction in original item indices.
+    Works on ``prepared``, which must be ``prepare(inst, s)`` for a slack
+    s >= eps and is built with s = eps when omitted, and reports the
+    interdiction in original item indices.  Its candidates are the
+    vertices with alpha . C within the bound T of that slack, which holds
+    the search's winner and the minimiser of F(x) (dual module docstring);
+    a smaller slack could cut them off, so it raises ValueError.
     An instance whose profitable items (none, when there is no profit) all
     fit in the budget has optimum 0: it is answered exactly by interdicting
     them, without touching the grid, and only zero profits survive.
     """
     eps_internal = split_accuracy(eps)  # raises for a non-positive eps
     if prepared is None:
-        prepared = prepare(inst)
+        prepared = prepare(inst, eps)
+    elif prepared.slack < Fraction(eps):
+        raise ValueError(
+            f"prepared for slack {prepared.slack}, below the accuracy {eps}"
+        )
     reduced, index_map = prepared.reduced, prepared.index_map
 
     cover = tuple(1 if p > 0 else 0 for p in reduced.p)
@@ -592,7 +600,8 @@ def approx_interdiction(
     Runs the relaxed approximation at accuracy eps/(1+t), as the packing LP
     of t capacities loses at most a factor 1+t (2 for a single capacity),
     and tags the solution with the guarantee that applies.  ``prepared``
-    is passed on to ``approx_fractional_optimum``.
+    is passed on to ``approx_fractional_optimum``, so it must be built for
+    a slack of at least eps/(1+t).
     """
     eps = Fraction(eps)
     if eps <= 0:

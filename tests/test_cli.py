@@ -5,7 +5,10 @@ import random
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from kinterdict import cli, dual, fptas, instance, nominal, oracles
 from kinterdict.cli import build_parser, main
@@ -597,7 +600,8 @@ def test_solve_and_exact_optf_on_wide_t_finish(tmp_path, capsys):
     # t = 40 capacities and n = 3 items: the vertex walk stops at depth
     # n = 3 and reads its zero-sets there, with no loop over the 2^40 - 1
     # free sets of coordinates.  cap_frac 1 keeps every item, so the
-    # candidates are enumerated
+    # candidates are enumerated; a solve counts those within its bound,
+    # the walk for eps / (1 + t)
     inst = generate_instance(n=3, t=40, seed=1, cap_frac=1)
     path = write(tmp_path, "wide.json", serialize_instance(inst))
     start = time.perf_counter()
@@ -605,12 +609,32 @@ def test_solve_and_exact_optf_on_wide_t_finish(tmp_path, capsys):
     assert time.perf_counter() - start < 10
     assert code == 0
     solved = json.loads(out)
-    assert solved["stats"]["candidates"] == len(dual.dual_vertex_candidates(inst)) > 40
+    bounded = dual.prepare(inst, Fraction(1, 41)).candidates
+    assert solved["stats"]["candidates"] == len(bounded)
+    assert len(dual.dual_vertex_candidates(inst)) > 40
     start = time.perf_counter()
     code, out, _ = run(capsys, "exact-optf", "--input", path)
     assert time.perf_counter() - start < 10
     assert code == 0
     assert Fraction(json.loads(out)["opt_f"]) <= Fraction(solved["f_value"])
+
+
+def test_certify_refuses_a_value_above_the_candidates_bound():
+    # over the origin alone, the set cut at 0, x = (0, 0) on T1 reads 5, the
+    # profit of both items, where the vertex alpha = 3/2 gives the true 3:
+    # the value agrees with the set, and only its bound shows the set is cut
+    # too low to certify it
+    sol = fptas.Solution(
+        x=(0, 0), f_value=Fraction(5), guarantee=fptas.GUARANTEE_OPT_F,
+        z_star=None, alpha_star=None, additive_cert=Fraction(2),
+        stats=fptas.SolveStats(candidates=1, dp_tables=0, dp_states=0),
+    )
+    cut = dual.PreparedInstance(T1, (0, 1), dual.dual_vertex_candidates(T1, 0), Fraction(0))
+    with pytest.raises(fptas.InternalInvariantError, match="value 5 is above the candidates' bound 0"):
+        cli._certify(T1, sol, cut)
+    # cut at 3, the set holds alpha = 3/2, and the true value is certified
+    within = dual.PreparedInstance(T1, (0, 1), dual.dual_vertex_candidates(T1, 3), Fraction(0))
+    cli._certify(T1, replace(sol, f_value=Fraction(3)), within)
 
 
 class _FakePool:

@@ -248,6 +248,44 @@ def test_vertex_walk_cell_budget_admits_exactly_its_largest_table(monkeypatch):
         dual_vertex_candidates(inst)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda t: instance_strategy(max_n=6, t=t)), st.data())
+# item 1's plane lies beyond the bound 2 (its vertex alpha = 3 has
+# alpha . C = 3), and item 0's vertex alpha = 2 sits on the bound
+@example(
+    Instance(n=2, t=1, p=(2, 3), c=(1, 1), W=((1, 1),), B=1, C=(1,)),
+    Fraction(2),
+)
+def test_bounded_vertex_set_is_the_full_set_cut_at_the_bound(inst, data):
+    # the walk over the items within the bound, cut after the walk, keeps
+    # exactly the full set's vertices with alpha . C <= T, in its order
+    full = dual_vertex_candidates(inst)
+    bases = [dot_capacity(inst, a) for a in full]
+    if isinstance(data, Fraction):
+        bound = data
+    else:
+        bound = data.draw(
+            st.sampled_from(bases) | st.fractions(min_value=0, max_value=3 * max(bases))
+        )
+    cut = dual_vertex_candidates(inst, bound)
+    assert cut.bound == bound and cut.C == inst.C
+    assert list(cut) == [a for a, base in zip(full, bases) if base <= bound]
+
+
+def test_bounded_walk_counts_its_budgets_over_every_item(monkeypatch):
+    # a bound of 0 leaves none of these items, all of positive profit, in
+    # the walk, but the budget is that of the walk over all n items, known
+    # before any item is dropped
+    inst = generate_instance(n=5, t=3, seed=1, cap_frac=1)
+    reads = comb(inst.n + inst.t, inst.t) - 1
+    assert list(dual_vertex_candidates(inst, 0)) == [(1, (0, 0, 0))]
+    monkeypatch.setattr(dual, "VERTEX_READ_LIMIT", reads - 1)
+    with pytest.raises(StateLimitError, match=f"reads {reads} zero-sets"):
+        dual_vertex_candidates(inst, 0)
+    with pytest.raises(ValueError, match="bound must be non-negative"):
+        dual_vertex_candidates(T1, -1)
+
+
 def test_plan_caches_stay_within_their_bounds():
     # 13 widths at depth 3 ask for 39 plans of each kind
     for t in range(2, 41, 3):

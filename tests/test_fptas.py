@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from kinterdict import fptas
 from kinterdict.dual import (
     CandidateSet,
+    PreparedInstance,
     dantzig_lower_bound,
     dual_bound_exact,
     dual_breakpoints,
+    dual_vertex_candidates,
     exact_fractional_optimum,
     fractional_value,
+    prepare,
 )
 from kinterdict.fptas import (
     GUARANTEE_EXACT,
@@ -34,8 +37,8 @@ from kinterdict.fptas import (
     search_optimum_guess,
     split_accuracy,
 )
-from kinterdict.generator import SplitMix64
-from kinterdict.instance import Instance, InterdictionVector
+from kinterdict.generator import SplitMix64, generate_instance
+from kinterdict.instance import Instance, InterdictionVector, preprocess
 from kinterdict.nominal import StateLimitError, budget_frontier, least_units_within
 from kinterdict.oracles import best_integer_packing, brute_force_opt_f
 
@@ -598,6 +601,43 @@ def test_approx_fractional_rejects_bad_eps():
         approx_fractional_optimum(T1, Fraction(0))
     with pytest.raises(NonpositiveEpsError):
         approx_interdiction(T1, -1)
+
+
+def test_approx_fractional_refuses_a_set_prepared_for_a_smaller_slack():
+    # a set bounded for a smaller slack could miss the FPTAS's minimiser
+    inst = generate_instance(n=8, t=2, seed=1)
+    half = prepare(inst, Fraction(1, 2))
+    assert approx_fractional_optimum(inst, Fraction(1, 2), prepared=half) == (
+        approx_fractional_optimum(inst, Fraction(1, 2))
+    )
+    approx_fractional_optimum(inst, Fraction(1, 3), prepared=half)
+    with pytest.raises(ValueError, match="below the accuracy 1/2"):
+        approx_fractional_optimum(inst, Fraction(1, 2), prepared=prepare(inst, 0))
+    # t = 2: eps = 1 runs the relaxation at 1/3
+    with pytest.raises(ValueError, match="below the accuracy 1/3"):
+        approx_interdiction(inst, 1, prepared=prepare(inst, Fraction(1, 4)))
+    with pytest.raises(ValueError, match="slack must be non-negative"):
+        prepare(inst, -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda t: instance_strategy(max_n=6, t=t)))
+def test_bounded_prepare_gives_the_full_sets_answers(inst):
+    # solve and the exact scan over the vertices within prepare's bound
+    # give what they give over every vertex; only the counts may differ
+    reduced, index_map = preprocess(inst)
+    full = dual_vertex_candidates(reduced)
+    for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
+        slack = eps / (1 + inst.t)
+        bounded = prepare(inst, slack)
+        whole = PreparedInstance(reduced, index_map, full, slack)
+        got, want = (approx_interdiction(inst, eps, prepared=pr) for pr in (bounded, whole))
+        fields = ("x", "f_value", "z_star", "alpha_star", "guarantee", "additive_cert")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert got.stats.candidates in (0, len(bounded.candidates))
+        assert got.f_value <= bounded.candidates.bound
+    exact = prepare(inst, 0).candidates
+    assert exact_fractional_optimum(reduced, exact) == exact_fractional_optimum(reduced, full)
 
 
 def test_approx_interdiction_t1():
