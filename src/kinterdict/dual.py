@@ -32,16 +32,37 @@ a prefix of that order, F(x) scans in it and stops once alpha . C reaches
 the best value, since a candidate's value is at least its alpha . C, and
 the exact scan prunes by it.
 
-That solver scans the candidates in sorted order and keeps the first strict
-minimum.  A candidate's value is alpha . C + sum r_i - K(r), with r_i the
-reduced profits and K(r) the most reduced profit removable within the budget,
-so it is at least alpha . C, and at least alpha . C + sum r_i - U for any
-upper bound U on K(r).  Dantzig's bound (the LP relaxation of the knapsack,
-filled greedily by r_i / c_i, read from nominal.lp_least_units) is such a
-U.  A candidate for which either lower bound already reaches the incumbent
-cannot replace it under the strict update, so its knapsack is never built;
-the result is exactly that of the unpruned scan, ties included.  The FPTAS
-screens its candidates by the same bound, ``dantzig_lower_bound``.
+That solver returns the first strict minimum in sorted order: the least
+(value, index) pair.  It runs the origin's knapsack first, the optimum on
+most instances, and then visits the other candidates from last to first,
+replacing the incumbent (v, j) by a candidate i whose (value, i) is less.
+A candidate's value is alpha . C + R, with R = sum r_i - K(r) the least
+kept reduced profit, r_i the reduced profits and K(r) the most reduced
+profit removable within the budget.  Four lower bounds on L times the
+value, all ints, screen it, cheapest first; once one proves (value, i)
+above (v, j), that is, reaches L v, or passes it when i < j, the candidate
+is skipped and its knapsack is never built:
+
+- alpha . C alone, since R >= 0.
+- A floor inherited from the last point bounded, when that point alpha'
+  dominates the candidate, alpha' >= alpha coordinate-wise.  Each r_i
+  never rises as alpha rises (W >= 0), so neither does R, and R at alpha
+  is at least the lower bound on R at alpha' that its screens or its
+  knapsack found.  At t = 1 the points after the origin are visited in
+  decreasing alpha, so each one bounded dominates every later one.
+- The Lagrangian relaxation of the budget row, R >= sum min(r_i, lam c_i)
+  - lam B for every lam >= 0 (nominal.lagrangian_least_units).  It needs
+  no sort.  One lam serves every candidate: the LP's split ratio at the
+  origin, where the bound meets the LP bound when no item costs more than
+  B.
+- Dantzig's bound (the LP relaxation of the knapsack, filled greedily by
+  r_i / c_i, read from nominal.lp_least_units), the strongest and the only
+  one that sorts.
+
+L times the value is an int, so each bound rounds up.  A skipped
+candidate's (value, i) is above the incumbent's, so it could not replace
+it: the result is exactly that of the unpruned scan, ties included.  The
+FPTAS screens its candidates by the Dantzig bound, ``dantzig_lower_bound``.
 
 A solve reads only the vertices within a bound T (``prepare``).  Let U be
 the profit the greedy removal by p / c keeps at alpha = 0, an upper bound
@@ -83,7 +104,9 @@ from .nominal import (
     StateLimitError,
     greedy_kept_units,
     knapsack_max_budget,
+    lagrangian_least_units,
     lp_least_units,
+    lp_relaxation,
 )
 
 # The zero-sets one vertex walk may read, C(n + t, t) - 1 in all: 9.4M at
@@ -240,10 +263,14 @@ def dual_vertex_candidates(inst: Instance, bound=None) -> CandidateSet:
         if bound < 0:
             raise ValueError(f"bound must be non-negative, got {bound}")
         top, bottom = bound.numerator, bound.denominator
-        rows = [
-            row for row in rows
-            if any(w and row[t] * cj * bottom <= top * w for w, cj in zip(row, inst.C))
-        ]
+        within = [False] * n
+        for weights, cj in zip(inst.W, inst.C):
+            cb = cj * bottom
+            within = [
+                k or (w and pi * cb <= top * w)
+                for k, w, pi in zip(within, weights, inst.p)
+            ]
+        rows = [row for row, k in zip(rows, within) if k]
         n = len(rows)
         depth = min(n, t)
     plans = [_laplace_plan(t + 1, k) for k in range(1, depth + 1)]
@@ -378,7 +405,7 @@ def dantzig_lower_bound(inst: Instance, a: tuple[int, tuple[int, ...]]) -> int:
 
 
 def dual_bound_exact(
-    inst: Instance, a: tuple[int, tuple[int, ...]]
+    inst: Instance, a: tuple[int, tuple[int, ...]], *, relaxation=None
 ) -> tuple[Fraction, InterdictionVector]:
     """Best interdiction under the dual objective at a fixed multiplier.
 
@@ -387,11 +414,12 @@ def dual_bound_exact(
     removed.  Returns the exact bound value and the attaining interdiction.
     The knapsack runs on the reduced profits scaled by L to ints, with
     a = (L, alpha L); its choices compare sums of them only, so they are
-    those of the unscaled profits.
+    those of the unscaled profits.  ``relaxation``, when given, is the
+    knapsack's sorted items (nominal.lp_relaxation of those profits).
     """
     scale, alpha = a
     reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
-    answer = knapsack_max_budget(reduced, inst.c, inst.B)
+    answer = knapsack_max_budget(reduced, inst.c, inst.B, relaxation=relaxation)
     x = InterdictionVector.from_bits(answer.chosen, inst.c)
     base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
     return Fraction(base + sum(reduced) - answer.value, scale), x
@@ -409,27 +437,63 @@ def exact_fractional_optimum(
     set cut at a bound of at least opt_f, such as ``prepare``'s; the full
     set is built when omitted.
 
-    Once there is an incumbent value v, a later candidate is skipped when,
-    in ints scaled by L, (alpha L) . C >= v L, or else when its
-    ``dantzig_lower_bound`` is >= v L.  Both are lower bounds on L times the
-    candidate's value, so a skipped candidate could not pass the strict
-    ``value < v`` update: the answer is the unpruned scan's, ties included.
+    The origin, the first point, runs its knapsack first, on items sorted
+    once here: the sort also gives the Lagrangian multiplier.  The others
+    are visited from last to first, and each is screened by the four int
+    lower bounds of the module docstring, cheapest first, before its
+    knapsack runs.  A candidate whose bound proves its (value, index)
+    above the incumbent's is skipped.  Only the last point bounded is
+    checked for dominance, so the screens before the Dantzig bound's sort
+    cost O(t n) per candidate, with no pass over the other candidates.
     """
     if candidates is None:
         candidates = dual_vertex_candidates(inst)
-    best = None
-    for a, dot in zip(candidates.points, candidates.dots):
-        if best is not None:
-            num, den = best[0].numerator, best[0].denominator
-            if dot * den >= num * a[0]:
-                continue
-            if dantzig_lower_bound(inst, a) * den >= num * a[0]:
-                continue
-        value, x = dual_bound_exact(inst, a)
-        if best is None or value < best[0]:
-            best = (value, x, a)
-    assert best is not None  # candidate set always contains the origin
-    return best
+    points, dots = candidates.points, candidates.dots
+    p, W, c, B = inst.p, inst.W, inst.c, inst.B
+    # the origin's reduced profits are p: its sorted items serve its
+    # knapsack and give the Lagrangian multiplier, the LP's split ratio
+    relaxation = lp_relaxation(p, c, B)
+    _, _, us, cs, _, _, split = relaxation
+    lam_num, lam_den = us[split], cs[split]
+    value, x = dual_bound_exact(inst, points[0], relaxation=relaxation)
+    best = 0
+    # the last point bounded and L times a lower bound on its least kept
+    # reduced profit
+    floor = None
+    for i in range(len(points) - 1, 0, -1):
+        a = points[i]
+        scale, alpha = a
+        dot = dots[i]
+        # skip when L times a bound on the value reaches need: L times the
+        # incumbent value, plus one when a tie would win by its index
+        num, den = value.numerator, value.denominator
+        need = num * scale + (i < best)
+        if dot * den >= need:
+            continue
+        kept = 0
+        if floor is not None:
+            fscale, falpha = floor[1]
+            if all(u * scale >= v * fscale for u, v in zip(falpha, alpha)):
+                kept = -(-floor[0] * scale // fscale)
+        floor = (kept, a)
+        if (dot + kept) * den >= need:
+            continue
+        reduced = scaled_reduced_profits(p, W, scale, alpha)
+        kept = max(
+            kept, lagrangian_least_units(reduced, c, B, lam_num * scale, lam_den)
+        )
+        floor = (kept, a)
+        if (dot + kept) * den >= need:
+            continue
+        kept = max(kept, lp_least_units(reduced, c, B))
+        floor = (kept, a)
+        if (dot + kept) * den >= need:
+            continue
+        v, y = dual_bound_exact(inst, a)
+        floor = (v.numerator * scale // v.denominator - dot, a)
+        if v < value or (v == value and i < best):
+            value, x, best = v, y, i
+    return value, x, points[best]
 
 
 def fractional_value(

@@ -118,6 +118,10 @@ def _as_int_list(value, field: str, length: int) -> tuple[int, ...]:
         raise SchemaViolationError(
             field, f"expected length {length}, got {len(value)}"
         )
+    # plain non-negative ints, as json.loads gives, pass in one check; bools
+    # (an int subclass), strings and the rest take the checked path
+    if all(type(v) is int for v in value) and min(value, default=0) >= 0:
+        return tuple(value)
     return tuple(_as_nonneg_int(v, f"{field}[{k}]") for k, v in enumerate(value))
 
 
@@ -181,11 +185,10 @@ def preprocess(inst: Instance) -> tuple[Instance, tuple[int | None, ...]]:
     interdiction optimum unchanged.  Returns the reduced instance and a map
     original index -> reduced index (None for dropped items).
     """
-    keep = [
-        i
-        for i in range(inst.n)
-        if all(inst.W[j][i] <= inst.C[j] for j in range(inst.t))
-    ]
+    keep = range(inst.n)
+    for row, cap in zip(inst.W, inst.C):
+        if max(row, default=0) > cap:
+            keep = [i for i in keep if row[i] <= cap]
     if len(keep) == inst.n:
         return inst, tuple(range(inst.n))
     index_map: list[int | None] = [None] * inst.n

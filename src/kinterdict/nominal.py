@@ -15,20 +15,25 @@ fixes each item that the LP bound shows every selection within the greedy
 removes, or keeps, and the DP runs on the items left free, its rows capped
 at the greedy's units (or kmax, when lower) less the units fixed kept.
 The same sorted items give the LP bound alone (``lp_least_units``), which
-the dual scan's and the FPTAS's Dantzig screens read.  Every frontier run,
-value-only or stored, has one budget of pairs built (FRONTIER_PAIR_LIMIT).
+the dual scan's and the FPTAS's Dantzig screens read.  The Lagrangian
+relaxation of the budget row (``lagrangian_least_units``) bounds the same
+least from below with no sort, the dual scan's cheaper screen.  Every
+frontier run, value-only or stored, has one budget of pairs built
+(FRONTIER_PAIR_LIMIT).
 
-A traceback first fixes items by the same LP test, with the least target
-already known as ub, which fixes more of them (``trace_unfixed``).  It
-stores the frontier of every suffix of the items left free only, under a
-budget of pairs and capped at their least target (``suffix_frontiers``),
-and walks them forward from a budget, selecting each item that does at
-least as well selected as kept (``select_on_ties``): from the whole budget
-less the fixed removed costs for the exact scan, and from the least need
-of the free items' least target for the FPTAS.  The value-only run finds
-that target first for the exact scan.  A row capped at it holds every pair
-the walk reads, so the bits are those of the walk over all the items and
-their uncapped rows.
+A traceback first fixes items by the same LP test, with a target at least
+the least as ub (``trace_unfixed``).  It stores the frontier of every
+suffix of the items left free only, under a budget of pairs and capped at
+their share of the target (``suffix_frontiers``), and walks them forward
+from a budget, selecting each item that does at least as well selected as
+kept (``select_on_ties``): from the whole budget less the fixed removed
+costs for the exact knapsack, and from the least need of the free items'
+least target for the FPTAS.  The FPTAS knows the least target from its
+value-only run, and the least fixes the most items; the exact knapsack
+runs no value-only run: its target is the greedy's kept units, and its
+value is the profit of the selection it traces.  A row capped at a target at
+least the least holds every pair the walk reads, so the bits are those of
+the walk over all the items and their uncapped rows.
 """
 
 from __future__ import annotations
@@ -191,14 +196,16 @@ def _sorted_items(units, costs, budget: int):
     return kept, items
 
 
-def _relaxation(units, costs, budget: int):
+def lp_relaxation(units, costs, budget: int):
     """(kept, items, us, cs, pcs, sus, split): ``_sorted_items``; the
     sorted items' units us and costs cs, each with a zero-unit item of cost
     1 appended; their prefix costs pcs, whose last entry is raised above
     every prefix cost a budget left can reach; their suffix units sus; and
     the LP's split item.  The LP removes the items before split whole and a
     fraction of it (Dantzig 1957); when every item fits, split is the
-    appended item."""
+    appended item.  us[split] / cs[split] is the LP's split ratio, the
+    multiplier of the budget row at which the Lagrangian bound
+    (``lagrangian_least_units``) meets the LP bound."""
     kept, items = _sorted_items(units, costs, budget)
     us = [*(u for _, u, _, _ in items), 0]
     cs = [*(c for _, _, c, _ in items), 1]
@@ -212,7 +219,7 @@ def _relaxation(units, costs, budget: int):
 
 def _fixed(us, cs, pcs, sus, split, budget: int, ub):
     """(fix, left, fixed, free_units, free_costs) for items in decreasing
-    units/cost order with the lists of their ``_relaxation``, and a bound
+    units/cost order with the lists of their ``lp_relaxation``, and a bound
     ub on the units they keep within the budget.
 
     fix[j] is 1 when the LP bound shows that every selection within the
@@ -252,8 +259,8 @@ def _fixed(us, cs, pcs, sus, split, budget: int, ub):
 
 
 def _greedy(relaxation, budget: int) -> int:
-    """The units that the greedy removal keeps of the sorted items of a
-    ``_relaxation``, those costing more than the budget left out: the LP
+    """The units that the greedy removal keeps of the sorted items of an
+    ``lp_relaxation``, those costing more than the budget left out: the LP
     removes the items before split whole, and the greedy removes them too,
     then every later item that still fits."""
     _, _, us, cs, pcs, sus, split = relaxation
@@ -266,7 +273,7 @@ def _greedy(relaxation, budget: int) -> int:
 
 
 def _least(relaxation, budget: int, kmax: int) -> int | None:
-    """``least_units_within`` for the items of a ``_relaxation``."""
+    """``least_units_within`` for the items of an ``lp_relaxation``."""
     kept, _, us, cs, pcs, sus, split = relaxation
     greedy = _greedy(relaxation, budget)
     ub = min(kmax - kept, greedy)
@@ -303,7 +310,7 @@ def least_units_within(units, costs, budget: int, kmax: int) -> int | None:
     """
     if kmax < 0 or budget < 0:
         return None
-    return _least(_relaxation(units, costs, budget), budget, kmax)
+    return _least(lp_relaxation(units, costs, budget), budget, kmax)
 
 
 def lp_least_units(units, costs, budget: int) -> int:
@@ -323,13 +330,32 @@ def lp_least_units(units, costs, budget: int) -> int:
     return kept + rest
 
 
+def lagrangian_least_units(units, costs, budget: int, num: int, den: int) -> int:
+    """The ceiling of sum min(u_i, lam c_i) - lam budget, lam = num / den >=
+    0: a lower bound on the units kept by every removal of total cost at
+    most the budget.
+
+    This is the Lagrangian relaxation of the budget row (Martello and Toth,
+    Knapsack Problems, 1990): for every x, sum u_i (1 - x_i) is at least
+    sum u_i (1 - x_i) - lam (budget - sum c_i x_i) when x is within the
+    budget, and each item's term is least at min(u_i, lam c_i).  It needs no
+    sort.  It is at most ``lp_least_units`` at every lam, and equal to it at
+    the LP's split ratio when no item costs more than the budget.  Units,
+    costs, budget, num and den are non-negative ints, den > 0."""
+    # min of each pair by a comparison, about twice as fast as map(min, ...)
+    total = sum(
+        [x if (x := u * den) < (y := num * c) else y for u, c in zip(units, costs)]
+    )
+    return -((num * budget - total) // den)
+
+
 def greedy_kept_units(units, costs, budget: int) -> int:
     """The units kept by the greedy removal in decreasing units/cost order
     (``least_units_within``'s): zero-cost items removed, items costing more
     than the budget kept, and each other item removed when it still fits.
     Its removal is within the budget, so it bounds the least units kept
     from above.  Units, costs and budget are non-negative ints."""
-    relaxation = _relaxation(units, costs, budget)
+    relaxation = lp_relaxation(units, costs, budget)
     return relaxation[0] + _greedy(relaxation, budget)
 
 
@@ -337,26 +363,29 @@ def trace_unfixed(units, costs, budget: int, target: int, trace, relaxation=None
     """The bits that a walk over the suffix frontiers of all the items
     gives, traced over the items the LP bound leaves free only.
 
-    target is the least number of units kept within the budget.
-    ``trace(units, costs, left, rest)`` walks the items left free, in index
-    order, zero-unit ones included, and returns their bits: left is the
-    budget less the costs of the items fixed removed, and rest the target
-    less the units of those fixed kept.  Zero-cost items are selected and
-    items costing more than the budget kept, as every walk does; the LP
-    bound (``_fixed``, on the items' ``_relaxation`` when the caller has
-    it) fixes the others with ub = target less the units kept.
+    target is at least the least number of units kept within the budget:
+    the least itself for the FPTAS, the greedy's kept units for the exact
+    knapsack.  ``trace(units, costs, left, rest)`` walks the items left
+    free, in index order, zero-unit ones included, and returns their bits:
+    left is the budget less the costs of the items fixed removed, and rest
+    the target less the units of those fixed kept.  Zero-cost items are
+    selected and items costing more than the budget kept, as every walk
+    does; the LP bound (``_fixed``, on the items' ``lp_relaxation`` when the
+    caller has it) fixes the others with ub = target less the units kept.
 
-    Every selection within the budget that keeps target units removes each
-    fixed-removed item and keeps each fixed-kept one.  So at a free item of
-    the walk, a branch that can still reach the target keeps, over the
-    items after it, the free items' least units within its budget less the
+    Every selection within the budget that keeps at most target units
+    removes each fixed-removed item and keeps each fixed-kept one, and the
+    walk's selection keeps the least.  So at a free item of the walk, a
+    branch that can still keep at most target units keeps, over the items
+    after it, the free items' least units within its budget less the
     fixed-removed costs after it, plus the fixed-kept units after it; a
-    branch that cannot stays above the target on the free items too.  Each
-    free item's tie test falls the same way, and each fixed item's bit is
-    the one its only winning branch gives.
+    branch that cannot stays above the target on the free items too, and
+    the other branch, on the walk's own path, keeps the least.  Each free
+    item's tie test falls the same way, and each fixed item's bit is the
+    one its only winning branch gives.
     """
     if relaxation is None:
-        relaxation = _relaxation(units, costs, budget)
+        relaxation = lp_relaxation(units, costs, budget)
     kept, items, us, cs, pcs, sus, split = relaxation
     bits = [1 if c == 0 else 0 if c > budget else None for c in costs]
     ub = target - kept
@@ -370,23 +399,25 @@ def trace_unfixed(units, costs, budget: int, target: int, trace, relaxation=None
     return tuple(bits)
 
 
-def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
+def knapsack_max_budget(
+    profits, costs, budget: int, *, relaxation=None
+) -> KnapsackAnswer:
     """Maximise sum of profits over selections with sum of costs <= budget.
 
-    Profits, costs and budget are non-negative ints.  The selected profit
-    is the total minus the least kept profit, which the bounded DP of
-    ``least_units_within`` finds.  The items are sorted for
-    it once, and with that least kept profit as ub the LP bound fixes more
-    of them (``trace_unfixed``).  The rows for the traceback
-    (``suffix_frontiers``) are stored over the items left free only,
-    capped at the least kept profit they add, and the choices are traced
-    forward from the budget less the fixed removed costs by
-    ``select_on_ties``: when both keeping and selecting an item achieve the
-    optimum, the item is selected.  Each capped row is a prefix of the
-    uncapped one, and no suffix on the optimal walk keeps more than the
-    least kept profit, so every pair the walk reads, or that would decide
+    Profits, costs and budget are non-negative ints; ``relaxation``, when
+    given, must be ``lp_relaxation(profits, costs, budget)``.  The items
+    are sorted once, and the greedy removal in that order keeps an
+    achievable profit, the target: with it as ub the LP bound fixes items
+    (``trace_unfixed``), and one run stores the rows for the traceback
+    (``suffix_frontiers``) over the items left free only, capped at the
+    target less the fixed kept profit.  The choices are traced forward from
+    the budget less the fixed removed costs by ``select_on_ties``: when
+    both keeping and selecting an item achieve the optimum, the item is
+    selected.  Each capped row is a prefix of the uncapped one, and no
+    suffix on the optimal walk keeps more than the least kept profit, at
+    most the target, so every pair the walk reads, or that would decide
     it, is in the prefix: the choices are those of the uncapped rows over
-    all the items.
+    all the items, an optimal selection, and the value is its profit.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -394,16 +425,17 @@ def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
         raise DimensionMismatchError("profits and costs must have equal length")
     if any(p < 0 for p in profits):
         raise ValueError("profits must be non-negative")
-    total = sum(profits)
-    relaxation = _relaxation(profits, costs, budget)
-    least = _least(relaxation, budget, total)
+    if relaxation is None:
+        relaxation = lp_relaxation(profits, costs, budget)
+    target = relaxation[0] + _greedy(relaxation, budget)
 
     def trace(gains, costs, left, rest):
         rows = suffix_frontiers(gains, costs, left, rest)
         return select_on_ties(rows, gains, costs, left)
 
-    chosen = trace_unfixed(profits, costs, budget, least, trace, relaxation)
-    return KnapsackAnswer(value=total - least, chosen=chosen)
+    chosen = trace_unfixed(profits, costs, budget, target, trace, relaxation)
+    value = sum(p for p, bit in zip(profits, chosen) if bit)
+    return KnapsackAnswer(value=value, chosen=chosen)
 
 
 @lru_cache(maxsize=8)

@@ -461,6 +461,24 @@ def test_exact_optf_builds_fewer_knapsacks_than_candidates(
     assert 1 <= len(knapsacks) < points
 
 
+def test_exact_optf_proves_candidates_out_before_the_dantzig_bound(
+    tmp_path, capsys, monkeypatch
+):
+    # the first instance of the exact-scan benchmark corpus at seed 1: the
+    # alpha . C screen, the inherited floor and the Lagrangian bound leave
+    # at most one candidate for the sorted Dantzig bound
+    inst = generate_instance(
+        n=40, t=1, seed=1_040_100, pmax=100, wmax=100, cmax=100,
+        budget_frac=Fraction(1, 2), cap_frac=Fraction(1, 2),
+    )
+    path = write(tmp_path, "n40.json", serialize_instance(inst))
+    assert len(dual.prepare(inst, 0).candidates) == 7
+    bounds = count_calls(monkeypatch, nominal, "lp_least_units")
+    code, out, _ = run(capsys, "exact-optf", "--input", path)
+    assert code == 0 and "opt_f" in json.loads(out)
+    assert len(bounds) <= 1
+
+
 def test_exact_optf_with_costs_and_budget_beyond_ten_trillion(tmp_path, capsys):
     # scaling every cost and the budget by 10**13 leaves the feasible
     # interdictions, hence opt_f and x, unchanged; a knapsack table with a
@@ -529,8 +547,8 @@ def test_exact_optf_over_the_frontier_pair_budget_exits_4(tmp_path, capsys):
 def test_exact_optf_on_equal_ratios_exits_4_within_the_pair_budget(tmp_path, capsys):
     # w_i uniform on [1, R] and p_i = c_i = w_i + R/10: at alpha = 0 every
     # reduced profit equals its cost, so all ratios tie, the LP bound fixes
-    # nothing and the greedy removal does not fill B.  The value-only run
-    # counts its pairs against the budget, so it stops in seconds
+    # nothing and the greedy removal does not fill B.  The knapsack's one
+    # stored run counts its pairs against the budget, so it stops in seconds
     n, R = 80, 10**6
     rng = random.Random(1)
     w = [rng.randint(1, R) for _ in range(n)]

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from kinterdict import dual
 from kinterdict.dual import (
+    dantzig_lower_bound,
     dual_bound_exact,
     dual_breakpoints,
     dual_vertex_candidates,
     exact_fractional_optimum,
     fractional_value,
+    scaled_reduced_profits,
 )
 from kinterdict.generator import SplitMix64, generate_instance
 from kinterdict.instance import Instance, InterdictionVector
@@ -21,7 +23,9 @@ from kinterdict.nominal import (
     StateLimitError,
     fractional_knapsack,
     knapsack_max_budget,
+    lagrangian_least_units,
     lp_least_units,
+    lp_relaxation,
 )
 from kinterdict.oracles import brute_force_opt_f, vertex_lp_optimum
 
@@ -497,11 +501,87 @@ def test_exact_scan_skips_candidates_whose_bound_ties_the_incumbent(monkeypatch)
     built = []
     original = dual.dual_bound_exact
     monkeypatch.setattr(
-        dual, "dual_bound_exact", lambda inst, a: built.append(a) or original(inst, a)
+        dual,
+        "dual_bound_exact",
+        lambda inst, a, **kw: built.append(a) or original(inst, a, **kw),
     )
     value, x, alpha = exact_fractional_optimum(inst)
     assert (value, x.bits, alpha) == (6, (1, 0), dual_point(0))
     assert built == [dual_point(0)]
+
+
+def test_exact_scan_matches_unpruned_reference_on_benchmark_instances_and_a_tie():
+    # the first three instances of the exact-scan benchmark corpus at seed 1,
+    # scanned over every vertex and over the set the CLI prepares
+    for j in range(3):
+        inst = generate_instance(
+            n=40, t=1, seed=1_040_100 + j, pmax=100, wmax=100, cmax=100,
+            budget_frac=Fraction(1, 2), cap_frac=Fraction(1, 2),
+        )
+        prepared = dual.prepare(inst, 0)
+        expected = unpruned_scan(prepared.reduced)
+        value, x, alpha = exact_fractional_optimum(prepared.reduced)
+        assert (value, x.bits, alpha) == expected
+        value, x, alpha = exact_fractional_optimum(
+            prepared.reduced, prepared.candidates
+        )
+        assert (value, x.bits, alpha) == expected
+    # Values: 8 at the origin, 6 at alpha = 1/2 and 6 at alpha = 3.  The
+    # scan reaches alpha = 3 before alpha = 1/2, and the tie must go to the
+    # earlier point in sorted order.
+    inst = Instance(n=2, t=1, p=(6, 2), c=(2, 2), W=((2, 4),), B=1, C=(2,))
+    points = list(dual_vertex_candidates(inst))
+    assert points == [dual_point(0), dual_point(Fraction(1, 2)), dual_point(3)]
+    assert [dual_bound_exact(inst, a)[0] for a in points] == [8, 6, 6]
+    value, x, alpha = exact_fractional_optimum(inst)
+    assert (value, x.bits, alpha) == unpruned_scan(inst)
+    assert alpha == dual_point(Fraction(1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, 2, 3)).flatmap(
+        lambda t: instance_strategy(max_n=(7, 5, 4)[t - 1], t=t)
+    ),
+    st.booleans(),
+    st.data(),
+)
+def test_exact_scan_bounds_are_ordered_and_least_kept_falls_with_alpha(
+    inst, big, data
+):
+    # The Lagrangian bound at the origin's LP split ratio and at a random
+    # lam >= 0 is at most the Dantzig bound, which is at most L times the
+    # value; the least kept reduced profit never rises as alpha rises.
+    if big:
+        inst = _beyond_64_bits(inst, 2**64 + 7)
+    _, _, us, cs, _, _, split = lp_relaxation(inst.p, inst.c, inst.B)
+    lams = [
+        (us[split], cs[split]),
+        (data.draw(st.integers(0, 2**66)), data.draw(st.integers(1, 2**66))),
+    ]
+    for a in dual_vertex_candidates(inst):
+        scale, alpha = a
+        reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
+        dot = sum(aj * cj for aj, cj in zip(alpha, inst.C))
+        dantzig = dantzig_lower_bound(inst, a)
+        for num, den in lams:
+            lagrangian = lagrangian_least_units(reduced, inst.c, inst.B, num * scale, den)
+            assert dot + lagrangian <= dantzig
+        if not any(alpha) and max(inst.c, default=0) <= inst.B:
+            assert dot + lagrangian_least_units(
+                reduced, inst.c, inst.B, us[split], cs[split]
+            ) == dantzig
+        value, _ = dual_bound_exact(inst, a)
+        assert dantzig <= value * scale
+        # a point alpha' = alpha + d / e >= alpha, as (L e, alpha L e + d L)
+        e = data.draw(st.integers(1, 5))
+        d = data.draw(st.lists(st.integers(0, 9), min_size=inst.t, max_size=inst.t))
+        above = (scale * e, tuple(v * e + dj * scale for v, dj in zip(alpha, d)))
+        above_value, _ = dual_bound_exact(inst, above)
+        above_dot = sum(aj * cj for aj, cj in zip(above[1], inst.C))
+        assert value - Fraction(dot, scale) >= above_value - Fraction(
+            above_dot, above[0]
+        )
 
 
 @settings(max_examples=300, deadline=None)
