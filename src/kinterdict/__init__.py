@@ -12,7 +12,6 @@ exact rational; no float decides a value on a solver path.
 from .dual import (
     CandidateSet,
     PreparedInstance,
-    dual_breakpoints,
     dual_bound_exact,
     dual_vertex_candidates,
     exact_fractional_optimum,
@@ -77,7 +76,6 @@ __all__ = [
     "brute_force_opt_f",
     "brute_force_opt_i",
     "dual_bound_exact",
-    "dual_breakpoints",
     "dual_vertex_candidates",
     "exact_fractional_optimum",
     "fractional_knapsack",

@@ -38,7 +38,7 @@ most instances, and then visits the other candidates from last to first,
 replacing the incumbent (v, j) by a candidate i whose (value, i) is less.
 A candidate's value is alpha . C + R, with R = sum r_i - K(r) the least
 kept reduced profit, r_i the reduced profits and K(r) the most reduced
-profit removable within the budget.  Four lower bounds on L times the
+profit removable within the budget.  Three lower bounds on L times the
 value, all ints, screen it, cheapest first; once one proves (value, i)
 above (v, j), that is, reaches L v, or passes it when i < j, the candidate
 is skipped and its knapsack is never built:
@@ -50,19 +50,13 @@ is skipped and its knapsack is never built:
   is at least the lower bound on R at alpha' that its screens or its
   knapsack found.  At t = 1 the points after the origin are visited in
   decreasing alpha, so each one bounded dominates every later one.
-- The Lagrangian relaxation of the budget row, R >= sum min(r_i, lam c_i)
-  - lam B for every lam >= 0 (nominal.lagrangian_least_units).  It needs
-  no sort.  One lam serves every candidate: the LP's split ratio at the
-  origin, where the bound meets the LP bound when no item costs more than
-  B.
 - Dantzig's bound (the LP relaxation of the knapsack, filled greedily by
-  r_i / c_i, read from nominal.lp_least_units), the strongest and the only
-  one that sorts.
+  r_i / c_i), ``dantzig_lower_bound``, the only one that sorts.
 
 L times the value is an int, so each bound rounds up.  A skipped
 candidate's (value, i) is above the incumbent's, so it could not replace
 it: the result is exactly that of the unpruned scan, ties included.  The
-FPTAS screens its candidates by the Dantzig bound, ``dantzig_lower_bound``.
+FPTAS screens its candidates by the same Dantzig bound.
 
 A solve reads only the vertices within a bound T (``prepare``).  Let U be
 the profit the greedy removal by p / c keeps at alpha = 0, an upper bound
@@ -104,9 +98,7 @@ from .nominal import (
     StateLimitError,
     greedy_kept_units,
     knapsack_max_budget,
-    lagrangian_least_units,
     lp_least_units,
-    lp_relaxation,
 )
 
 # The zero-sets one vertex walk may read, C(n + t, t) - 1 in all: 9.4M at
@@ -395,8 +387,9 @@ def dantzig_lower_bound(inst: Instance, a: tuple[int, tuple[int, ...]]) -> int:
     keeps within the budget (nominal.lp_least_units), rounded up, all in
     ints scaled by L.
 
-    The FPTAS rounds each reduced profit up, so the bound is also below
-    every rounded value of the candidate, at every grid level.
+    The screen of both solvers.  The FPTAS rounds each reduced profit up,
+    so the bound is also below every rounded value of the candidate, at
+    every grid level; the exact scan's is below the candidate's value.
     """
     scale, alpha = a
     reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
@@ -405,7 +398,7 @@ def dantzig_lower_bound(inst: Instance, a: tuple[int, tuple[int, ...]]) -> int:
 
 
 def dual_bound_exact(
-    inst: Instance, a: tuple[int, tuple[int, ...]], *, relaxation=None
+    inst: Instance, a: tuple[int, tuple[int, ...]]
 ) -> tuple[Fraction, InterdictionVector]:
     """Best interdiction under the dual objective at a fixed multiplier.
 
@@ -414,12 +407,11 @@ def dual_bound_exact(
     removed.  Returns the exact bound value and the attaining interdiction.
     The knapsack runs on the reduced profits scaled by L to ints, with
     a = (L, alpha L); its choices compare sums of them only, so they are
-    those of the unscaled profits.  ``relaxation``, when given, is the
-    knapsack's sorted items (nominal.lp_relaxation of those profits).
+    those of the unscaled profits.
     """
     scale, alpha = a
     reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
-    answer = knapsack_max_budget(reduced, inst.c, inst.B, relaxation=relaxation)
+    answer = knapsack_max_budget(reduced, inst.c, inst.B)
     x = InterdictionVector.from_bits(answer.chosen, inst.c)
     base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
     return Fraction(base + sum(reduced) - answer.value, scale), x
@@ -437,25 +429,18 @@ def exact_fractional_optimum(
     set cut at a bound of at least opt_f, such as ``prepare``'s; the full
     set is built when omitted.
 
-    The origin, the first point, runs its knapsack first, on items sorted
-    once here: the sort also gives the Lagrangian multiplier.  The others
-    are visited from last to first, and each is screened by the four int
+    The origin, the first point, runs its knapsack first.  The others are
+    visited from last to first, and each is screened by the three int
     lower bounds of the module docstring, cheapest first, before its
     knapsack runs.  A candidate whose bound proves its (value, index)
     above the incumbent's is skipped.  Only the last point bounded is
     checked for dominance, so the screens before the Dantzig bound's sort
-    cost O(t n) per candidate, with no pass over the other candidates.
+    cost O(t) per candidate, with no pass over the other candidates.
     """
     if candidates is None:
         candidates = dual_vertex_candidates(inst)
     points, dots = candidates.points, candidates.dots
-    p, W, c, B = inst.p, inst.W, inst.c, inst.B
-    # the origin's reduced profits are p: its sorted items serve its
-    # knapsack and give the Lagrangian multiplier, the LP's split ratio
-    relaxation = lp_relaxation(p, c, B)
-    _, _, us, cs, _, _, split = relaxation
-    lam_num, lam_den = us[split], cs[split]
-    value, x = dual_bound_exact(inst, points[0], relaxation=relaxation)
+    value, x = dual_bound_exact(inst, points[0])
     best = 0
     # the last point bounded and L times a lower bound on its least kept
     # reduced profit
@@ -478,14 +463,7 @@ def exact_fractional_optimum(
         floor = (kept, a)
         if (dot + kept) * den >= need:
             continue
-        reduced = scaled_reduced_profits(p, W, scale, alpha)
-        kept = max(
-            kept, lagrangian_least_units(reduced, c, B, lam_num * scale, lam_den)
-        )
-        floor = (kept, a)
-        if (dot + kept) * den >= need:
-            continue
-        kept = max(kept, lp_least_units(reduced, c, B))
+        kept = max(kept, dantzig_lower_bound(inst, a) - dot)
         floor = (kept, a)
         if (dot + kept) * den >= need:
             continue

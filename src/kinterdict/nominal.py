@@ -15,9 +15,7 @@ fixes each item that the LP bound shows every selection within the greedy
 removes, or keeps, and the DP runs on the items left free, its rows capped
 at the greedy's units (or kmax, when lower) less the units fixed kept.
 The same sorted items give the LP bound alone (``lp_least_units``), which
-the dual scan's and the FPTAS's Dantzig screens read.  The Lagrangian
-relaxation of the budget row (``lagrangian_least_units``) bounds the same
-least from below with no sort, the dual scan's cheaper screen.  Every
+the Dantzig screen of the dual scan and of the FPTAS reads.  Every
 frontier run, value-only or stored, has one budget of pairs built
 (FRONTIER_PAIR_LIMIT).
 
@@ -203,9 +201,7 @@ def lp_relaxation(units, costs, budget: int):
     every prefix cost a budget left can reach; their suffix units sus; and
     the LP's split item.  The LP removes the items before split whole and a
     fraction of it (Dantzig 1957); when every item fits, split is the
-    appended item.  us[split] / cs[split] is the LP's split ratio, the
-    multiplier of the budget row at which the Lagrangian bound
-    (``lagrangian_least_units``) meets the LP bound."""
+    appended item."""
     kept, items = _sorted_items(units, costs, budget)
     us = [*(u for _, u, _, _ in items), 0]
     cs = [*(c for _, _, c, _ in items), 1]
@@ -330,25 +326,6 @@ def lp_least_units(units, costs, budget: int) -> int:
     return kept + rest
 
 
-def lagrangian_least_units(units, costs, budget: int, num: int, den: int) -> int:
-    """The ceiling of sum min(u_i, lam c_i) - lam budget, lam = num / den >=
-    0: a lower bound on the units kept by every removal of total cost at
-    most the budget.
-
-    This is the Lagrangian relaxation of the budget row (Martello and Toth,
-    Knapsack Problems, 1990): for every x, sum u_i (1 - x_i) is at least
-    sum u_i (1 - x_i) - lam (budget - sum c_i x_i) when x is within the
-    budget, and each item's term is least at min(u_i, lam c_i).  It needs no
-    sort.  It is at most ``lp_least_units`` at every lam, and equal to it at
-    the LP's split ratio when no item costs more than the budget.  Units,
-    costs, budget, num and den are non-negative ints, den > 0."""
-    # min of each pair by a comparison, about twice as fast as map(min, ...)
-    total = sum(
-        [x if (x := u * den) < (y := num * c) else y for u, c in zip(units, costs)]
-    )
-    return -((num * budget - total) // den)
-
-
 def greedy_kept_units(units, costs, budget: int) -> int:
     """The units kept by the greedy removal in decreasing units/cost order
     (``least_units_within``'s): zero-cost items removed, items costing more
@@ -399,14 +376,11 @@ def trace_unfixed(units, costs, budget: int, target: int, trace, relaxation=None
     return tuple(bits)
 
 
-def knapsack_max_budget(
-    profits, costs, budget: int, *, relaxation=None
-) -> KnapsackAnswer:
+def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
     """Maximise sum of profits over selections with sum of costs <= budget.
 
-    Profits, costs and budget are non-negative ints; ``relaxation``, when
-    given, must be ``lp_relaxation(profits, costs, budget)``.  The items
-    are sorted once, and the greedy removal in that order keeps an
+    Profits, costs and budget are non-negative ints.  The items are sorted
+    once (``lp_relaxation``), and the greedy removal in that order keeps an
     achievable profit, the target: with it as ub the LP bound fixes items
     (``trace_unfixed``), and one run stores the rows for the traceback
     (``suffix_frontiers``) over the items left free only, capped at the
@@ -425,8 +399,7 @@ def knapsack_max_budget(
         raise DimensionMismatchError("profits and costs must have equal length")
     if any(p < 0 for p in profits):
         raise ValueError("profits must be non-negative")
-    if relaxation is None:
-        relaxation = lp_relaxation(profits, costs, budget)
+    relaxation = lp_relaxation(profits, costs, budget)
     target = relaxation[0] + _greedy(relaxation, budget)
 
     def trace(gains, costs, left, rest):

@@ -465,8 +465,8 @@ def test_exact_optf_proves_candidates_out_before_the_dantzig_bound(
     tmp_path, capsys, monkeypatch
 ):
     # the first instance of the exact-scan benchmark corpus at seed 1: the
-    # alpha . C screen, the inherited floor and the Lagrangian bound leave
-    # at most one candidate for the sorted Dantzig bound
+    # alpha . C screen and the inherited floor leave two of its seven
+    # candidates for the sorted Dantzig bound
     inst = generate_instance(
         n=40, t=1, seed=1_040_100, pmax=100, wmax=100, cmax=100,
         budget_frac=Fraction(1, 2), cap_frac=Fraction(1, 2),
@@ -476,7 +476,7 @@ def test_exact_optf_proves_candidates_out_before_the_dantzig_bound(
     bounds = count_calls(monkeypatch, nominal, "lp_least_units")
     code, out, _ = run(capsys, "exact-optf", "--input", path)
     assert code == 0 and "opt_f" in json.loads(out)
-    assert len(bounds) <= 1
+    assert len(bounds) == 2
 
 
 def test_exact_optf_with_costs_and_budget_beyond_ten_trillion(tmp_path, capsys):

@@ -13,7 +13,6 @@ from kinterdict.dual import (
     dual_vertex_candidates,
     exact_fractional_optimum,
     fractional_value,
-    scaled_reduced_profits,
 )
 from kinterdict.generator import SplitMix64, generate_instance
 from kinterdict.instance import Instance, InterdictionVector
@@ -23,9 +22,7 @@ from kinterdict.nominal import (
     StateLimitError,
     fractional_knapsack,
     knapsack_max_budget,
-    lagrangian_least_units,
     lp_least_units,
-    lp_relaxation,
 )
 from kinterdict.oracles import brute_force_opt_f, vertex_lp_optimum
 
@@ -503,7 +500,7 @@ def test_exact_scan_skips_candidates_whose_bound_ties_the_incumbent(monkeypatch)
     monkeypatch.setattr(
         dual,
         "dual_bound_exact",
-        lambda inst, a, **kw: built.append(a) or original(inst, a, **kw),
+        lambda inst, a: built.append(a) or original(inst, a),
     )
     value, x, alpha = exact_fractional_optimum(inst)
     assert (value, x.bits, alpha) == (6, (1, 0), dual_point(0))
@@ -512,12 +509,22 @@ def test_exact_scan_skips_candidates_whose_bound_ties_the_incumbent(monkeypatch)
 
 def test_exact_scan_matches_unpruned_reference_on_benchmark_instances_and_a_tie():
     # the first three instances of the exact-scan benchmark corpus at seed 1,
-    # scanned over every vertex and over the set the CLI prepares
-    for j in range(3):
-        inst = generate_instance(
+    # and two of the tight shape, where each of the three screens and the
+    # knapsack decides some candidates and a point other than the origin
+    # wins, scanned over every vertex and over the set the CLI prepares
+    tight = dict(budget_frac=Fraction(1, 4), cap_frac=Fraction(1, 10), seed=1)
+    instances = [
+        generate_instance(
             n=40, t=1, seed=1_040_100 + j, pmax=100, wmax=100, cmax=100,
             budget_frac=Fraction(1, 2), cap_frac=Fraction(1, 2),
         )
+        for j in range(3)
+    ]
+    instances += [
+        generate_instance(n=24, t=2, **tight),
+        generate_instance(n=20, t=3, **tight),
+    ]
+    for inst in instances:
         prepared = dual.prepare(inst, 0)
         expected = unpruned_scan(prepared.reduced)
         value, x, alpha = exact_fractional_optimum(prepared.reduced)
@@ -549,28 +556,14 @@ def test_exact_scan_matches_unpruned_reference_on_benchmark_instances_and_a_tie(
 def test_exact_scan_bounds_are_ordered_and_least_kept_falls_with_alpha(
     inst, big, data
 ):
-    # The Lagrangian bound at the origin's LP split ratio and at a random
-    # lam >= 0 is at most the Dantzig bound, which is at most L times the
-    # value; the least kept reduced profit never rises as alpha rises.
+    # The Dantzig bound is at most L times the value; the least kept
+    # reduced profit never rises as alpha rises.
     if big:
         inst = _beyond_64_bits(inst, 2**64 + 7)
-    _, _, us, cs, _, _, split = lp_relaxation(inst.p, inst.c, inst.B)
-    lams = [
-        (us[split], cs[split]),
-        (data.draw(st.integers(0, 2**66)), data.draw(st.integers(1, 2**66))),
-    ]
     for a in dual_vertex_candidates(inst):
         scale, alpha = a
-        reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
         dot = sum(aj * cj for aj, cj in zip(alpha, inst.C))
         dantzig = dantzig_lower_bound(inst, a)
-        for num, den in lams:
-            lagrangian = lagrangian_least_units(reduced, inst.c, inst.B, num * scale, den)
-            assert dot + lagrangian <= dantzig
-        if not any(alpha) and max(inst.c, default=0) <= inst.B:
-            assert dot + lagrangian_least_units(
-                reduced, inst.c, inst.B, us[split], cs[split]
-            ) == dantzig
         value, _ = dual_bound_exact(inst, a)
         assert dantzig <= value * scale
         # a point alpha' = alpha + d / e >= alpha, as (L e, alpha L e + d L)
