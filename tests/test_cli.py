@@ -1,7 +1,9 @@
+import concurrent.futures
 import csv
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -675,14 +677,11 @@ class _FakePool:
 
 def test_jobs_are_clamped_to_cpus_and_tasks(tmp_path, capsys, monkeypatch):
     # a huge --jobs must not become that many forked workers, and a solve
-    # runs in one process at any --jobs: every kinterdict module's pool is
-    # replaced by the recording fake
+    # runs in one process at any --jobs: bench imports the pool from
+    # concurrent.futures when it starts one, so the recording fake put
+    # there is the pool every command would build
     monkeypatch.setattr(_FakePool, "sizes", [])
-    original = cli.ProcessPoolExecutor
-    for name, mod in list(sys.modules.items()):
-        pool = getattr(mod, "ProcessPoolExecutor", None)
-        if name.startswith("kinterdict") and pool is original:
-            monkeypatch.setattr(mod, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     path = write(tmp_path, "t2.json", T2_JSON)
     assert run(capsys, "solve", "--input", path, "--eps", "1", "--jobs", "1000")[0] == 0
@@ -704,6 +703,48 @@ def test_jobs_are_clamped_to_cpus_and_tasks(tmp_path, capsys, monkeypatch):
     _FakePool.sizes.clear()
     assert run(capsys, "solve", "--input", path, "--eps", "1", "--jobs", "1000")[0] == 0
     assert _FakePool.sizes == []
+
+
+_POOL_PROBE = """
+import contextlib, io, json, sys
+from kinterdict.cli import main
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+pool = ("multiprocessing", "concurrent.futures.process")
+print(json.dumps([codes, [name for name in pool if name in sys.modules]]))
+"""
+
+
+def test_commands_without_a_pool_never_import_one(tmp_path):
+    # only a bench of more than one worker needs the process pool; a fresh
+    # interpreter shows what the other commands load, which this one,
+    # with pytest's own imports, cannot
+    path = write(tmp_path, "t2.json", T2_JSON)
+    d = tmp_path / "instances"
+    d.mkdir()
+    (d / "t1.json").write_text(T1_JSON)
+    (d / "t2.json").write_text(T2_JSON)
+    commands = [
+        ["gen", "--n", "8", "--seed", "1", "--output", str(tmp_path / "gen.json")],
+        ["solve", "--input", path, "--eps", "1", "--jobs", "3"],
+        ["solve", "--input", str(tmp_path / "gen.json"), "--eps", "1/2"],
+        ["exact-optf", "--input", path],
+        ["oracle", "--input", path],
+        ["bench", "--dir", str(d), "--eps", "1,1/2", "--csv", str(tmp_path / "o.csv"),
+         "--jobs", "1"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert loaded == []
 
 
 def test_gen_unwritable_output_path(tmp_path, capsys):
