@@ -204,7 +204,16 @@ def cmd_gen(args) -> int:
         )
     except (ValueError, ZeroDivisionError) as exc:
         raise _ParamsError(str(exc)) from exc
-    Path(args.output).write_text(serialize_instance(inst), encoding="utf-8")
+    try:
+        text = serialize_instance(inst)
+    except ValueError as exc:
+        # past Python's limit on the digits of one int, which parse_instance
+        # keeps too: the file could not be read back
+        raise _ParamsError(
+            "generated budget or capacity has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
+    Path(args.output).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -226,8 +235,10 @@ _BENCH_HEADER = [
 
 
 def _bench_task(task):
-    name, inst, eps_str, exact_max_n = task
-    eps = Fraction(eps_str)
+    # eps is carried as a Fraction, which pickles, and rendered for the CSV
+    # only: an eps of more digits than Python parses back would not survive
+    # a round trip through its string
+    name, inst, eps, exact_max_n = task
     start = time.perf_counter()
     prepared = prepare(inst, eps / (1 + inst.t))
     sol = approx_interdiction(inst, eps, prepared=prepared)
@@ -245,7 +256,7 @@ def _bench_task(task):
         name,
         str(inst.n),
         str(inst.t),
-        eps_str,
+        rat_to_str(eps),
         rat_to_str(sol.f_value),
         opt_f,
         ratio,
@@ -269,7 +280,7 @@ def cmd_bench(args) -> int:
             sys.stderr.write(f"skipping {path.name}: {exc}\n")
             continue
         for eps in eps_list:
-            tasks.append((path.name, inst, rat_to_str(eps), args.exact_max_n))
+            tasks.append((path.name, inst, eps, args.exact_max_n))
 
     workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:

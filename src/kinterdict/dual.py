@@ -25,12 +25,22 @@ Signs, duplicates and the sorted order are all decided
 on int tuples, and a point is the int pair (L, alpha L): L > 0 the lcm of
 alpha's denominators and alpha L >= 0, with gcd 1, unique per point.  The
 solvers read it in ints; only a reported multiplier is built in Fractions.
-A candidate set is bound to its instance's capacity vector C and also keeps
-each candidate's alpha . C, in ints, and the candidates' order by it
-(``CandidateSet``), compared by int cross-products: the FPTAS levels take
-a prefix of that order, F(x) scans in it and stops once alpha . C reaches
-the best value, since a candidate's value is at least its alpha . C, and
-the exact scan prunes by it.
+A candidate set is bound to its instance's profits p, weight rows W and
+capacity vector C and also keeps each candidate's alpha . C, in ints, and
+the candidates' order by it (``CandidateSet``), compared by int
+cross-products: the FPTAS levels take a prefix of that order, F(x) scans
+in it and stops once alpha . C reaches the best value, since a
+candidate's value is at least its alpha . C, and the exact scan prunes by
+it.  The set also holds the table of reduced profits, max(0, p_i L - w_i .
+(alpha L)) per item, one row per candidate, built the first time a step
+reads it and kept while the table holds at most REDUCED_CELL_LIMIT
+profits (``CandidateSet.reduced_profits``).  The row depends on the
+candidate alone, not on x or on a grid level, so the screens, the
+rounding at every level, the exact knapsacks and F(x) all read the same
+row: F(x) sums a row over the positions of the surviving items, and the
+certificate, which shares the set, reads the rows the solve built.  A
+set that ``prepare`` builds also keeps the origin's sorted items, which
+it sorted for U, for the origin's Dantzig bound, greedy and knapsack.
 
 That solver returns the first strict minimum in sorted order: the least
 (value, index) pair.  It runs the origin's knapsack first, the optimum on
@@ -84,10 +94,11 @@ vertices with alpha . C <= T, and that loses no answer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb, gcd
 from operator import mul
 
@@ -99,6 +110,8 @@ from .nominal import (
     greedy_kept_units,
     knapsack_max_budget,
     lp_least_units,
+    lp_relaxation,
+    relaxed_least_units,
 )
 
 # The zero-sets one vertex walk may read, C(n + t, t) - 1 in all: 9.4M at
@@ -108,24 +121,34 @@ VERTEX_READ_LIMIT = 10**7
 # C(t + 1, k) (t + 1) for its extensions to depth k: 437k at t = 40, n = 3,
 # against 13.6M at t = 300, n = 2.
 VERTEX_CELL_LIMIT = 10**7
+# The reduced profits one candidate set keeps, in items times rows: about
+# 6 MB at most.  Rows built past it are returned and not kept, so a set of
+# 191k candidates at t = 3, n = 200 does not hold 500 MB of them.
+REDUCED_CELL_LIMIT = 250_000
 
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Sorted, deduplicated dual candidates of an instance with capacities
-    C; always contains the origin.
+    """Sorted, deduplicated dual candidates of an instance with profits p,
+    weight rows W and capacities C; always contains the origin.
 
     Each point is the int pair (L, alpha L) of the module docstring.  bound
     is None when the set holds every vertex, and otherwise the bound T the
     set was cut at: it holds exactly the vertices with alpha . C <= T.
-    Computed on first use and kept: dots[i] is (alpha L) . C in ints with
-    (L, alpha L) = points[i], so alpha . C = dots[i] / L, and order the
-    indices sorted by alpha . C, ties by index.
+    relaxation is the budget knapsack's ``nominal.lp_relaxation`` at the
+    origin, whose reduced profits are p, when ``prepare`` built the set,
+    and None otherwise.  Computed on first use and kept: dots[i] is
+    (alpha L) . C in ints with (L, alpha L) = points[i], so alpha . C =
+    dots[i] / L, order the indices sorted by alpha . C, ties by index, and
+    ``reduced_profits(i)`` candidate i's reduced profits.
     """
 
     points: tuple[tuple[int, tuple[int, ...]], ...]
     C: tuple[int, ...]
+    p: tuple[int, ...]
+    W: tuple[tuple[int, ...], ...]
     bound: Fraction | None = None
+    relaxation: tuple | None = field(default=None, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.points)
@@ -145,6 +168,25 @@ class CandidateSet:
         k = max(scales, default=0) ** 2 + 1
         keys = [dot * k // scale for dot, scale in zip(self.dots, scales)]
         return tuple(sorted(range(len(keys)), key=keys.__getitem__))
+
+    @cached_property
+    def _rows(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def reduced_profits(self, i: int) -> tuple[int, ...]:
+        """``scaled_reduced_profits`` of candidate i over every item, built
+        on first use and kept for the life of the set while the rows kept
+        hold at most REDUCED_CELL_LIMIT profits.  They depend on the
+        instance alone, so the screens, every grid level, the exact scan
+        and each F(x) read the same tuple."""
+        rows = self._rows
+        row = rows.get(i)
+        if row is None:
+            scale, alpha = self.points[i]
+            row = tuple(scaled_reduced_profits(self.p, self.W, scale, alpha))
+            if (len(rows) + 1) * len(self.p) <= REDUCED_CELL_LIMIT:
+                rows[i] = row
+        return row
 
 
 # kept for the benchmark's tracer, which hooks it by name through getattr;
@@ -327,7 +369,9 @@ def dual_vertex_candidates(inst: Instance, bound=None) -> CandidateSet:
     # floors of K times them, K > max(d)^2, order them exactly in ints
     k = max(scale for scale, _ in found) ** 2 + 1
     points = sorted(found, key=lambda a: [v * k // a[0] for v in a[1]])
-    return CandidateSet(points=tuple(points), C=inst.C, bound=bound)
+    return CandidateSet(
+        points=tuple(points), C=inst.C, p=inst.p, W=inst.W, bound=bound
+    )
 
 
 @dataclass(frozen=True)
@@ -353,17 +397,23 @@ def prepare(inst: Instance, slack) -> PreparedInstance:
     U is the profit that the greedy removal by p / c keeps at alpha = 0
     (nominal.greedy_kept_units), on the reduced instance.  The set then
     serves the FPTAS at any eps <= s and the exact scan at any s >= 0.
+    The items are sorted for that greedy once, and the set keeps the
+    sorted ``lp_relaxation`` for the origin's Dantzig bound, its greedy
+    and its exact knapsack.
     """
     slack = Fraction(slack)
     if slack < 0:
         raise ValueError(f"slack must be non-negative, got {slack}")
     reduced, index_map = preprocess(inst)
-    kept = greedy_kept_units(reduced.p, reduced.c, reduced.B)
-    bound = (1 + slack) * kept + slack * max(reduced.p, default=0)
+    p, c, B = reduced.p, reduced.c, reduced.B
+    relaxation = lp_relaxation(p, c, B)
+    kept = greedy_kept_units(p, c, B, relaxation=relaxation)
+    bound = (1 + slack) * kept + slack * max(p, default=0)
+    candidates = dual_vertex_candidates(reduced, bound)
     return PreparedInstance(
         reduced=reduced,
         index_map=index_map,
-        candidates=dual_vertex_candidates(reduced, bound),
+        candidates=replace(candidates, relaxation=relaxation),
         slack=slack,
     )
 
@@ -381,7 +431,13 @@ def scaled_reduced_profits(p, W, scale: int, alpha) -> list[int]:
     return [r if r > 0 else 0 for r in rs]
 
 
-def dantzig_lower_bound(inst: Instance, a: tuple[int, tuple[int, ...]]) -> int:
+def dantzig_lower_bound(
+    inst: Instance,
+    a: tuple[int, tuple[int, ...]],
+    *,
+    reduced: Sequence[int] | None = None,
+    relaxation=None,
+) -> int:
     """L times a lower bound on the dual value of the point a = (L, alpha L):
     alpha . C plus the least reduced profit the knapsack's LP relaxation
     keeps within the budget (nominal.lp_least_units), rounded up, all in
@@ -390,15 +446,26 @@ def dantzig_lower_bound(inst: Instance, a: tuple[int, tuple[int, ...]]) -> int:
     The screen of both solvers.  The FPTAS rounds each reduced profit up,
     so the bound is also below every rounded value of the candidate, at
     every grid level; the exact scan's is below the candidate's value.
+    ``reduced`` is the point's ``scaled_reduced_profits``, the candidate
+    set's row (``CandidateSet.reduced_profits``), and is built when
+    omitted; with ``relaxation``, their sorted ``lp_relaxation``, the LP
+    is read off it with no sort.
     """
     scale, alpha = a
-    reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
     base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
+    if relaxation is not None:
+        return base + relaxed_least_units(relaxation, inst.B)
+    if reduced is None:
+        reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
     return base + lp_least_units(reduced, inst.c, inst.B)
 
 
 def dual_bound_exact(
-    inst: Instance, a: tuple[int, tuple[int, ...]]
+    inst: Instance,
+    a: tuple[int, tuple[int, ...]],
+    *,
+    reduced: Sequence[int] | None = None,
+    relaxation=None,
 ) -> tuple[Fraction, InterdictionVector]:
     """Best interdiction under the dual objective at a fixed multiplier.
 
@@ -407,11 +474,14 @@ def dual_bound_exact(
     removed.  Returns the exact bound value and the attaining interdiction.
     The knapsack runs on the reduced profits scaled by L to ints, with
     a = (L, alpha L); its choices compare sums of them only, so they are
-    those of the unscaled profits.
+    those of the unscaled profits.  ``reduced`` and ``relaxation`` are as
+    for ``dantzig_lower_bound``; the knapsack takes the relaxation, and
+    sorts the items itself without it.
     """
     scale, alpha = a
-    reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
-    answer = knapsack_max_budget(reduced, inst.c, inst.B)
+    if reduced is None:
+        reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
+    answer = knapsack_max_budget(reduced, inst.c, inst.B, relaxation=relaxation)
     x = InterdictionVector.from_bits(answer.chosen, inst.c)
     base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
     return Fraction(base + sum(reduced) - answer.value, scale), x
@@ -439,8 +509,10 @@ def exact_fractional_optimum(
     """
     if candidates is None:
         candidates = dual_vertex_candidates(inst)
-    points, dots = candidates.points, candidates.dots
-    value, x = dual_bound_exact(inst, points[0])
+    points, dots, rows = candidates.points, candidates.dots, candidates.reduced_profits
+    value, x = dual_bound_exact(
+        inst, points[0], reduced=rows(0), relaxation=candidates.relaxation
+    )
     best = 0
     # the last point bounded and L times a lower bound on its least kept
     # reduced profit
@@ -463,11 +535,12 @@ def exact_fractional_optimum(
         floor = (kept, a)
         if (dot + kept) * den >= need:
             continue
-        kept = max(kept, dantzig_lower_bound(inst, a) - dot)
+        reduced = rows(i)
+        kept = max(kept, dantzig_lower_bound(inst, a, reduced=reduced) - dot)
         floor = (kept, a)
         if (dot + kept) * den >= need:
             continue
-        v, y = dual_bound_exact(inst, a)
+        v, y = dual_bound_exact(inst, a, reduced=reduced)
         floor = (v.numerator * scale // v.denominator - dot, a)
         if v < value or (v == value and i < best):
             value, x, best = v, y, i
@@ -487,27 +560,27 @@ def fractional_value(
     otherwise (module docstring).  Each candidate is
     evaluated in integers: with L the lcm of alpha's denominators,
     (alpha L) . C plus the sum of max(0, p_i L - w_i . (alpha L)) over the
-    surviving items is L times the dual objective, built one capacity row
-    at a time; values compare by int cross-products, and one Fraction is
-    built for the answer.  The candidates are scanned in alpha . C order
-    (``CandidateSet.order``), and the scan stops at the first one
-    whose alpha . C reaches the best value so far: every later value is at
-    least its own alpha . C, so none is smaller and the minimum is exact.
+    surviving items is L times the dual objective.  Those reduced profits
+    are the set's row (``CandidateSet.reduced_profits``), which does not
+    depend on x, summed over the survivors' positions; values compare by
+    int cross-products, and one Fraction is built for the answer.  The
+    candidates are scanned in alpha . C order (``CandidateSet.order``),
+    and the scan stops at the first one whose alpha . C reaches the best
+    value so far: every later value is at least its own alpha . C, so none
+    is smaller and the minimum is exact.
     """
     if len(x.bits) != inst.n:
         raise DimensionMismatchError("interdiction length does not match instance")
     if candidates is None:
         candidates = dual_vertex_candidates(inst)
-    kept = [i for i in range(inst.n) if not x.bits[i]]
-    p = [inst.p[i] for i in kept]
-    W = [[row[i] for i in kept] for row in inst.W]
+    survivors = [1 - b for b in x.bits]
     best, best_scale = None, 1
     for i in candidates.order:
-        scale, alpha = candidates.points[i]
+        scale = candidates.points[i][0]
         dot = candidates.dots[i]
         if best is not None and dot * best_scale >= best * scale:
             break
-        total = dot + sum(scaled_reduced_profits(p, W, scale, alpha))
+        total = dot + sum(compress(candidates.reduced_profits(i), survivors))
         if best is None or total * best_scale < best * scale:
             best, best_scale = total, scale
     assert best is not None  # the candidate set always contains the origin

@@ -25,7 +25,11 @@ can replace it.  A candidate runs no DP when its alpha . C, or its Dantzig
 lower bound (dual.dantzig_lower_bound, computed once per solve), exceeds
 the cap; every other DP stops at the largest unit target the cap leaves,
 which keeps every bound that can win.  All three tests are int
-cross-products.  The DP is nominal's budget knapsack, kept as Pareto
+cross-products.  Each level rounds a candidate's reduced profits from the
+candidate set's table (dual.CandidateSet.reduced_profits), built once per
+candidate and shared with the Dantzig bound, the search's greedy bound and
+F(x): the reduced profits depend on alpha alone, and only their rounding
+on z.  The DP is nominal's budget knapsack, kept as Pareto
 frontiers: each candidate runs it value-only for its least feasible target
 (nominal.least_units_within).  That run is bounded in turn: the greedy
 interdiction in units/cost order gives an achievable target and the LP
@@ -34,7 +38,8 @@ the items the LP bound leaves free, and only up to the greedy's target.
 Only the winner of the accepted level stores a frontier per item, capped
 at its target and only for the items the LP bound leaves free given that
 target, to trace its interdiction back (nominal.trace_unfixed,
-suffix_frontiers and select_on_ties).
+suffix_frontiers and select_on_ties), from the units its value-only run
+sorted.
 The reported dp_tables and dp_states are the paper's nominal counts: one
 table of n (kmax + 1) states for every candidate whose alpha . C is within
 the limit of a level on the search's path, whether the level was scanned
@@ -52,7 +57,8 @@ for the rounding error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import takewhile
 
@@ -69,6 +75,7 @@ from .nominal import (
     StateLimitError,
     greedy_kept_units,
     least_units_within,
+    lp_relaxation,
     select_on_ties,
     suffix_frontiers,
     trace_unfixed,
@@ -175,9 +182,15 @@ class GeometricGrid:
         sum_p = sum(inst.p)
         if sum_p <= 0 or inst.n == 0:
             raise ValueError("grid needs a positive total profit")
-        # multiplied out, not divided: an eps' whose float is 0.0 is refused
+        # multiplied out, not divided: an eps' whose float is 0.0 is refused.
+        # log1p keeps a small eps' exact; from eps' = 1 on, the log of the
+        # ints of 1 + eps' loses nothing and takes an eps' of any size
         top_bits = math.log(sum_p) * (1 + eps_internal).numerator.bit_length()
-        step = math.log1p(eps_internal)
+        num, den = eps_internal.numerator, eps_internal.denominator
+        if num < den:
+            step = math.log1p(eps_internal)
+        else:
+            step = math.log(num + den) - math.log(den)
         if top_bits > GRID_BIT_LIMIT * step:
             estimate = top_bits / step if step else math.inf
             raise StateLimitError(
@@ -200,7 +213,11 @@ class GeometricGrid:
 
 
 def rounded_profit_units(
-    inst: Instance, a: tuple[int, tuple[int, ...]], delta: Fraction
+    inst: Instance,
+    a: tuple[int, tuple[int, ...]],
+    delta: Fraction,
+    *,
+    reduced: Sequence[int] | None = None,
 ) -> list[int]:
     """Each item's reduced profit in units of delta, rounded up.
 
@@ -209,14 +226,17 @@ def rounded_profit_units(
     is a multiple of delta before every addition.  Computed in integers:
     with a = (L, alpha L), r = p_i L - w_i . (alpha L) is the reduced
     profit times L (dual.scaled_reduced_profits, 0 when negative), and the
-    units are ceil(r / (L delta)).
+    units are ceil(r / (L delta)).  ``reduced`` is that list, the
+    candidate set's row (dual.CandidateSet.reduced_profits), which every
+    level rounds; it is built when omitted.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     scale, alpha = a
     num = delta.denominator
     den = delta.numerator * scale
-    reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
+    if reduced is None:
+        reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
     return [-(-r * num // den) for r in reduced]
 
 
@@ -279,13 +299,16 @@ class CandidateEval:
     alpha . C + k delta; both are None when the cap prunes every
     budget-feasible interdiction.  units are the candidate's rounded
     profits and alpha the candidate (L, alpha L) itself, kept for the
-    traceback and the reported multiplier.
+    traceback and the reported multiplier; relaxation is the units'
+    sorted nominal.lp_relaxation that the value-only run built, kept so
+    that the traceback does not sort them again (None: built there).
     """
 
     value: Fraction | None
     k: int | None
     units: list[int]
     alpha: tuple[int, tuple[int, ...]]
+    relaxation: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def rounded_dual_bound(
@@ -295,6 +318,7 @@ def rounded_dual_bound(
     *,
     limit: Fraction,
     base: Fraction,
+    reduced: Sequence[int] | None = None,
 ) -> CandidateEval:
     """Rounded dual objective minimised over budget-feasible interdictions,
     sought only up to ``limit``.
@@ -307,12 +331,16 @@ def rounded_dual_bound(
     interdiction.  When no target within the limit is feasible the value
     is None: the caller treats it as a rejection.  The limit never exceeds
     the level's (1 + eps') z = z + n delta, so the target is at most the
-    grid's kmax.
+    grid's kmax.  ``reduced`` is passed on to ``rounded_profit_units``.
     """
-    units = rounded_profit_units(inst, a, point.delta)
-    k = least_units_within(units, inst.c, inst.B, (limit - base) // point.delta)
+    units = rounded_profit_units(inst, a, point.delta, reduced=reduced)
+    relaxation = lp_relaxation(units, inst.c, inst.B)
+    kmax = (limit - base) // point.delta
+    k = least_units_within(units, inst.c, inst.B, kmax, relaxation)
     value = None if k is None else base + k * point.delta
-    return CandidateEval(value=value, k=k, units=units, alpha=a)
+    return CandidateEval(
+        value=value, k=k, units=units, alpha=a, relaxation=relaxation
+    )
 
 
 def candidate_bits(inst: Instance, ev: CandidateEval) -> tuple[int, ...]:
@@ -320,17 +348,17 @@ def candidate_bits(inst: Instance, ev: CandidateEval) -> tuple[int, ...]:
     table's, interdict-first on ties.
 
     The LP bound with ub = ev.k, the least target, fixes most items
-    (nominal.trace_unfixed).  The frontiers are built over the items left
-    free only, up to their least target k, and walked back from its least
-    need (``BudgetTable.traceback``).  That need plus the fixed removed
-    costs is the least need of ev.k, where the walk over all the items
-    starts.
+    (nominal.trace_unfixed), on the units' relaxation that the value-only
+    run sorted.  The frontiers are built over the items left free only, up
+    to their least target k, and walked back from its least need
+    (``BudgetTable.traceback``).  That need plus the fixed removed costs is
+    the least need of ev.k, where the walk over all the items starts.
     """
 
     def trace(units, costs, left, k):
         return min_budget_table(units, costs, left, k).traceback(k)
 
-    return trace_unfixed(ev.units, inst.c, inst.B, ev.k, trace)
+    return trace_unfixed(ev.units, inst.c, inst.B, ev.k, trace, ev.relaxation)
 
 
 def within_limit(candidates: CandidateSet, limit: Fraction) -> list[int]:
@@ -398,12 +426,15 @@ def accept_level(
         scale = points[i][0]
         if dots[i] * v > u * scale:
             continue
+        reduced = candidates.reduced_profits(i)
         if i not in lowers:
-            lowers[i] = dantzig_lower_bound(inst, points[i])
+            lowers[i] = dantzig_lower_bound(inst, points[i], reduced=reduced)
         if lowers[i] * v > u * scale:
             continue
         base = Fraction(dots[i], scale)
-        ev = rounded_dual_bound(inst, points[i], point, limit=cap, base=base)
+        ev = rounded_dual_bound(
+            inst, points[i], point, limit=cap, base=base, reduced=reduced
+        )
         if ev.value is not None and (best is None or ev.value < best.value):
             best, cap = ev, ev.value
             u, v = cap.numerator, cap.denominator
@@ -427,19 +458,26 @@ def search_bracket(
     dual value V, and lower <= V <= upper.
     """
     points, dots = candidates.points, candidates.dots
+    rows = candidates.reduced_profits
+
+    def origin(i):
+        # the origin's sorted items, when prepare kept them
+        return candidates.relaxation if i == 0 else None
+
     best = None
     for i in candidates.order:
         scale = points[i][0]
         if best is not None and dots[i] * points[best][0] >= lowers[best] * scale:
             break
         if i not in lowers:
-            lowers[i] = dantzig_lower_bound(inst, points[i])
+            lowers[i] = dantzig_lower_bound(
+                inst, points[i], reduced=rows(i), relaxation=origin(i)
+            )
         if best is None or lowers[i] * points[best][0] < lowers[best] * scale:
             best = i
     assert best is not None  # the candidate set always contains the origin
-    scale, alpha = points[best]
-    reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
-    kept = greedy_kept_units(reduced, inst.c, inst.B)
+    scale = points[best][0]
+    kept = greedy_kept_units(rows(best), inst.c, inst.B, relaxation=origin(best))
     return Fraction(lowers[best], scale), Fraction(dots[best] + kept, scale)
 
 

@@ -14,9 +14,13 @@ the least from below.  It ends there when the two meet.  Otherwise it
 fixes each item that the LP bound shows every selection within the greedy
 removes, or keeps, and the DP runs on the items left free, its rows capped
 at the greedy's units (or kmax, when lower) less the units fixed kept.
-The same sorted items give the LP bound alone (``lp_least_units``), which
-the Dantzig screen of the dual scan and of the FPTAS reads.  Every
-frontier run, value-only or stored, has one budget of pairs built
+The LP bound alone (``lp_least_units``), which the Dantzig screen of the
+dual scan and of the FPTAS reads, sorts the items' bare ratio keys and
+builds no tuple: its value does not depend on how equal ratios are
+ordered.  Items already sorted (an ``lp_relaxation``) give it with no sort
+(``relaxed_least_units``), and so do the greedy's kept units, the
+value-only run and the traceback, which each take a caller's relaxation.
+Every frontier run, value-only or stored, has one budget of pairs built
 (FRONTIER_PAIR_LIMIT).
 
 A traceback first fixes items by the same LP test, with a target at least
@@ -268,23 +272,32 @@ def _greedy(relaxation, budget: int) -> int:
     return greedy
 
 
+def relaxed_least_units(relaxation, budget: int) -> int:
+    """``lp_least_units`` of the items of an ``lp_relaxation``, read off
+    its split item with no sort: the units every selection keeps, plus the
+    ceiling of the units the LP keeps of the sorted items."""
+    kept, _, us, cs, pcs, sus, split = relaxation
+    return kept + sus[split] - us[split] * (budget - pcs[split]) // cs[split]
+
+
 def _least(relaxation, budget: int, kmax: int) -> int | None:
     """``least_units_within`` for the items of an ``lp_relaxation``."""
     kept, _, us, cs, pcs, sus, split = relaxation
     greedy = _greedy(relaxation, budget)
     ub = min(kmax - kept, greedy)
-    # the LP bound on the kept units is lower / cs[split]
-    lower = sus[split] * cs[split] - (budget - pcs[split]) * us[split]
-    if lower > ub * cs[split]:
+    lower = relaxed_least_units(relaxation, budget) - kept
+    if lower > ub:
         return None
-    if -(-lower // cs[split]) == greedy:
+    if lower == greedy:
         return kept + greedy
     _, left, fixed, free_us, free_cs = _fixed(us, cs, pcs, sus, split, budget, ub)
     ks, _ = budget_frontier(free_us, free_cs, left, ub - fixed)
     return kept + fixed + ks[0] if ks else None
 
 
-def least_units_within(units, costs, budget: int, kmax: int) -> int | None:
+def least_units_within(
+    units, costs, budget: int, kmax: int, relaxation=None
+) -> int | None:
     """Least k <= kmax such that removing items of total cost at most the
     budget keeps at most k units, or None when there is none.
 
@@ -302,23 +315,40 @@ def least_units_within(units, costs, budget: int, kmax: int) -> int | None:
     removes, or keeps, is fixed (``_fixed``).  ``budget_frontier`` then
     runs on the items left free, with the budget less the fixed removed
     costs and kmax = ub less the fixed kept units.  It stores no row, and
-    its first pair plus the fixed units is the answer.
+    its first pair plus the fixed units is the answer.  ``relaxation`` is
+    the items' ``lp_relaxation`` when the caller keeps it, and is built
+    when omitted.
     """
     if kmax < 0 or budget < 0:
         return None
-    return _least(lp_relaxation(units, costs, budget), budget, kmax)
+    if relaxation is None:
+        relaxation = lp_relaxation(units, costs, budget)
+    return _least(relaxation, budget, kmax)
 
 
 def lp_least_units(units, costs, budget: int) -> int:
     """The ceiling of the least units the LP relaxation keeps within the
     budget (Dantzig 1957): a lower bound on the units kept by every
     removal of total cost at most the budget.  Units, costs and budget are
-    non-negative ints."""
-    kept, items = _sorted_items(units, costs, budget)
-    rem, rest = budget, sum(u for _, u, _, _ in items)
+    non-negative ints.
+
+    Only the items with units and a cost at most the budget are sorted,
+    by their bare keys u * budget**2 // c (``_sorted_items``'s), with no
+    tuple built: the LP value does not depend on how equal ratios are
+    ordered."""
+    kept, us, cs, keys, square = 0, [], [], [], budget * budget
+    for u, c in zip(units, costs):
+        if c > budget:
+            kept += u
+        elif u and c:
+            us.append(u)
+            cs.append(c)
+            keys.append(u * square // c)
+    rem, rest = budget, sum(us)
     # the LP removes the items in order while they fit, then the fraction
     # rem / c of the next one
-    for _, u, c, _ in items:
+    for j in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
+        u, c = us[j], cs[j]
         if c > rem:
             return kept + rest - u * rem // c
         rem -= c
@@ -326,13 +356,15 @@ def lp_least_units(units, costs, budget: int) -> int:
     return kept + rest
 
 
-def greedy_kept_units(units, costs, budget: int) -> int:
+def greedy_kept_units(units, costs, budget: int, *, relaxation=None) -> int:
     """The units kept by the greedy removal in decreasing units/cost order
     (``least_units_within``'s): zero-cost items removed, items costing more
     than the budget kept, and each other item removed when it still fits.
     Its removal is within the budget, so it bounds the least units kept
-    from above.  Units, costs and budget are non-negative ints."""
-    relaxation = lp_relaxation(units, costs, budget)
+    from above.  Units, costs and budget are non-negative ints; the items'
+    ``lp_relaxation`` is built when not given."""
+    if relaxation is None:
+        relaxation = lp_relaxation(units, costs, budget)
     return relaxation[0] + _greedy(relaxation, budget)
 
 
@@ -376,7 +408,9 @@ def trace_unfixed(units, costs, budget: int, target: int, trace, relaxation=None
     return tuple(bits)
 
 
-def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
+def knapsack_max_budget(
+    profits, costs, budget: int, *, relaxation=None
+) -> KnapsackAnswer:
     """Maximise sum of profits over selections with sum of costs <= budget.
 
     Profits, costs and budget are non-negative ints.  The items are sorted
@@ -392,6 +426,8 @@ def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
     most the target, so every pair the walk reads, or that would decide
     it, is in the prefix: the choices are those of the uncapped rows over
     all the items, an optimal selection, and the value is its profit.
+    ``relaxation`` is the items' ``lp_relaxation`` when the caller has it
+    (the origin's, from ``dual.prepare``), and is built when omitted.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -399,8 +435,9 @@ def knapsack_max_budget(profits, costs, budget: int) -> KnapsackAnswer:
         raise DimensionMismatchError("profits and costs must have equal length")
     if any(p < 0 for p in profits):
         raise ValueError("profits must be non-negative")
-    relaxation = lp_relaxation(profits, costs, budget)
-    target = relaxation[0] + _greedy(relaxation, budget)
+    if relaxation is None:
+        relaxation = lp_relaxation(profits, costs, budget)
+    target = greedy_kept_units(profits, costs, budget, relaxation=relaxation)
 
     def trace(gains, costs, left, rest):
         rows = suffix_frontiers(gains, costs, left, rest)

@@ -481,6 +481,73 @@ def test_exact_optf_proves_candidates_out_before_the_dantzig_bound(
     assert len(bounds) == 2
 
 
+def test_a_request_builds_each_reduced_profit_row_once_and_sorts_the_origin_once(
+    tmp_path, capsys, monkeypatch
+):
+    # the first instance of the fptas-t1 and exact-scan benchmark corpora at
+    # seed 1 (the same one), and the first of multi-cap: one solve, its
+    # certificate included, and one exact-optf each build a candidate's
+    # reduced profits at most once, and sort the origin's items, whose
+    # reduced profits are p, once: for U in prepare
+    shapes = ((40, 1, 1_040_100, "1/2"), (20, 2, 1_020_200, "1"))
+    rows = count_calls(monkeypatch, dual, "scaled_reduced_profits")
+    sorts = count_calls(monkeypatch, nominal, "_sorted_items")
+    bounds = count_calls(monkeypatch, nominal, "lp_least_units")
+    for n, t, seed, eps in shapes:
+        inst = generate_instance(
+            n=n, t=t, seed=seed, pmax=100, wmax=100, cmax=100,
+            budget_frac=Fraction(1, 2), cap_frac=Fraction(1, 2),
+        )
+        path = write(tmp_path, f"n{n}.json", serialize_instance(inst))
+        origin = list(instance.preprocess(inst)[0].p)
+        for argv in (("solve", "--eps", eps), ("exact-optf",)):
+            for calls in (rows, sorts, bounds):
+                calls.clear()
+            code, _, _ = run(capsys, argv[0], "--input", path, *argv[1:])
+            assert code == 0
+            points = [(scale, alpha) for _, _, scale, alpha in rows]
+            assert len(rows) > 1 and len(set(points)) == len(points)
+            assert [list(args[0]) for args in sorts + bounds].count(origin) == 1
+
+
+def _ends_cleanly(*argv):
+    # a fresh process, so that a crash shows as a traceback on stderr
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kinterdict", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stderr
+
+
+def test_solve_at_an_eps_past_the_float_range_ends_cleanly(tmp_path):
+    # eps' = 1e5000 does not fit in a float; the grid has J <= 1
+    path = write(tmp_path, "n40.json", serialize_instance(generate_instance(n=40, t=1, seed=1)))
+    for eps in ("1e10000", "1e617"):
+        code, _ = _ends_cleanly("solve", "--input", path, "--eps", eps)
+        assert code in (0, 4)
+
+
+def test_bench_at_an_eps_past_the_digit_limit_ends_cleanly(tmp_path):
+    d = tmp_path / "instances"
+    d.mkdir()
+    (d / "t1.json").write_text(T1_JSON)
+    out = tmp_path / "out.csv"
+    code, _ = _ends_cleanly("bench", "--dir", str(d), "--eps", "1e10000", "--csv", str(out))
+    assert code == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[3] == "1" + "0" * 10000
+
+
+def test_gen_past_the_digit_limit_exits_3(tmp_path):
+    out = tmp_path / "x.json"
+    for flag, frac in (("--budget-frac", "1e10000"), ("--cap-frac", "1e5000")):
+        code, err = _ends_cleanly("gen", "--n", "5", "--seed", "1", flag, frac, "--output", str(out))
+        assert code == 3 and err.startswith("error: ") and " digits" in err
+        assert not out.exists()
+
+
 def test_exact_optf_with_costs_and_budget_beyond_ten_trillion(tmp_path, capsys):
     # scaling every cost and the budget by 10**13 leaves the feasible
     # interdictions, hence opt_f and x, unchanged; a knapsack table with a
@@ -819,13 +886,13 @@ def test_solve_jobs_2_matches_jobs_1_where_both_screens_fire(
         levels.append(j)
         return accept_level(inst, grid, j, *args)
 
-    def bound(inst, a, point, *, limit, base):
+    def bound(inst, a, point, *, limit, base, **kwargs):
         # a DP runs only for a candidate whose alpha . C and Dantzig lower
         # bound are both within the cap it is given
         assert base == dot_capacity(inst, a) <= limit
         assert Fraction(dual.dantzig_lower_bound(inst, a), a[0]) <= limit
         runs[point.z] += 1
-        return rounded_dual_bound(inst, a, point, limit=limit, base=base)
+        return rounded_dual_bound(inst, a, point, limit=limit, base=base, **kwargs)
 
     monkeypatch.setattr(fptas, "accept_level", level)
     monkeypatch.setattr(fptas, "rounded_dual_bound", bound)

@@ -392,6 +392,24 @@ def test_fractional_value_with_shared_candidates_t1_t2_t3():
     assert largest > 2**64
 
 
+def test_reduced_profit_rows_past_the_table_limit_give_the_same_values(monkeypatch):
+    # a row past REDUCED_CELL_LIMIT is built on every read and not kept;
+    # F(x) and the exact scan read the same numbers either way
+    def answers(inst, shared):
+        values = [fractional_value(inst, x, shared) for x in all_interdictions(inst)]
+        return values, exact_fractional_optimum(inst, shared)
+
+    for inst in family(seed=50, count=4, n_lo=2, n_hi=5, t=2):
+        full = dual_vertex_candidates(inst)
+        expected = answers(inst, full)
+        assert full._rows
+        with monkeypatch.context() as patch:
+            patch.setattr(dual, "REDUCED_CELL_LIMIT", 0)
+            bare = dual_vertex_candidates(inst)
+            assert answers(inst, bare) == expected
+            assert not any(bare._rows.values())
+
+
 # dual inequalities
 
 def test_weak_duality_200_samples():
@@ -500,7 +518,7 @@ def test_exact_scan_skips_candidates_whose_bound_ties_the_incumbent(monkeypatch)
     monkeypatch.setattr(
         dual,
         "dual_bound_exact",
-        lambda inst, a: built.append(a) or original(inst, a),
+        lambda inst, a, **kwargs: built.append(a) or original(inst, a, **kwargs),
     )
     value, x, alpha = exact_fractional_optimum(inst)
     assert (value, x.bits, alpha) == (6, (1, 0), dual_point(0))

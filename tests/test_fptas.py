@@ -202,6 +202,16 @@ def test_grid_bit_budget_admits_exactly_its_estimate(monkeypatch):
         GeometricGrid.build(inst, Fraction(1, 10**400))
 
 
+def test_grid_builds_at_an_eps_past_the_float_range():
+    # eps' = 10**5000 - 1 and 10**308.5 do not fit in a float; the first
+    # grid level reaches any total profit
+    inst = Instance(n=1, t=1, p=(973,), c=(1,), W=((1,),), B=0, C=(1,))
+    for eps in (Fraction(10) ** 10000, Fraction(10) ** 617):
+        e = split_accuracy(eps)
+        assert e > 10**308
+        assert GeometricGrid.build(inst, e).J == 1
+
+
 # rounded profit units
 
 def test_units_t1_example():
@@ -861,7 +871,7 @@ def test_accept_level_keeps_candidate_whose_alpha_c_equals_the_limit():
     # reduced profit is 0, so the bound is exactly the limit and passes
     inst = Instance(n=1, t=1, p=(4,), c=(1,), W=((2,),), B=0, C=(2,))
     grid = GeometricGrid.build(inst, Fraction(1))
-    only = CandidateSet(points=(dual_point(2),), C=inst.C)
+    only = CandidateSet(points=(dual_point(2),), C=inst.C, p=inst.p, W=inst.W)
     res = accept_level(inst, grid, 1, only)
     assert res.passed and res.winner.value == 4 and res.dp_tables == 1
 
@@ -874,7 +884,8 @@ def test_accept_level_tie_goes_to_the_earlier_candidate():
     grid = GeometricGrid.build(inst, Fraction(1))
     zero, two = dual_point(0), dual_point(2)
     for order in ((zero, two), (two, zero)):
-        res = accept_level(inst, grid, 1, CandidateSet(points=order, C=inst.C))
+        cands = CandidateSet(points=order, C=inst.C, p=inst.p, W=inst.W)
+        res = accept_level(inst, grid, 1, cands)
         assert res.passed and res.winner.value == 4
         assert res.winner.alpha == order[0]
         assert res.dp_tables == 2
