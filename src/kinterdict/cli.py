@@ -108,6 +108,15 @@ def _certify(inst: Instance, sol: Solution, prepared: PreparedInstance) -> None:
         )
 
 
+def _solve(inst: Instance, eps: Fraction) -> tuple[PreparedInstance, Solution]:
+    # the path of both solve and every bench row: a solution is certified
+    # before it is printed or written
+    prepared = prepare(inst, eps / (1 + inst.t))
+    sol = approx_interdiction(inst, eps, prepared=prepared)
+    _certify(inst, sol, prepared)
+    return prepared, sol
+
+
 def _solution_json(sol: Solution) -> str:
     obj = {
         "x": list(sol.x),
@@ -149,10 +158,7 @@ def _solution_text(sol: Solution) -> str:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
-    eps = _parse_eps(args.eps)
-    prepared = prepare(inst, eps / (1 + inst.t))
-    sol = approx_interdiction(inst, eps, prepared=prepared)
-    _certify(inst, sol, prepared)
+    _, sol = _solve(inst, _parse_eps(args.eps))
     out = _solution_json(sol) if args.output == "json" else _solution_text(sol)
     sys.stdout.write(out)
     return EXIT_OK
@@ -240,8 +246,7 @@ def _bench_task(task):
     # a round trip through its string
     name, inst, eps, exact_max_n = task
     start = time.perf_counter()
-    prepared = prepare(inst, eps / (1 + inst.t))
-    sol = approx_interdiction(inst, eps, prepared=prepared)
+    prepared, sol = _solve(inst, eps)
     wall_ms = int((time.perf_counter() - start) * 1000)
     opt_f = ""
     ratio = ""

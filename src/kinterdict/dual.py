@@ -25,22 +25,24 @@ Signs, duplicates and the sorted order are all decided
 on int tuples, and a point is the int pair (L, alpha L): L > 0 the lcm of
 alpha's denominators and alpha L >= 0, with gcd 1, unique per point.  The
 solvers read it in ints; only a reported multiplier is built in Fractions.
-A candidate set is bound to its instance's profits p, weight rows W and
-capacity vector C and also keeps each candidate's alpha . C, in ints, and
-the candidates' order by it (``CandidateSet``), compared by int
-cross-products: the FPTAS levels take a prefix of that order, F(x) scans
-in it and stops once alpha . C reaches the best value, since a
-candidate's value is at least its alpha . C, and the exact scan prunes by
-it.  The set also holds the table of reduced profits, max(0, p_i L - w_i .
+A candidate set is bound to its instance and keeps each candidate's
+alpha . C, in ints, and the candidates' order by it (``CandidateSet``),
+compared by int cross-products: the FPTAS levels take a prefix of that
+order, F(x) scans in it and stops once alpha . C reaches the best value,
+since a candidate's value is at least its alpha . C, and the exact scan
+prunes by it.  The set also holds the table of reduced profits, max(0, p_i L - w_i .
 (alpha L)) per item, one row per candidate, built the first time a step
 reads it and kept while the table holds at most REDUCED_CELL_LIMIT
 profits (``CandidateSet.reduced_profits``).  The row depends on the
 candidate alone, not on x or on a grid level, so the screens, the
 rounding at every level, the exact knapsacks and F(x) all read the same
 row: F(x) sums a row over the positions of the surviving items, and the
-certificate, which shares the set, reads the rows the solve built.  A
-set that ``prepare`` builds also keeps the origin's sorted items, which
-it sorted for U, for the origin's Dantzig bound, greedy and knapsack.
+certificate, which shares the set, reads the rows the solve built.  It
+keeps each candidate's Dantzig bound too, built from its row on first
+read (``CandidateSet.lower_bound``), which the FPTAS's screens and the
+exact scan share.  A set that ``prepare`` builds also keeps the origin's
+sorted items, which it sorted for U, for the origin's Dantzig bound,
+greedy and knapsack.
 
 That solver returns the first strict minimum in sorted order: the least
 (value, index) pair.  It runs the origin's knapsack first, the optimum on
@@ -61,12 +63,13 @@ is skipped and its knapsack is never built:
   knapsack found.  At t = 1 the points after the origin are visited in
   decreasing alpha, so each one bounded dominates every later one.
 - Dantzig's bound (the LP relaxation of the knapsack, filled greedily by
-  r_i / c_i), ``dantzig_lower_bound``, the only one that sorts.
+  r_i / c_i), ``CandidateSet.lower_bound``, the only one that sorts.
 
 L times the value is an int, so each bound rounds up.  A skipped
 candidate's (value, i) is above the incumbent's, so it could not replace
 it: the result is exactly that of the unpruned scan, ties included.  The
-FPTAS screens its candidates by the same Dantzig bound.
+FPTAS screens its candidates by the same Dantzig bound, kept by the same
+set, so a run of both solvers on one set computes each bound once.
 
 A solve reads only the vertices within a bound T (``prepare``).  Let U be
 the profit the greedy removal by p / c keeps at alpha = 0, an upper bound
@@ -129,24 +132,23 @@ REDUCED_CELL_LIMIT = 250_000
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Sorted, deduplicated dual candidates of an instance with profits p,
-    weight rows W and capacities C; always contains the origin.
+    """Sorted, deduplicated dual candidates of an instance inst; always
+    contains the origin.
 
     Each point is the int pair (L, alpha L) of the module docstring.  bound
     is None when the set holds every vertex, and otherwise the bound T the
     set was cut at: it holds exactly the vertices with alpha . C <= T.
     relaxation is the budget knapsack's ``nominal.lp_relaxation`` at the
-    origin, whose reduced profits are p, when ``prepare`` built the set,
-    and None otherwise.  Computed on first use and kept: dots[i] is
-    (alpha L) . C in ints with (L, alpha L) = points[i], so alpha . C =
-    dots[i] / L, order the indices sorted by alpha . C, ties by index, and
-    ``reduced_profits(i)`` candidate i's reduced profits.
+    origin, points[0], whose reduced profits are p, when ``prepare`` built
+    the set, and None otherwise.  Computed on first use and kept: dots[i]
+    is (alpha L) . C in ints with (L, alpha L) = points[i], so alpha . C =
+    dots[i] / L, order the indices sorted by alpha . C, ties by index,
+    ``reduced_profits(i)`` candidate i's reduced profits and
+    ``lower_bound(i)`` its Dantzig bound.
     """
 
     points: tuple[tuple[int, tuple[int, ...]], ...]
-    C: tuple[int, ...]
-    p: tuple[int, ...]
-    W: tuple[tuple[int, ...], ...]
+    inst: Instance
     bound: Fraction | None = None
     relaxation: tuple | None = field(default=None, compare=False, repr=False)
 
@@ -158,7 +160,8 @@ class CandidateSet:
 
     @cached_property
     def dots(self) -> tuple[int, ...]:
-        return tuple(sum(map(mul, alpha, self.C)) for _, alpha in self.points)
+        C = self.inst.C
+        return tuple(sum(map(mul, alpha, C)) for _, alpha in self.points)
 
     @cached_property
     def order(self) -> tuple[int, ...]:
@@ -173,6 +176,10 @@ class CandidateSet:
     def _rows(self) -> dict[int, tuple[int, ...]]:
         return {}
 
+    @cached_property
+    def _bounds(self) -> dict[int, int]:
+        return {}
+
     def reduced_profits(self, i: int) -> tuple[int, ...]:
         """``scaled_reduced_profits`` of candidate i over every item, built
         on first use and kept for the life of the set while the rows kept
@@ -183,10 +190,34 @@ class CandidateSet:
         row = rows.get(i)
         if row is None:
             scale, alpha = self.points[i]
-            row = tuple(scaled_reduced_profits(self.p, self.W, scale, alpha))
-            if (len(rows) + 1) * len(self.p) <= REDUCED_CELL_LIMIT:
+            inst = self.inst
+            row = tuple(scaled_reduced_profits(inst.p, inst.W, scale, alpha))
+            if (len(rows) + 1) * inst.n <= REDUCED_CELL_LIMIT:
                 rows[i] = row
         return row
+
+    def lower_bound(self, i: int) -> int:
+        """L times a lower bound on candidate i's dual value, (L, alpha L) =
+        points[i]: alpha . C plus the least reduced profit the knapsack's
+        LP relaxation keeps within the budget (nominal.lp_least_units),
+        rounded up, all in ints scaled by L.  Built on first use and kept
+        for the life of the set.
+
+        The Dantzig screen of both solvers.  The FPTAS rounds each reduced
+        profit up, so the bound is also below every rounded value of the
+        candidate, at every grid level; the exact scan's is below the
+        candidate's value.  The origin's is read off the set's relaxation
+        with no sort, when it has one."""
+        bounds = self._bounds
+        lower = bounds.get(i)
+        if lower is None:
+            inst = self.inst
+            if i == 0 and self.relaxation is not None:
+                kept = relaxed_least_units(self.relaxation, inst.B)
+            else:
+                kept = lp_least_units(self.reduced_profits(i), inst.c, inst.B)
+            lower = bounds[i] = self.dots[i] + kept
+        return lower
 
 
 # kept for the benchmark's tracer, which hooks it by name through getattr;
@@ -369,9 +400,7 @@ def dual_vertex_candidates(inst: Instance, bound=None) -> CandidateSet:
     # floors of K times them, K > max(d)^2, order them exactly in ints
     k = max(scale for scale, _ in found) ** 2 + 1
     points = sorted(found, key=lambda a: [v * k // a[0] for v in a[1]])
-    return CandidateSet(
-        points=tuple(points), C=inst.C, p=inst.p, W=inst.W, bound=bound
-    )
+    return CandidateSet(points=tuple(points), inst=inst, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -431,35 +460,6 @@ def scaled_reduced_profits(p, W, scale: int, alpha) -> list[int]:
     return [r if r > 0 else 0 for r in rs]
 
 
-def dantzig_lower_bound(
-    inst: Instance,
-    a: tuple[int, tuple[int, ...]],
-    *,
-    reduced: Sequence[int] | None = None,
-    relaxation=None,
-) -> int:
-    """L times a lower bound on the dual value of the point a = (L, alpha L):
-    alpha . C plus the least reduced profit the knapsack's LP relaxation
-    keeps within the budget (nominal.lp_least_units), rounded up, all in
-    ints scaled by L.
-
-    The screen of both solvers.  The FPTAS rounds each reduced profit up,
-    so the bound is also below every rounded value of the candidate, at
-    every grid level; the exact scan's is below the candidate's value.
-    ``reduced`` is the point's ``scaled_reduced_profits``, the candidate
-    set's row (``CandidateSet.reduced_profits``), and is built when
-    omitted; with ``relaxation``, their sorted ``lp_relaxation``, the LP
-    is read off it with no sort.
-    """
-    scale, alpha = a
-    base = sum(aj * cj for aj, cj in zip(alpha, inst.C))
-    if relaxation is not None:
-        return base + relaxed_least_units(relaxation, inst.B)
-    if reduced is None:
-        reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
-    return base + lp_least_units(reduced, inst.c, inst.B)
-
-
 def dual_bound_exact(
     inst: Instance,
     a: tuple[int, tuple[int, ...]],
@@ -474,9 +474,10 @@ def dual_bound_exact(
     removed.  Returns the exact bound value and the attaining interdiction.
     The knapsack runs on the reduced profits scaled by L to ints, with
     a = (L, alpha L); its choices compare sums of them only, so they are
-    those of the unscaled profits.  ``reduced`` and ``relaxation`` are as
-    for ``dantzig_lower_bound``; the knapsack takes the relaxation, and
-    sorts the items itself without it.
+    those of the unscaled profits.  ``reduced`` is the point's
+    ``scaled_reduced_profits``, the candidate set's row, and is built when
+    omitted; ``relaxation`` is their sorted ``lp_relaxation``, which the
+    knapsack builds when omitted.
     """
     scale, alpha = a
     if reduced is None:
@@ -535,12 +536,11 @@ def exact_fractional_optimum(
         floor = (kept, a)
         if (dot + kept) * den >= need:
             continue
-        reduced = rows(i)
-        kept = max(kept, dantzig_lower_bound(inst, a, reduced=reduced) - dot)
+        kept = max(kept, candidates.lower_bound(i) - dot)
         floor = (kept, a)
         if (dot + kept) * den >= need:
             continue
-        v, y = dual_bound_exact(inst, a, reduced=reduced)
+        v, y = dual_bound_exact(inst, a, reduced=rows(i))
         floor = (v.numerator * scale // v.denominator - dot, a)
         if v < value or (v == value and i < best):
             value, x, best = v, y, i

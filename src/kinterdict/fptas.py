@@ -22,15 +22,16 @@ whose alpha . C is within it, a prefix of their alpha . C order (built once
 per solve, see dual.CandidateSet).  It scans them in sorted order, and once
 one passes, its value caps the rest, since only a strictly smaller value
 can replace it.  A candidate runs no DP when its alpha . C, or its Dantzig
-lower bound (dual.dantzig_lower_bound, computed once per solve), exceeds
-the cap; every other DP stops at the largest unit target the cap leaves,
-which keeps every bound that can win.  All three tests are int
-cross-products.  Each level rounds a candidate's reduced profits from the
-candidate set's table (dual.CandidateSet.reduced_profits), built once per
-candidate and shared with the Dantzig bound, the search's greedy bound and
-F(x): the reduced profits depend on alpha alone, and only their rounding
-on z.  The DP is nominal's budget knapsack, kept as Pareto
-frontiers: each candidate runs it value-only for its least feasible target
+lower bound, exceeds the cap; every other DP stops at the largest unit
+target the cap leaves, which keeps every bound that can win.  All three
+tests are int cross-products.  The candidate set keeps, per candidate,
+both the Dantzig bound (dual.CandidateSet.lower_bound), computed the
+first time the bracket or a level reads it and shared with the exact
+scan, and the reduced profits (dual.CandidateSet.reduced_profits), which
+each level rounds and which the bound, the search's greedy bound and F(x)
+read too: both depend on alpha alone, and only the rounding on z.  The
+DP is nominal's budget knapsack, kept as Pareto frontiers: each candidate
+runs it value-only for its least feasible target
 (nominal.least_units_within).  That run is bounded in turn: the greedy
 interdiction in units/cost order gives an achievable target and the LP
 relaxation a lower bound.  The DP runs only when they leave a gap, only on
@@ -65,7 +66,6 @@ from itertools import takewhile
 from .dual import (
     CandidateSet,
     PreparedInstance,
-    dantzig_lower_bound,
     fractional_value,
     prepare,
     scaled_reduced_profits,
@@ -301,14 +301,14 @@ class CandidateEval:
     profits and alpha the candidate (L, alpha L) itself, kept for the
     traceback and the reported multiplier; relaxation is the units'
     sorted nominal.lp_relaxation that the value-only run built, kept so
-    that the traceback does not sort them again (None: built there).
+    that the traceback does not sort them again.
     """
 
     value: Fraction | None
     k: int | None
     units: list[int]
     alpha: tuple[int, tuple[int, ...]]
-    relaxation: tuple | None = field(default=None, compare=False, repr=False)
+    relaxation: tuple = field(compare=False, repr=False)
 
 
 def rounded_dual_bound(
@@ -391,7 +391,6 @@ def accept_level(
     grid: GeometricGrid,
     j: int,
     candidates: CandidateSet,
-    lowers: dict[int, int] | None = None,
 ) -> LevelResult:
     """Evaluate the candidates at grid level j and test acceptance.
 
@@ -409,31 +408,26 @@ def accept_level(
     level's winner is therefore that of the unlimited evaluation, ties
     going to the earliest candidate, and a failing level fails.
 
-    ``lowers`` caches each candidate's Dantzig bound by index, as the int
-    lower over its L; lower and dots[i] are within a cap u / v when times v
-    they are at most u L.  A search shares it.  dp_tables counts the kept
-    candidates, screened or not: the paper's count, not the DPs that ran.
+    Both bounds are L times their value, in ints (``CandidateSet.dots`` and
+    ``CandidateSet.lower_bound``), so each is within a cap u / v when times
+    v it is at most u L; the set keeps each Dantzig bound for every level.
+    dp_tables counts the kept candidates, screened or not: the paper's
+    count, not the DPs that ran.
     """
     point = grid.point(j)
     cap = (1 + grid.eps_internal) * point.z
     u, v = cap.numerator, cap.denominator
     points, dots = candidates.points, candidates.dots
-    if lowers is None:
-        lowers = {}
     kept = sorted(within_limit(candidates, cap))
     best: CandidateEval | None = None
     for i in kept:
         scale = points[i][0]
-        if dots[i] * v > u * scale:
-            continue
-        reduced = candidates.reduced_profits(i)
-        if i not in lowers:
-            lowers[i] = dantzig_lower_bound(inst, points[i], reduced=reduced)
-        if lowers[i] * v > u * scale:
+        if dots[i] * v > u * scale or candidates.lower_bound(i) * v > u * scale:
             continue
         base = Fraction(dots[i], scale)
         ev = rounded_dual_bound(
-            inst, points[i], point, limit=cap, base=base, reduced=reduced
+            inst, points[i], point, limit=cap, base=base,
+            reduced=candidates.reduced_profits(i),
         )
         if ev.value is not None and (best is None or ev.value < best.value):
             best, cap = ev, ev.value
@@ -441,44 +435,36 @@ def accept_level(
     return LevelResult(winner=best, dp_tables=len(kept))
 
 
-def search_bracket(
-    inst: Instance, candidates: CandidateSet, lowers: dict[int, int]
-) -> tuple[Fraction, Fraction]:
+def search_bracket(candidates: CandidateSet) -> tuple[Fraction, Fraction]:
     """(lower, upper): bounds that decide most grid levels without a scan.
 
-    lower is the least Dantzig lower bound over all candidates, a lower
-    bound on every rounded value at every level.  The candidates are
-    scanned in alpha . C order (``CandidateSet.order``), and the scan stops
-    at the first one whose alpha . C reaches the least bound so far, since
-    a candidate's bound is at least its alpha . C; each bound computed is
-    stored in ``lowers``, by index, as ``accept_level`` reads it.  upper is
-    the dual value, at the first candidate a* attaining lower, of the
-    greedy removal in units/cost order (nominal.greedy_kept_units): a
-    budget-feasible interdiction, so upper is at least the candidate's least
-    dual value V, and lower <= V <= upper.
+    lower is the least Dantzig lower bound over all candidates
+    (``CandidateSet.lower_bound``), a lower bound on every rounded value at
+    every level.  The candidates are scanned in alpha . C order
+    (``CandidateSet.order``), and the scan stops at the first one whose
+    alpha . C reaches the least bound so far, since a candidate's bound is
+    at least its alpha . C; the set keeps each bound computed for the
+    levels.  upper is the dual value, at the first candidate a* attaining
+    lower, of the greedy removal in units/cost order
+    (nominal.greedy_kept_units), on the set's sorted items when a* is the
+    origin: a budget-feasible interdiction, so upper is at least the
+    candidate's least dual value V, and lower <= V <= upper.
     """
-    points, dots = candidates.points, candidates.dots
-    rows = candidates.reduced_profits
-
-    def origin(i):
-        # the origin's sorted items, when prepare kept them
-        return candidates.relaxation if i == 0 else None
-
+    points, dots, lowest = candidates.points, candidates.dots, candidates.lower_bound
     best = None
     for i in candidates.order:
         scale = points[i][0]
-        if best is not None and dots[i] * points[best][0] >= lowers[best] * scale:
+        if best is not None and dots[i] * points[best][0] >= lowest(best) * scale:
             break
-        if i not in lowers:
-            lowers[i] = dantzig_lower_bound(
-                inst, points[i], reduced=rows(i), relaxation=origin(i)
-            )
-        if best is None or lowers[i] * points[best][0] < lowers[best] * scale:
+        if best is None or lowest(i) * points[best][0] < lowest(best) * scale:
             best = i
     assert best is not None  # the candidate set always contains the origin
-    scale = points[best][0]
-    kept = greedy_kept_units(rows(best), inst.c, inst.B, relaxation=origin(best))
-    return Fraction(lowers[best], scale), Fraction(dots[best] + kept, scale)
+    inst, scale = candidates.inst, points[best][0]
+    kept = greedy_kept_units(
+        candidates.reduced_profits(best), inst.c, inst.B,
+        relaxation=candidates.relaxation if best == 0 else None,
+    )
+    return Fraction(lowest(best), scale), Fraction(dots[best] + kept, scale)
 
 
 def search_optimum_guess(
@@ -489,9 +475,9 @@ def search_optimum_guess(
     Levels below the optimum are rejected and levels at or above it are
     accepted, with at most one ambiguous level in between, so acceptance is
     monotone along the grid.  The top level always accepts because it is at
-    least the total profit.  The candidates' alpha . C and their order by it
-    (kept by the ``CandidateSet``), and each Dantzig lower bound once a
-    level needs it, are computed once and shared by every level.
+    least the total profit.  The candidates' alpha . C, their order by it
+    and each Dantzig lower bound once a level needs it are computed once,
+    kept by the ``CandidateSet`` and shared by every level.
 
     Most levels are decided before any scan, by the bounds of
     ``search_bracket``.  A level whose limit (1 + eps') z_j is below lower
@@ -508,8 +494,7 @@ def search_optimum_guess(
     evaluation, and the nominal tables summed over every level on the
     search's path, scanned or not (``within_limit``).
     """
-    lowers: dict[int, int] = {}
-    lower, upper = search_bracket(inst, candidates, lowers)
+    lower, upper = search_bracket(candidates)
     base = 1 + grid.eps_internal
     # level j is open when its limit base^(j + 1) reaches lower and z_j is
     # below upper
@@ -520,7 +505,7 @@ def search_optimum_guess(
     def evaluate(j: int) -> tuple[bool, CandidateEval | None]:
         nonlocal dp_tables
         if first_open <= j < first_accepted:
-            res = accept_level(inst, grid, j, candidates, lowers)
+            res = accept_level(inst, grid, j, candidates)
             dp_tables += res.dp_tables
             return res.passed, res.winner
         dp_tables += len(within_limit(candidates, base ** (j + 1)))
@@ -537,7 +522,7 @@ def search_optimum_guess(
         else:
             lo = mid + 1
     if winner is None:
-        res = accept_level(inst, grid, hi, candidates, lowers)
+        res = accept_level(inst, grid, hi, candidates)
         winner = res.winner
         if hi == grid.J:  # the only level not yet counted
             dp_tables += res.dp_tables

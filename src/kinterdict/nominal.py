@@ -14,12 +14,14 @@ the least from below.  It ends there when the two meet.  Otherwise it
 fixes each item that the LP bound shows every selection within the greedy
 removes, or keeps, and the DP runs on the items left free, its rows capped
 at the greedy's units (or kmax, when lower) less the units fixed kept.
-The LP bound alone (``lp_least_units``), which the Dantzig screen of the
-dual scan and of the FPTAS reads, sorts the items' bare ratio keys and
-builds no tuple: its value does not depend on how equal ratios are
-ordered.  Items already sorted (an ``lp_relaxation``) give it with no sort
-(``relaxed_least_units``), and so do the greedy's kept units, the
-value-only run and the traceback, which each take a caller's relaxation.
+The LP bound alone (``lp_least_units``), which the dual candidate set's
+Dantzig bound reads once per candidate for both solvers' screens, sorts
+the items' bare ratio keys and builds no tuple: its value does not depend
+on how equal ratios are ordered.  Items already sorted (an
+``lp_relaxation``) give it with no sort (``relaxed_least_units``), and so
+do the greedy's kept units and the value-only run, which take a caller's
+relaxation, and the traceback, whose caller always passes the one it
+built.
 Every frontier run, value-only or stored, has one budget of pairs built
 (FRONTIER_PAIR_LIMIT).
 
@@ -280,21 +282,6 @@ def relaxed_least_units(relaxation, budget: int) -> int:
     return kept + sus[split] - us[split] * (budget - pcs[split]) // cs[split]
 
 
-def _least(relaxation, budget: int, kmax: int) -> int | None:
-    """``least_units_within`` for the items of an ``lp_relaxation``."""
-    kept, _, us, cs, pcs, sus, split = relaxation
-    greedy = _greedy(relaxation, budget)
-    ub = min(kmax - kept, greedy)
-    lower = relaxed_least_units(relaxation, budget) - kept
-    if lower > ub:
-        return None
-    if lower == greedy:
-        return kept + greedy
-    _, left, fixed, free_us, free_cs = _fixed(us, cs, pcs, sus, split, budget, ub)
-    ks, _ = budget_frontier(free_us, free_cs, left, ub - fixed)
-    return kept + fixed + ks[0] if ks else None
-
-
 def least_units_within(
     units, costs, budget: int, kmax: int, relaxation=None
 ) -> int | None:
@@ -323,7 +310,17 @@ def least_units_within(
         return None
     if relaxation is None:
         relaxation = lp_relaxation(units, costs, budget)
-    return _least(relaxation, budget, kmax)
+    kept, _, us, cs, pcs, sus, split = relaxation
+    greedy = _greedy(relaxation, budget)
+    ub = min(kmax - kept, greedy)
+    lower = relaxed_least_units(relaxation, budget) - kept
+    if lower > ub:
+        return None
+    if lower == greedy:
+        return kept + greedy
+    _, left, fixed, free_us, free_cs = _fixed(us, cs, pcs, sus, split, budget, ub)
+    ks, _ = budget_frontier(free_us, free_cs, left, ub - fixed)
+    return kept + fixed + ks[0] if ks else None
 
 
 def lp_least_units(units, costs, budget: int) -> int:
@@ -368,7 +365,7 @@ def greedy_kept_units(units, costs, budget: int, *, relaxation=None) -> int:
     return relaxation[0] + _greedy(relaxation, budget)
 
 
-def trace_unfixed(units, costs, budget: int, target: int, trace, relaxation=None):
+def trace_unfixed(units, costs, budget: int, target: int, trace, relaxation):
     """The bits that a walk over the suffix frontiers of all the items
     gives, traced over the items the LP bound leaves free only.
 
@@ -379,8 +376,9 @@ def trace_unfixed(units, costs, budget: int, target: int, trace, relaxation=None
     left is the budget less the costs of the items fixed removed, and rest
     the target less the units of those fixed kept.  Zero-cost items are
     selected and items costing more than the budget kept, as every walk
-    does; the LP bound (``_fixed``, on the items' ``lp_relaxation`` when the
-    caller has it) fixes the others with ub = target less the units kept.
+    does; the LP bound (``_fixed``, on the items' ``lp_relaxation``, which
+    the caller built for its target) fixes the others with ub = target
+    less the units kept.
 
     Every selection within the budget that keeps at most target units
     removes each fixed-removed item and keeps each fixed-kept one, and the
@@ -393,8 +391,6 @@ def trace_unfixed(units, costs, budget: int, target: int, trace, relaxation=None
     item's tie test falls the same way, and each fixed item's bit is the
     one its only winning branch gives.
     """
-    if relaxation is None:
-        relaxation = lp_relaxation(units, costs, budget)
     kept, items, us, cs, pcs, sus, split = relaxation
     bits = [1 if c == 0 else 0 if c > budget else None for c in costs]
     ub = target - kept

@@ -2,10 +2,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 from hypothesis import strategies as st
 
+from kinterdict.dual import scaled_reduced_profits
 from kinterdict.fptas import InternalInvariantError, accept_level, rounded_dual_bound
 from kinterdict.generator import SplitMix64, generate_instance
 from kinterdict.instance import (
@@ -15,7 +17,7 @@ from kinterdict.instance import (
     preprocess,
 )
 from kinterdict.linalg import solve_square_system
-from kinterdict.nominal import DimensionMismatchError, KnapsackAnswer
+from kinterdict.nominal import DimensionMismatchError, KnapsackAnswer, lp_least_units
 
 # Hand-checked fixtures.  Every quoted number below was verified against the
 # brute-force oracles before being frozen here.
@@ -116,6 +118,16 @@ def reduced_profit(inst: Instance, item: int, a) -> Fraction:
 def dot_capacity(inst: Instance, a) -> Fraction:
     """alpha . C in Fractions: the tests' reference for a candidate's base."""
     return sum((q * c for q, c in zip(alpha_of(a), inst.C)), start=Fraction(0))
+
+
+def scaled_dantzig_bound(inst: Instance, a) -> int:
+    """L times the Dantzig bound of the dual point a = (L, alpha L), built
+    from the point alone: (alpha L) . C plus nominal's LP bound on the
+    point's scaled reduced profits.  The reference for
+    ``CandidateSet.lower_bound``."""
+    scale, alpha = a
+    reduced = scaled_reduced_profits(inst.p, inst.W, scale, alpha)
+    return sum(map(mul, alpha, inst.C)) + lp_least_units(reduced, inst.c, inst.B)
 
 
 def surviving_reduced_profit(inst: Instance, x: InterdictionVector, a) -> Fraction:
@@ -270,19 +282,18 @@ def plain_search_optimum_guess(inst: Instance, grid, candidates):
     [0, J] that scans every level it visits with accept_level, and the top
     level at the end when no level passed; dp_tables sums the scanned
     levels' counts."""
-    lowers: dict[int, int] = {}
     dp_tables = 0
     lo, hi, winner = 0, grid.J, None
     while lo < hi:
         mid = (lo + hi) // 2
-        res = accept_level(inst, grid, mid, candidates, lowers)
+        res = accept_level(inst, grid, mid, candidates)
         dp_tables += res.dp_tables
         if res.passed:
             hi, winner = mid, res.winner
         else:
             lo = mid + 1
     if winner is None:
-        res = accept_level(inst, grid, hi, candidates, lowers)
+        res = accept_level(inst, grid, hi, candidates)
         dp_tables += res.dp_tables
         winner = res.winner
     if winner is None:

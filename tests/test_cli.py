@@ -17,7 +17,7 @@ from kinterdict.cli import build_parser, main
 from kinterdict.generator import generate_instance
 from kinterdict.instance import Instance, parse_instance, serialize_instance
 
-from conftest import T1, T2, EMPTY, dot_capacity
+from conftest import T1, T2, EMPTY, dot_capacity, scaled_dantzig_bound
 
 T1_JSON = serialize_instance(T1)
 T2_JSON = serialize_instance(T2)
@@ -510,6 +510,65 @@ def test_a_request_builds_each_reduced_profit_row_once_and_sorts_the_origin_once
             assert [list(args[0]) for args in sorts + bounds].count(origin) == 1
 
 
+def test_a_bench_row_bounds_each_candidate_once(tmp_path, capsys, monkeypatch):
+    # the first instance of the exact-scan benchmark corpus at seed 1: the
+    # FPTAS and the exact scan of one bench row share the prepared set, so
+    # each candidate's Dantzig bound is computed once for both
+    inst = generate_instance(
+        n=40, t=1, seed=1_040_100, pmax=100, wmax=100, cmax=100,
+        budget_frac=Fraction(1, 2), cap_frac=Fraction(1, 2),
+    )
+    d = tmp_path / "instances"
+    d.mkdir()
+    write(d, "n40.json", serialize_instance(inst))
+    bounds = count_calls(monkeypatch, nominal, "lp_least_units")
+    out = str(tmp_path / "out.csv")
+    code, _, _ = run(
+        capsys, "bench", "--dir", str(d), "--eps", "1/2", "--csv", out,
+        "--exact-max-n", "40",
+    )
+    assert code == 0
+    with open(out, newline="") as f:
+        assert [r["opt_f"] != "" for r in csv.DictReader(f)] == [True]
+    rows = [tuple(args[0]) for args in bounds]
+    assert rows and len(set(rows)) == len(rows)
+
+
+def test_accept_level_level_by_level_bounds_each_candidate_once(monkeypatch):
+    # C6 calls accept_level once per grid level on one candidate set; the
+    # set keeps each Dantzig bound, so no level computes one again
+    inst = instance.preprocess(generate_instance(n=12, t=1, seed=3))[0]
+    cands = dual.dual_vertex_candidates(inst)
+    grid = fptas.GeometricGrid.build(inst, fptas.split_accuracy(Fraction(1, 4)))
+    bounds = count_calls(monkeypatch, nominal, "lp_least_units")
+    passed = [
+        fptas.accept_level(inst, grid, j, cands).passed for j in range(grid.J + 1)
+    ]
+    assert passed[-1] and not passed[0]
+    rows = [tuple(args[0]) for args in bounds]
+    assert rows and len(set(rows)) == len(rows)
+
+
+def test_bench_certifies_each_row_as_solve_does(tmp_path, capsys, monkeypatch):
+    # a row whose recomputed F(x) disagrees with the solver's fails, as
+    # solve does, rather than being written
+    d = tmp_path / "instances"
+    d.mkdir()
+    (d / "t1.json").write_text(T1_JSON)
+    path = str(d / "t1.json")
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(
+        cli, "fractional_value", lambda *args: dual.fractional_value(*args) + 1
+    )
+    for argv in (
+        ("solve", "--input", path, "--eps", "1"),
+        ("bench", "--dir", str(d), "--eps", "1", "--csv", str(out)),
+    ):
+        with pytest.raises(fptas.InternalInvariantError, match="recomputed"):
+            main(list(argv))
+    assert not out.exists()
+
+
 def _ends_cleanly(*argv):
     # a fresh process, so that a crash shows as a traceback on stderr
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
@@ -890,7 +949,7 @@ def test_solve_jobs_2_matches_jobs_1_where_both_screens_fire(
         # a DP runs only for a candidate whose alpha . C and Dantzig lower
         # bound are both within the cap it is given
         assert base == dot_capacity(inst, a) <= limit
-        assert Fraction(dual.dantzig_lower_bound(inst, a), a[0]) <= limit
+        assert Fraction(scaled_dantzig_bound(inst, a), a[0]) <= limit
         runs[point.z] += 1
         return rounded_dual_bound(inst, a, point, limit=limit, base=base, **kwargs)
 
@@ -904,7 +963,7 @@ def test_solve_jobs_2_matches_jobs_1_where_both_screens_fire(
         within = [a for a in cands if dot_capacity(reduced, a) <= limit]
         screened = [
             a for a in within
-            if Fraction(dual.dantzig_lower_bound(reduced, a), a[0]) <= limit
+            if Fraction(scaled_dantzig_bound(reduced, a), a[0]) <= limit
         ]
         assert runs[point.z] <= len(screened)
         # some candidates fail the alpha . C screen, some the Dantzig one

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from kinterdict import dual
 from kinterdict.dual import (
-    dantzig_lower_bound,
     dual_bound_exact,
     dual_breakpoints,
     dual_vertex_candidates,
@@ -269,7 +268,7 @@ def test_bounded_vertex_set_is_the_full_set_cut_at_the_bound(inst, data):
             st.sampled_from(bases) | st.fractions(min_value=0, max_value=3 * max(bases))
         )
     cut = dual_vertex_candidates(inst, bound)
-    assert cut.bound == bound and cut.C == inst.C
+    assert cut.bound == bound and cut.inst == inst
     assert list(cut) == [a for a, base in zip(full, bases) if base <= bound]
 
 
@@ -578,10 +577,11 @@ def test_exact_scan_bounds_are_ordered_and_least_kept_falls_with_alpha(
     # reduced profit never rises as alpha rises.
     if big:
         inst = _beyond_64_bits(inst, 2**64 + 7)
-    for a in dual_vertex_candidates(inst):
+    cands = dual_vertex_candidates(inst)
+    for i, a in enumerate(cands):
         scale, alpha = a
         dot = sum(aj * cj for aj, cj in zip(alpha, inst.C))
-        dantzig = dantzig_lower_bound(inst, a)
+        dantzig = cands.lower_bound(i)
         value, _ = dual_bound_exact(inst, a)
         assert dantzig <= value * scale
         # a point alpha' = alpha + d / e >= alpha, as (L e, alpha L e + d L)

@@ -11,7 +11,6 @@ from kinterdict import fptas
 from kinterdict.dual import (
     CandidateSet,
     PreparedInstance,
-    dantzig_lower_bound,
     dual_bound_exact,
     dual_breakpoints,
     dual_vertex_candidates,
@@ -59,6 +58,7 @@ from conftest import (
     plain_search_optimum_guess,
     random_rat,
     reduced_profit,
+    scaled_dantzig_bound,
     surviving_reduced_profit,
     unlimited_rounded_dual_bound,
 )
@@ -450,16 +450,26 @@ def test_search_bracket_fixes_the_levels_it_decides():
     insts = [T1, T2] + family(seed=73, count=10, n_lo=1, n_hi=6) + family(
         seed=74, count=6, n_lo=2, n_hi=5, t=2, wmax=6
     )
+
+    def check_kept_bounds(cands):
+        # every bound the bracket kept, the origin's read off a prepared
+        # set's sorted items included, is the point's own Dantzig bound
+        assert 0 in cands._bounds
+        for i, scaled_lower in cands._bounds.items():
+            assert scaled_lower == scaled_dantzig_bound(cands.inst, cands.points[i])
+
     decided = 0
     for inst in insts:
         if sum(inst.p) == 0:
             continue
         cands = candidates_for(inst)
-        lowers = {}
-        lower, upper = search_bracket(inst, cands, lowers)
+        lower, upper = search_bracket(cands)
         assert lower <= exact_fractional_optimum(inst, cands)[0] <= upper
-        for i, scaled_lower in lowers.items():
-            assert scaled_lower == dantzig_lower_bound(inst, cands.points[i])
+        check_kept_bounds(cands)
+        prepared = prepare(inst, 1).candidates
+        assert prepared.relaxation is not None
+        assert search_bracket(prepared) == (lower, upper)
+        check_kept_bounds(prepared)
         for eps in (Fraction(1), Fraction(1, 2)):
             grid = GeometricGrid.build(inst, split_accuracy(eps))
             for j in range(grid.J + 1):
@@ -871,7 +881,7 @@ def test_accept_level_keeps_candidate_whose_alpha_c_equals_the_limit():
     # reduced profit is 0, so the bound is exactly the limit and passes
     inst = Instance(n=1, t=1, p=(4,), c=(1,), W=((2,),), B=0, C=(2,))
     grid = GeometricGrid.build(inst, Fraction(1))
-    only = CandidateSet(points=(dual_point(2),), C=inst.C, p=inst.p, W=inst.W)
+    only = CandidateSet(points=(dual_point(2),), inst=inst)
     res = accept_level(inst, grid, 1, only)
     assert res.passed and res.winner.value == 4 and res.dp_tables == 1
 
@@ -884,7 +894,7 @@ def test_accept_level_tie_goes_to_the_earlier_candidate():
     grid = GeometricGrid.build(inst, Fraction(1))
     zero, two = dual_point(0), dual_point(2)
     for order in ((zero, two), (two, zero)):
-        cands = CandidateSet(points=order, C=inst.C, p=inst.p, W=inst.W)
+        cands = CandidateSet(points=order, inst=inst)
         res = accept_level(inst, grid, 1, cands)
         assert res.passed and res.winner.value == 4
         assert res.winner.alpha == order[0]
@@ -912,8 +922,9 @@ def test_dantzig_lower_bound_is_below_exact_and_every_rounded_value(inst, eps):
     if inst.n == 0 or sum(inst.p) == 0:
         return
     grid = GeometricGrid.build(inst, split_accuracy(eps))
-    for a in candidates_for(inst):
-        lower = Fraction(dantzig_lower_bound(inst, a), a[0])
+    cands = candidates_for(inst)
+    for i, a in enumerate(cands):
+        lower = Fraction(cands.lower_bound(i), a[0])
         assert lower >= dot_capacity(inst, a)
         assert lower <= dual_bound_exact(inst, a)[0]
         for j in range(grid.J + 1):

@@ -15,6 +15,7 @@ from kinterdict.nominal import (
     fractional_knapsack,
     knapsack_max_budget,
     least_units_within,
+    lp_relaxation,
     select_on_ties,
     suffix_frontiers,
 )
@@ -212,7 +213,10 @@ def test_traces_over_the_free_items_match_the_full_tracebacks(items, budget, kma
             n=len(units), t=1, p=tuple(units), c=tuple(costs),
             W=((1,) * len(units),), B=budget, C=(1,),
         )
-        ev = CandidateEval(value=None, k=k, units=units, alpha=(1, (0,)))
+        ev = CandidateEval(
+            value=None, k=k, units=units, alpha=(1, (0,)),
+            relaxation=lp_relaxation(units, costs, budget),
+        )
         assert candidate_bits(inst, ev) == full
         assert dense_min_budget_table(units, costs, k).traceback(k) == full
     ans = knapsack_max_budget(units, costs, budget)
